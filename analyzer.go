@@ -23,13 +23,13 @@ const DefaultMaxHD = 13
 // Limits exposes the evaluation resource budgets of the underlying
 // Hamming-distance engine. Zero fields keep the defaults.
 type Limits struct {
-	// MaxProbes bounds the probe work of a single existence query;
-	// queries beyond it fail with ErrBudgetExceeded (default 2^62,
-	// effectively unbounded).
+	// MaxProbes bounds the probe work of a single existence query (a
+	// boundary scan is one query); queries beyond it fail with
+	// ErrBudgetExceeded (default 2^62, effectively unbounded).
 	MaxProbes int64
 	// MaxStoreEntries is the threshold above which meet-in-the-middle
-	// joins switch from a compact positional map to the whole-space
-	// bitmap (default 1<<20 entries).
+	// joins and boundary scans switch from a compact map to the
+	// whole-space bitmap (default 1<<20 entries).
 	MaxStoreEntries int
 	// MaxPairBuffer bounds the pair-syndrome buffer used by exact
 	// weight-4 counting, in 4-byte entries (default 300<<20).
@@ -49,14 +49,16 @@ type Progress struct {
 	Probes  int64
 }
 
-// Span reports one completed engine phase of an evaluation — a boundary
-// search, a dedicated W3/W4 scan, one side of a meet-in-the-middle join,
-// or an exact weight count — with its wall duration and the probe/store
-// work it performed. Phase is one of the hamming.Span* constants
-// ("boundary", "w3_scan", "w4_scan", "mitm_store", "mitm_probe",
-// "w2_count", "w3_count", "w4_count"). Like Progress hooks, span hooks
-// run on the evaluating goroutine and must not block or call back into
-// the Analyzer.
+// Span reports one completed engine phase of an evaluation — a w >= 5
+// boundary scan, a dedicated W3/W4 scan, one side of an existence
+// query's meet-in-the-middle join, or an exact weight count — with its
+// wall duration and the probe/store work it performed. Phase is one of
+// the hamming.Span* constants: "boundary", "w3_scan" and "w4_scan" from
+// boundary searches (Evaluate, MaxLenAtHD, Coverage); "mitm_store" and
+// "mitm_probe" from existence queries (HDAt, Witness, Search); and
+// "w2_count", "w3_count", "w4_count" from Weight. Like Progress hooks,
+// span hooks run on the evaluating goroutine and must not block or call
+// back into the Analyzer.
 type Span struct {
 	Poly     Polynomial
 	Phase    string

@@ -3,9 +3,9 @@ package koopmancrc
 // One benchmark per paper artifact (Table 1, Figure 1, Table 2, the §3/§4.1
 // weight computations) plus ablations of every §4.1 search optimisation:
 // early bailout, FCS-bits-first ordering, filtering with increasing
-// lengths, and the filter-don't-count principle. EXPERIMENTS.md interprets
-// the numbers against the paper's reported shapes (who is faster, by
-// roughly what factor).
+// lengths, and the filter-don't-count principle. The end-to-end workloads
+// and their per-layer split are measured by paperbench (see
+// paperbench/README.md).
 
 import (
 	"context"
@@ -123,6 +123,19 @@ func BenchmarkBreakpointIncreasingLengths(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev := hamming.New(poly.IEEE8023)
 		n, _, found, err := ev.FirstDataLenStrategy(5, 16384, hamming.StrategyIncreasing)
+		if err != nil || !found || n != 269 {
+			b.Fatalf("boundary %d %v %v", n, found, err)
+		}
+	}
+}
+
+// BenchmarkBreakpointScan locates the same boundary with the engine's
+// default one-pass scan, which grows the length a bit at a time and so
+// pays for one meet-in-the-middle join at the boundary length.
+func BenchmarkBreakpointScan(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		ev := hamming.New(poly.IEEE8023)
+		n, _, found, err := ev.FirstDataLen(5, 16384)
 		if err != nil || !found || n != 269 {
 			b.Fatalf("boundary %d %v %v", n, found, err)
 		}

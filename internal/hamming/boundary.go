@@ -20,18 +20,29 @@ const (
 // FirstDataLen returns the smallest data-word length (up to maxLen) at
 // which some undetectable error pattern of exactly w bits fits, together
 // with a witness pattern. found is false if no such length exists within
-// maxLen.
+// maxLen. Weights of 5 and above are located by one incremental scan
+// (firstLenScan); FirstDataLenStrategy keeps the paper's §4.1 searches.
 func (e *Evaluator) FirstDataLen(w, maxLen int) (int, []int, bool, error) {
-	return e.FirstDataLenStrategy(w, maxLen, StrategyIncreasing)
+	return e.firstDataLen(w, maxLen, e.firstLenScan)
 }
 
-// FirstDataLenStrategy is FirstDataLen with an explicit search strategy for
-// the w >= 5 boundary search.
+// FirstDataLenStrategy is FirstDataLen with the w >= 5 boundary located by
+// one of the paper's §4.1 existence-query searches instead of the
+// incremental scan: the ablation and the reference the scan is checked
+// against.
 func (e *Evaluator) FirstDataLenStrategy(w, maxLen int, s Strategy) (int, []int, bool, error) {
+	return e.firstDataLen(w, maxLen, func(w, maxLen int) (int, []int, bool, error) {
+		return e.firstLenSearch(w, maxLen, s)
+	})
+}
+
+// firstDataLen answers the weights with dedicated machinery and hands
+// w >= 5 to high.
+func (e *Evaluator) firstDataLen(w, maxLen int, high func(w, maxLen int) (int, []int, bool, error)) (int, []int, bool, error) {
 	if w < 2 {
 		return 0, nil, false, fmt.Errorf("hamming: invalid weight %d", w)
 	}
-	if maxLen < 1 {
+	if maxLen < 1 || e.oddWeightImpossible(w) {
 		return 0, nil, false, nil
 	}
 	switch w {
@@ -51,7 +62,7 @@ func (e *Evaluator) FirstDataLenStrategy(w, maxLen int, s Strategy) (int, []int,
 	case 4:
 		return e.firstLen4(maxLen)
 	default:
-		return e.firstLenSearch(w, maxLen, s)
+		return high(w, maxLen)
 	}
 }
 
@@ -128,6 +139,70 @@ func (e *Evaluator) firstLen4(maxLen int) (int, []int, bool, error) {
 			return 0, nil, false, fmt.Errorf("%w: weight-4 scan at %d codeword bits", ErrBudgetExceeded, c)
 		}
 		m.put(1^sc, int32(c))
+	}
+	return 0, nil, false, nil
+}
+
+// firstLenScan is the incremental boundary scan for w >= 5, generalising
+// firstLen3/firstLen4: a code of length n+1 extends the code of length
+// n, so the boundary is found in one pass that grows the length a bit at
+// a time. A canonical pattern holds position 0 and its largest position
+// c; of the w-2 positions between them, p go to the store and q are
+// probed. For each c the store first gains every p-subset of [1, c)
+// whose largest member is c-1, then every q-subset of [1, c) joined with
+// {0, c} is probed against it. The first hit that resolves into a
+// disjoint pattern is the exact boundary, so the whole search costs one
+// meet-in-the-middle join at the boundary length. It is one query
+// against MaxProbes.
+func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
+	if err := e.begin(w, maxLen); err != nil {
+		return 0, nil, false, err
+	}
+	defer e.spanStart(SpanBoundary, w, maxLen)()
+	n := e.codewordLen(maxLen)
+	syn := e.syndromes(n)
+	p := (w - 1) / 2
+	q := w - 2 - p
+	// The store starts as a compact set that grows with it and moves
+	// into the whole-space bitmap once it passes MaxStoreEntries, so a
+	// boundary at a few hundred bits never allocates 2^width bits.
+	var set synSet
+	if e.width <= 20 {
+		set = bitmapSet(e.bitset())
+	} else {
+		set = newMapSet(0)
+	}
+	var work int64
+	for c := 2; c < n; c++ {
+		row := binomAtMost(c-2, p-1, 1<<62)
+		probes := binomAtMost(c-1, q, 1<<62)
+		if work += row + probes; work > e.opts.MaxProbes {
+			return 0, nil, false, fmt.Errorf("%w: weight-%d scan at %d codeword bits", ErrBudgetExceeded, w, c)
+		}
+		if err := e.tick(w, maxLen, row+probes); err != nil {
+			return 0, nil, false, err
+		}
+		// After this row the store holds all C(c-1, p) subsets of [1, c).
+		if m, ok := set.(mapSet); ok && binomAtMost(c-1, p, 1<<62) > int64(e.opts.MaxStoreEntries) {
+			b := bitmapSet(e.bitset())
+			m.m.each(b.add)
+			set = b
+		}
+		if err := e.enumStore(syn, c-1, p-1, syn[c-1], set, w, maxLen); err != nil {
+			return 0, nil, false, err
+		}
+		e.Stats.StoreOps += row
+		wit, found, err := e.probe(syn, c, p, q, []int{0, c}, set, w, maxLen)
+		if err != nil {
+			return 0, nil, false, err
+		}
+		if found {
+			if err := e.verifyWitness(w, c+1, wit); err != nil {
+				return 0, nil, false, err
+			}
+			e.Stats.EarlyExits++
+			return e.dataLenFor(c), wit, true, nil
+		}
 	}
 	return 0, nil, false, nil
 }

@@ -380,20 +380,25 @@ func TestInvalidArguments(t *testing.T) {
 // TestWeightScanCancelAndBudget: the exact W2/W3 scans honour the cancel
 // hook and the probe budget like every other engine loop.
 func TestWeightScanCancelAndBudget(t *testing.T) {
-	p, err := poly.FromFull(0x1D)
-	if err != nil {
-		t.Fatal(err)
+	// W2 runs on (x+1)(x^3+x+1), period 7. W3 needs a generator without
+	// the (x+1) factor, x^4+x+1: with it, odd weights are answered 0
+	// without a scan.
+	polys := map[int]poly.P{}
+	for w, full := range map[int]gf2.Poly{2: 0x1D, 3: 0x13} {
+		p, err := poly.FromFull(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polys[w] = p
 	}
-	canceled := New(p, WithCancel(func() bool { return true }))
 	for w := 2; w <= 3; w++ {
+		canceled := New(polys[w], WithCancel(func() bool { return true }))
 		if _, err := canceled.Weight(w, 10); !errors.Is(err, ErrCanceled) {
 			t.Errorf("Weight(%d, 10) with cancel hook: %v, want ErrCanceled", w, err)
 		}
-	}
-	tight := New(p, WithMaxProbes(1))
-	for w := 2; w <= 3; w++ {
-		// Data length 12 (codeword 16, period 7): W2 needs 2 scan steps,
-		// W3 needs 16 — both beyond a 1-probe budget.
+		// Data length 12 (codeword 16): W2 needs 2 scan steps at
+		// period 7, W3 needs 16 — both beyond a 1-probe budget.
+		tight := New(polys[w], WithMaxProbes(1))
 		if _, err := tight.Weight(w, 12); !errors.Is(err, ErrBudgetExceeded) {
 			t.Errorf("Weight(%d, 12) with 1-probe budget: %v, want ErrBudgetExceeded", w, err)
 		}
@@ -463,6 +468,40 @@ func TestU32Map(t *testing.T) {
 	m2.put(0, 0)
 	if got := m2.get(0); got != 0 {
 		t.Fatalf("get(0) = %d, want 0", got)
+	}
+}
+
+// TestU32MapGrows fills a map sized for nothing far past its initial
+// capacity: every first write survives the doublings, load stays at most
+// 50%, and each visits every key exactly once.
+func TestU32MapGrows(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2, 9))
+	m := newU32Map(0)
+	ref := make(map[uint32]int32)
+	for i := 0; i < 50000; i++ {
+		k := rng.Uint32()
+		m.put(k, int32(i))
+		if _, ok := ref[k]; !ok {
+			ref[k] = int32(i)
+		}
+	}
+	if 2*m.n > len(m.slots) || m.n != len(ref) {
+		t.Fatalf("%d entries in %d slots, want %d at <= 50%% load", m.n, len(m.slots), len(ref))
+	}
+	for k, v := range ref {
+		if got := m.get(k); got != v {
+			t.Fatalf("get(%d) = %d, want %d", k, got, v)
+		}
+	}
+	seen := make(map[uint32]int)
+	m.each(func(k uint32) { seen[k]++ })
+	if len(seen) != len(ref) {
+		t.Fatalf("each visited %d keys, want %d", len(seen), len(ref))
+	}
+	for k, c := range seen {
+		if _, ok := ref[k]; !ok || c != 1 {
+			t.Fatalf("each visited key %d %d times (in map: %v)", k, c, ok)
+		}
 	}
 }
 

@@ -38,14 +38,15 @@ import (
 // Default resource limits.
 const (
 	// DefaultMaxStoreEntries bounds the number of subset syndromes
-	// materialised on the store side of a meet-in-the-middle join before
-	// switching to the whole-space bitmap.
+	// materialised on the store side of a meet-in-the-middle join or a
+	// boundary scan before switching to the whole-space bitmap.
 	DefaultMaxStoreEntries = 1 << 20
 	// DefaultMaxPairBuffer bounds the pair-syndrome buffer used by exact
 	// weight-4 counting (entries, 4 bytes each).
 	DefaultMaxPairBuffer = 300 << 20
 	// DefaultMaxProbes bounds the total probe work of a single existence
-	// query; queries beyond it return ErrBudgetExceeded.
+	// query (a boundary scan is one query); queries beyond it return
+	// ErrBudgetExceeded.
 	DefaultMaxProbes = int64(1) << 62
 )
 
@@ -68,10 +69,10 @@ type Event struct {
 }
 
 // Span phases emitted by the evaluator's span hook, one per distinct
-// search machinery: the geometric/binary boundary search (which nests
-// meet-in-the-middle queries), the dedicated weight-3/4 incremental
-// scans, the two halves of a meet-in-the-middle join, and the exact
-// weight-counting passes.
+// search machinery: the w >= 5 boundary search (one incremental scan;
+// only the §4.1 reference strategies nest existence queries in it), the
+// dedicated weight-3/4 incremental scans, the two halves of an existence
+// query's meet-in-the-middle join, and the exact weight-counting passes.
 const (
 	SpanBoundary  = "boundary"
 	SpanW3Scan    = "w3_scan"
@@ -125,7 +126,8 @@ type Options struct {
 // Option mutates evaluator options.
 type Option func(*Options)
 
-// WithMaxProbes bounds the probe work per existence query.
+// WithMaxProbes bounds the probe work per existence query; a boundary
+// scan counts as one query.
 func WithMaxProbes(n int64) Option { return func(o *Options) { o.MaxProbes = n } }
 
 // WithProgress installs a progress hook receiving Events.
@@ -143,7 +145,8 @@ func WithSpanHook(fn func(SpanEvent)) Option { return func(o *Options) { o.Span 
 func WithMaxPairBuffer(n int) Option { return func(o *Options) { o.MaxPairBuffer = n } }
 
 // WithMaxStoreEntries sets the threshold above which meet-in-the-middle
-// joins switch from a positional map to the whole-space bitmap.
+// joins and boundary scans switch from a compact map to the whole-space
+// bitmap.
 func WithMaxStoreEntries(n int) Option { return func(o *Options) { o.MaxStoreEntries = n } }
 
 // Evaluator computes error-detection properties of one generator
@@ -155,6 +158,7 @@ type Evaluator struct {
 	normal uint32 // generator sans x^w term
 	mask   uint32 // width-bit mask
 	topBit uint32
+	parity bool // (x+1) divides G: every multiple has even weight
 
 	syn []uint32 // syn[i] = x^i mod G
 
@@ -247,6 +251,7 @@ func New(p poly.P, opts ...Option) *Evaluator {
 		normal: uint32(p.Normal()),
 		mask:   mask,
 		topBit: 1 << uint(w-1),
+		parity: p.DivisibleByXPlus1(),
 		syn:    []uint32{1}, // x^0 mod G = 1 (deg G >= 1)
 		opts:   o,
 	}
@@ -288,6 +293,11 @@ func (e *Evaluator) Period() (uint64, error) {
 	}
 	return e.period, nil
 }
+
+// oddWeightImpossible reports whether weight w is odd while G is
+// divisible by (x+1), so that no weight-w pattern exists at any length
+// (paper §3). Exact for w >= 1.
+func (e *Evaluator) oddWeightImpossible(w int) bool { return e.parity && w%2 == 1 }
 
 // codewordLen converts a data-word length to the total codeword length.
 func (e *Evaluator) codewordLen(dataLen int) int { return dataLen + e.width }

@@ -16,7 +16,8 @@ import (
 // contains position 0, its remaining w-1 positions are split into a stored
 // p-subset side and a probed q-subset side, and a probe hitting a stored
 // syndrome value is exactly an undetectable pattern (up to position
-// overlap, which is re-verified before reporting).
+// overlap, which is re-verified before reporting). Odd weights of a
+// generator divisible by (x+1) are answered without a search.
 func (e *Evaluator) Exists(w, dataLen int) ([]int, bool, error) {
 	if w < 1 {
 		return nil, false, fmt.Errorf("hamming: invalid weight %d", w)
@@ -25,7 +26,7 @@ func (e *Evaluator) Exists(w, dataLen int) ([]int, bool, error) {
 		return nil, false, fmt.Errorf("hamming: invalid data length %d", dataLen)
 	}
 	n := e.codewordLen(dataLen)
-	if w > n {
+	if w > n || e.oddWeightImpossible(w) {
 		return nil, false, nil
 	}
 	switch w {
@@ -69,7 +70,7 @@ func (e *Evaluator) meetInMiddle(w, n int) ([]int, bool, error) {
 		set = bitmapSet(e.bitset())
 	}
 	endStore := e.spanStart(SpanMITMStore, w, n-e.width)
-	if err := e.enumStore(syn, n, w, p, set); err != nil {
+	if err := e.enumStore(syn, n, p, 0, set, w, n-e.width); err != nil {
 		endStore()
 		return nil, false, err
 	}
@@ -77,7 +78,7 @@ func (e *Evaluator) meetInMiddle(w, n int) ([]int, bool, error) {
 	endStore()
 
 	endProbe := e.spanStart(SpanMITMProbe, w, n-e.width)
-	witness, found, err := e.probe(syn, n, w, p, q, set)
+	witness, found, err := e.probe(syn, n, p, q, []int{0}, set, w, n-e.width)
 	endProbe()
 	if err != nil {
 		return nil, false, err
@@ -126,27 +127,28 @@ func (b bitmapSet) has(v uint32) bool { return b[v>>6]&(1<<(v&63)) != 0 }
 
 // mapSet is a compact open-addressed presence set for small store sides,
 // avoiding the 512 MiB bitmap for 32-bit generators on trivial queries.
+// It grows with its contents.
 type mapSet struct{ m *u32map }
 
 func newMapSet(n int) mapSet       { return mapSet{m: newU32Map(n)} }
 func (s mapSet) add(v uint32)      { s.m.put(v, 0) }
 func (s mapSet) has(v uint32) bool { return s.m.get(v) >= 0 }
 
-// enumStore inserts the syndromes of all p-subsets of positions [1, n).
-// The weight w of the enclosing query labels progress events.
-func (e *Evaluator) enumStore(syn []uint32, n, w, p int, set synSet) error {
-	dataLen := n - e.width
-	switch p {
+// enumStore inserts the syndromes of all k-subsets of positions [1, n),
+// each XORed with acc. The weight w and data length of the enclosing
+// query label progress events.
+func (e *Evaluator) enumStore(syn []uint32, n, k int, acc uint32, set synSet, w, dataLen int) error {
+	switch k {
 	case 1:
 		for i := 1; i < n; i++ {
-			set.add(syn[i])
+			set.add(acc ^ syn[i])
 		}
 	case 2:
 		for i := 1; i < n; i++ {
 			if err := e.tick(w, dataLen, int64(n-i)); err != nil {
 				return err
 			}
-			si := syn[i]
+			si := acc ^ syn[i]
 			for j := i + 1; j < n; j++ {
 				set.add(si ^ syn[j])
 			}
@@ -165,22 +167,28 @@ func (e *Evaluator) enumStore(syn []uint32, n, w, p int, set synSet) error {
 			}
 			return nil
 		}
-		return rec(1, p, 0)
+		return rec(1, k, acc)
 	}
 	return nil
 }
 
-// probe enumerates q-subsets of [1, n) joined with position 0, testing each
-// syndrome against the store set; hits are resolved into explicit disjoint
-// witnesses. The weight w of the enclosing query labels progress events.
-func (e *Evaluator) probe(syn []uint32, n, w, p, q int, set synSet) ([]int, bool, error) {
-	dataLen := n - e.width
-	base := syn[0] // == 1
+// probe enumerates q-subsets of [1, n) joined with the fixed positions,
+// testing each syndrome against the store set of p-subsets of [1, n);
+// hits are resolved into explicit disjoint witnesses. The weight w and
+// data length of the enclosing query label progress events.
+func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w, dataLen int) ([]int, bool, error) {
+	var base uint32
+	for _, f := range fixed {
+		base ^= syn[f]
+	}
+	probeSet := func(pos ...int) []int {
+		return append(append(make([]int, 0, len(fixed)+len(pos)), fixed...), pos...)
+	}
 	switch q {
 	case 1:
 		for b := 1; b < n; b++ {
 			if set.has(base ^ syn[b]) {
-				if wit, ok := e.resolve(syn, n, p, base^syn[b], []int{0, b}); ok {
+				if wit, ok := e.resolve(syn, n, p, base^syn[b], probeSet(b)); ok {
 					return wit, true, nil
 				}
 			}
@@ -194,7 +202,7 @@ func (e *Evaluator) probe(syn []uint32, n, w, p, q int, set synSet) ([]int, bool
 			vb := base ^ syn[b]
 			for c := b + 1; c < n; c++ {
 				if set.has(vb ^ syn[c]) {
-					if wit, ok := e.resolve(syn, n, p, vb^syn[c], []int{0, b, c}); ok {
+					if wit, ok := e.resolve(syn, n, p, vb^syn[c], probeSet(b, c)); ok {
 						return wit, true, nil
 					}
 				}
@@ -211,7 +219,7 @@ func (e *Evaluator) probe(syn []uint32, n, w, p, q int, set synSet) ([]int, bool
 				vc := vb ^ syn[c]
 				for d := c + 1; d < n; d++ {
 					if set.has(vc ^ syn[d]) {
-						if wit, ok := e.resolve(syn, n, p, vc^syn[d], []int{0, b, c, d}); ok {
+						if wit, ok := e.resolve(syn, n, p, vc^syn[d], probeSet(b, c, d)); ok {
 							return wit, true, nil
 						}
 					}
@@ -220,7 +228,7 @@ func (e *Evaluator) probe(syn []uint32, n, w, p, q int, set synSet) ([]int, bool
 			}
 		}
 	default:
-		pos := make([]int, 0, q+1)
+		pos := make([]int, 0, q)
 		var rec func(start, left int, acc uint32) ([]int, bool, error)
 		rec = func(start, left int, acc uint32) ([]int, bool, error) {
 			if left == 0 {
@@ -229,8 +237,7 @@ func (e *Evaluator) probe(syn []uint32, n, w, p, q int, set synSet) ([]int, bool
 					return nil, false, err
 				}
 				if set.has(acc) {
-					probeSet := append([]int{0}, pos...)
-					if wit, ok := e.resolve(syn, n, p, acc, probeSet); ok {
+					if wit, ok := e.resolve(syn, n, p, acc, probeSet(pos...)); ok {
 						return wit, true, nil
 					}
 				}

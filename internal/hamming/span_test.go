@@ -6,8 +6,10 @@ import (
 	"koopmancrc/internal/poly"
 )
 
-// TestSpanHookPhases drives the three search machineries and checks each
-// emits its span with sane duration and work accounting.
+// TestSpanHookPhases drives every search machinery and checks each emits
+// its span with sane duration and work accounting: the weight-4 scan, the
+// w >= 5 boundary scan, an existence query's meet-in-the-middle join and
+// an exact weight count.
 func TestSpanHookPhases(t *testing.T) {
 	var events []SpanEvent
 	e := New(poly.IEEE8023, WithSpanHook(func(s SpanEvent) {
@@ -20,12 +22,18 @@ func TestSpanHookPhases(t *testing.T) {
 	if _, _, _, err := e.FirstDataLen(6, 80); err != nil {
 		t.Fatal(err)
 	}
+	// The boundary scan is one span and runs no meet-in-the-middle join
+	// of its own; the join's phases come from an existence query.
+	scanEvents := len(events)
+	if _, _, err := e.Exists(5, 80); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := e.Weight(3, 64); err != nil {
 		t.Fatal(err)
 	}
 
 	got := map[string]int{}
-	for _, ev := range events {
+	for i, ev := range events {
 		got[ev.Phase]++
 		if ev.Duration < 0 {
 			t.Errorf("%s: negative duration %v", ev.Phase, ev.Duration)
@@ -33,16 +41,20 @@ func TestSpanHookPhases(t *testing.T) {
 		if ev.Probes < 0 {
 			t.Errorf("%s: negative probe delta %d", ev.Phase, ev.Probes)
 		}
+		if i < scanEvents && (ev.Phase == SpanMITMStore || ev.Phase == SpanMITMProbe) {
+			t.Errorf("boundary search emitted a %s span", ev.Phase)
+		}
 	}
 	for _, phase := range []string{SpanW4Scan, SpanBoundary, SpanMITMStore, SpanMITMProbe, SpanW3Count} {
 		if got[phase] == 0 {
 			t.Errorf("no %s span emitted; phases seen: %v", phase, got)
 		}
 	}
-	// The boundary search nests meet-in-the-middle queries, so store and
-	// probe spans must outnumber (or equal) the single boundary span.
-	if got[SpanMITMStore] < got[SpanBoundary] {
-		t.Errorf("mitm_store spans (%d) < boundary spans (%d)", got[SpanMITMStore], got[SpanBoundary])
+	// One boundary query, one existence query: one span each, and the
+	// join's store and probe halves pair up.
+	if got[SpanBoundary] != 1 || got[SpanMITMStore] != 1 || got[SpanMITMProbe] != 1 {
+		t.Errorf("boundary/mitm_store/mitm_probe spans = %d/%d/%d, want 1/1/1",
+			got[SpanBoundary], got[SpanMITMStore], got[SpanMITMProbe])
 	}
 }
 

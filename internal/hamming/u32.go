@@ -4,14 +4,17 @@ import "math/bits"
 
 // u32map is a minimal open-addressed hash map from uint32 keys to int32
 // values, tuned for the inner loops of the boundary scans where Go's
-// built-in map is too slow. Capacity is fixed at construction; values are
-// stored +1 so the zero word means "empty" even for key 0.
+// built-in map is too slow. It doubles whenever an insert would take it
+// past 50% load; values are stored +1 so the zero word means "empty"
+// even for key 0.
 type u32map struct {
 	slots []uint64 // key<<32 | (value+1)
 	shift uint
+	n     int // entries held
 }
 
-// newU32Map creates a map able to hold n entries at ~50% load.
+// newU32Map creates a map able to hold n entries at ~50% load before it
+// first grows.
 func newU32Map(n int) *u32map {
 	sz := 1
 	for sz < 2*n {
@@ -31,14 +34,18 @@ func (m *u32map) idx(key uint32) int {
 	return int((uint64(key) * 0x9E3779B97F4A7C15) >> m.shift)
 }
 
-// put inserts key->val (no duplicate check: first write wins).
+// put inserts key->val; for a key already present the first write wins.
 func (m *u32map) put(key uint32, val int32) {
+	if 2*(m.n+1) > len(m.slots) {
+		m.grow()
+	}
 	mask := len(m.slots) - 1
 	i := m.idx(key)
 	for {
 		s := m.slots[i]
 		if s == 0 {
 			m.slots[i] = uint64(key)<<32 | uint64(uint32(val+1))
+			m.n++
 			return
 		}
 		if uint32(s>>32) == key {
@@ -61,6 +68,26 @@ func (m *u32map) get(key uint32) int32 {
 			return int32(uint32(s)) - 1
 		}
 		i = (i + 1) & mask
+	}
+}
+
+// grow doubles the table and re-inserts every entry.
+func (m *u32map) grow() {
+	old := m.slots
+	*m = *newU32Map(len(old))
+	for _, s := range old {
+		if s != 0 {
+			m.put(uint32(s>>32), int32(uint32(s))-1)
+		}
+	}
+}
+
+// each calls fn with every key held.
+func (m *u32map) each(fn func(key uint32)) {
+	for _, s := range m.slots {
+		if s != 0 {
+			fn(uint32(s >> 32))
+		}
 	}
 }
 

@@ -8,9 +8,13 @@ import "fmt"
 // notes that exact weights beyond the first non-zero one are "largely
 // unimportant" (§3) and that exact weighting of the HD=6 survivors was
 // impractical (§4.2). Use WeightBrute for small lengths and higher weights.
+// Odd weights of a generator divisible by (x+1) are 0 at every length.
 func (e *Evaluator) Weight(w, dataLen int) (uint64, error) {
 	if dataLen < 1 {
 		return 0, fmt.Errorf("hamming: invalid data length %d", dataLen)
+	}
+	if e.oddWeightImpossible(w) {
+		return 0, nil
 	}
 	switch w {
 	case 1:

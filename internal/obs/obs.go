@@ -79,14 +79,15 @@ func (v *CounterVec) With(values ...string) *Counter {
 }
 
 // Histogram is a fixed-boundary histogram with atomic observation: one
-// binary search over the (typically log-spaced) upper bounds, two atomic
-// adds and a CAS loop for the float sum. Values above the last boundary
-// land only in the implicit +Inf bucket.
+// binary search over the (typically log-spaced) upper bounds, one atomic
+// add and a CAS loop for the float sum. Values above the last boundary
+// land in an explicit overflow slot, so the +Inf bucket and the count
+// are both the sum of the same bucket loads and a concurrent scrape can
+// never render +Inf below a finite bucket.
 type Histogram struct {
-	bounds  []float64 // sorted upper bounds, exclusive of +Inf
-	buckets []atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Uint64 // float64 bits
+	bounds  []float64      // sorted upper bounds, exclusive of +Inf
+	buckets []atomic.Int64 // one per bound, then the overflow slot
+	sum     atomic.Uint64  // float64 bits
 	// exemplars holds the latest exemplar per bucket (last slot = +Inf),
 	// published via ObserveExemplar and rendered as OpenMetrics exemplar
 	// trailers on the bucket lines.
@@ -116,11 +117,7 @@ func (h *Histogram) bucketIndex(v float64) int {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	// Values beyond every bound belong only to +Inf (tracked by count).
-	if i := h.bucketIndex(v); i < len(h.bounds) {
-		h.buckets[i].Add(1)
-	}
-	h.count.Add(1)
+	h.buckets[h.bucketIndex(v)].Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -143,22 +140,30 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // snapshot returns cumulative bucket counts aligned with bounds, plus
-// count and sum. Concurrent observations may straddle the loads — the
-// snapshot is a consistent-enough view for scraping, never torn memory.
+// count and sum. The count is the cumulative total over the same loads,
+// overflow slot included, so the buckets are monotone up to +Inf even
+// while observations land; only the sum may straddle the loads.
 func (h *Histogram) snapshot() (cum []int64, count int64, sum float64) {
 	cum = make([]int64, len(h.bounds))
-	var acc int64
 	for i := range h.buckets {
-		acc += h.buckets[i].Load()
-		cum[i] = acc
+		count += h.buckets[i].Load()
+		if i < len(cum) {
+			cum[i] = count
+		}
 	}
-	return cum, h.count.Load(), h.Sum()
+	return cum, count, h.Sum()
 }
 
 // HistogramVec is a histogram family partitioned by label values.
@@ -183,7 +188,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds:    bounds,
-		buckets:   make([]atomic.Int64, len(bounds)),
+		buckets:   make([]atomic.Int64, len(bounds)+1),
 		exemplars: make([]atomic.Pointer[exemplar], len(bounds)+1),
 	}
 }

@@ -75,18 +75,23 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	defer s.Close()
 
 	// 32-bit 802.3 at a short length: w3/w4 scans run and find nothing
-	// within 128 bits, so the w>=5 boundary searches (and their nested
-	// meet-in-the-middle store/probe phases) also run — every span phase
-	// fires, all in milliseconds.
-	body := `{"poly":"0x82608edb","width":32,"max_len":128,"max_hd":6}`
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/evaluate", strings.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("evaluate: %d %s", rec.Code, rec.Body.String())
+	// within 128 bits, so the w>=5 boundary scans also run. An HD query
+	// past the evaluated range then needs existence queries, whose
+	// meet-in-the-middle store/probe phases complete the set — every
+	// span phase fires, all in milliseconds.
+	for _, q := range []struct{ path, body string }{
+		{"/v1/evaluate", `{"poly":"0x82608edb","width":32,"max_len":128,"max_hd":6}`},
+		{"/v1/hd", `{"poly":"0x82608edb","width":32,"data_len":200,"max_hd":6}`},
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", q.path, strings.NewReader(q.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", q.path, rec.Code, rec.Body.String())
+		}
 	}
 
 	// Default stays JSON.
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "application/json") {
 		t.Errorf("default /metrics Content-Type = %q", ct)
@@ -113,6 +118,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	for _, want := range []string{
 		`crcserve_request_duration_seconds_bucket{endpoint="/v1/evaluate",le="+Inf"} 1`,
 		`crcserve_requests_total{endpoint="/v1/evaluate",code="200"} 1`,
+		`crcserve_requests_total{endpoint="/v1/hd",code="200"} 1`,
 		"# TYPE crcserve_engine_phase_seconds histogram",
 		`phase="w3_scan"`,
 		`phase="boundary"`,
@@ -120,7 +126,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		`phase="mitm_store"`,
 		`phase="mitm_probe"`,
 		"crcserve_pool_sessions 1",
-		"crcserve_flights 1",
+		"crcserve_flights 2",
 		`crcserve_pool_session_probes{poly="0x82608edb",width="32",max_hd="6"}`,
 	} {
 		if !strings.Contains(out, want) {
