@@ -566,10 +566,9 @@ func copyPositions(w []int) []int {
 
 // selectionLocked scores the polynomial for protecting messages of the
 // given length, sharing one shrinking-limit boundary scan between the HD
-// determination and the coverage exploration (sem held, a.ctx set).
-// It reproduces the deprecated SelectPolynomial's answers exactly while
-// doing strictly less work: the old path paid a separate existence query
-// per weight before re-running every boundary search.
+// determination and the coverage exploration (sem held, a.ctx set):
+// one boundary search per weight instead of an existence query per
+// weight followed by the boundary search.
 func (a *Analyzer) selectionLocked(dataLen, horizon, maxHD int) (Selection, error) {
 	limit := horizon
 	for w := 2; w <= maxHD+1; w++ {

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// TestAnalyzerMatchesDeprecatedWrappers pins the compatibility contract:
-// the deprecated free functions are thin wrappers, so a session must
-// produce exactly their answers.
-func TestAnalyzerMatchesDeprecatedWrappers(t *testing.T) {
+// TestAnalyzerMatchesFreshSession pins that a session's memo never
+// changes an answer: after pointwise queries have warmed it, Evaluate
+// must produce exactly the bands a fresh session computes.
+func TestAnalyzerMatchesFreshSession(t *testing.T) {
 	ctx := context.Background()
 	an := NewAnalyzer(IEEE8023, WithMaxHD(8))
 
@@ -31,16 +31,16 @@ func TestAnalyzerMatchesDeprecatedWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := Evaluate(IEEE8023, 512, &EvaluateOptions{MaxHD: 8})
+	fresh, err := NewAnalyzer(IEEE8023, WithMaxHD(8)).Evaluate(ctx, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Bands) != len(old.Bands) {
-		t.Fatalf("bands %v vs wrapper %v", rep.Bands, old.Bands)
+	if len(rep.Bands) != len(fresh.Bands) {
+		t.Fatalf("bands %v vs fresh session %v", rep.Bands, fresh.Bands)
 	}
 	for i := range rep.Bands {
-		if rep.Bands[i] != old.Bands[i] {
-			t.Errorf("band %d: %v vs wrapper %v", i, rep.Bands[i], old.Bands[i])
+		if rep.Bands[i] != fresh.Bands[i] {
+			t.Errorf("band %d: %v vs fresh session %v", i, rep.Bands[i], fresh.Bands[i])
 		}
 	}
 	if rep.Shape != "{32}" || rep.ParityBit {
@@ -268,14 +268,14 @@ func TestSelectAnalyzersReusesSessions(t *testing.T) {
 			t.Errorf("ranking drifted: %+v vs %+v", first[i], second[i])
 		}
 	}
-	// And the ranking agrees with the deprecated wrapper.
-	old, err := SelectPolynomial(candidates, 1024, 5)
+	// And the ranking agrees with Select over fresh sessions.
+	fresh, err := Select(ctx, candidates, 1024, WithMaxHD(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range old {
-		if old[i] != first[i] {
-			t.Errorf("wrapper disagrees at %d: %+v vs %+v", i, old[i], first[i])
+	for i := range fresh {
+		if fresh[i] != first[i] {
+			t.Errorf("Select disagrees at %d: %+v vs %+v", i, fresh[i], first[i])
 		}
 	}
 }
@@ -300,25 +300,26 @@ func TestWitnessIsACopy(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShimsDegenerateMaxHD pins the pre-v1 behaviour for
-// maxHD < 2: an instant "at least maxHD+1" answer, not a silent
-// substitution of the default depth.
-func TestDeprecatedShimsDegenerateMaxHD(t *testing.T) {
+// TestDegenerateMaxHD pins the behaviour for maxHD < 2: an instant
+// "at least maxHD+1" answer, not a silent substitution of the default
+// depth.
+func TestDegenerateMaxHD(t *testing.T) {
+	ctx := context.Background()
 	for _, maxHD := range []int{0, 1} {
-		hd, exact, err := HammingDistanceAt(IEEE8023, 100, maxHD)
+		hd, exact, err := NewAnalyzer(IEEE8023, WithMaxHD(maxHD)).HDAt(ctx, 100)
 		if err != nil || exact || hd != maxHD+1 {
-			t.Errorf("HammingDistanceAt(maxHD=%d) = %d, %v, %v; want %d, false",
+			t.Errorf("HDAt(maxHD=%d) = %d, %v, %v; want %d, false",
 				maxHD, hd, exact, err, maxHD+1)
 		}
 	}
-	// SelectPolynomial with maxHD=1 ranks everything at HD 2 with
-	// coverage bounded only by the weight-2 boundary, as before.
-	sel, err := SelectPolynomial([]Polynomial{IEEE8023}, 100, 1)
+	// Select with maxHD=1 ranks everything at HD 2 with coverage
+	// bounded only by the weight-2 boundary.
+	sel, err := Select(ctx, []Polynomial{IEEE8023}, 100, WithMaxHD(1))
 	if err != nil || sel[0].HD != 2 || sel[0].CoverageAtHD != 400 {
-		t.Errorf("SelectPolynomial(maxHD=1) = %+v, %v; want HD=2 coverage=400", sel, err)
+		t.Errorf("Select(maxHD=1) = %+v, %v; want HD=2 coverage=400", sel, err)
 	}
 	// Profiling with a degenerate depth is rejected, not defaulted.
-	if _, err := NewAnalyzer(IEEE8023, WithMaxHD(1)).Evaluate(context.Background(), 64); err == nil {
+	if _, err := NewAnalyzer(IEEE8023, WithMaxHD(1)).Evaluate(ctx, 64); err == nil {
 		t.Error("Evaluate with MaxHD < 2 should error")
 	}
 }

@@ -338,15 +338,7 @@ func BenchmarkCRCThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	slicing, err := crc.NewSlicing8(crc.CRC32IEEE)
-	if err != nil {
-		b.Fatal(err)
-	}
 	slicing16, err := crc.NewSlicing16(crc.CRC32IEEE)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chorba, err := crc.NewChorba(crc.CRC32IEEE)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -362,9 +354,7 @@ func BenchmarkCRCThroughput(b *testing.B) {
 	}{
 		{"bitwise", func() uint32 { return bitwise.Checksum(data) }},
 		{"table", func() uint32 { return table.Checksum(data) }},
-		{"slicing8", func() uint32 { return slicing.Checksum(data) }},
 		{"slicing16", func() uint32 { return slicing16.Checksum(data) }},
-		{"chorba", func() uint32 { return chorba.Checksum(data) }},
 		{"hardware", func() uint32 { return hardware.Checksum(data) }},
 		{"stdlib", func() uint32 { return crc32.Checksum(data, stdTab) }},
 	}
@@ -382,20 +372,20 @@ func BenchmarkCRCThroughput(b *testing.B) {
 
 // BenchmarkSelectSession is the v1-API acceptance benchmark: ranking the
 // paper's §4.3 contenders at the iSCSI 512-byte storage-block length
-// (4496 data bits) through cached Analyzer sessions versus N independent
-// SelectPolynomial calls. The per-call path re-pays every boundary scan
-// on every invocation; the session path pays once and answers every
-// repeat from the memo — the probes/op metric (work actually done by the
-// Hamming engine) makes the difference visible even at -benchtime=1x.
+// (4496 data bits) through cached Analyzer sessions versus a fresh
+// session per candidate per call. The per-call path re-pays every
+// boundary scan on every invocation; the session path pays once and
+// answers every repeat from the memo — the probes/op metric (work
+// actually done by the Hamming engine) makes the difference visible
+// even at -benchtime=1x.
 func BenchmarkSelectSession(b *testing.B) {
 	candidates := []Polynomial{IEEE8023, CastagnoliISCSI, Koopman32K}
 	const dataLen = 4496 // iSCSI 512-byte block (paper §4.3)
 	const maxHD = 6
 
 	b.Run("independent-calls", func(b *testing.B) {
-		// The pre-v1 workflow: SelectPolynomial builds throwaway state
-		// per call, which is exactly a fresh session per candidate per
-		// call — instrumented here so the discarded work is countable.
+		// Throwaway state per call: a fresh session per candidate per
+		// call, instrumented so the discarded work is countable.
 		var probes int64
 		for i := 0; i < b.N; i++ {
 			for _, p := range candidates {

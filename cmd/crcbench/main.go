@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crcbench [-o BENCH_PR6.json] [-quick] [-algorithm CRC-32C/iSCSI]
-//	         [-kinds slicing8,slicing16,chorba,hardware]
+//	         [-kinds bitwise,table,slicing16,hardware]
 //	         [-sizes 64,4096,1048576] [-budget 50ms] [-serve] [-corpus]
 //	         [-tracing]
 //	crcbench -validate BENCH_PR6.json
@@ -43,8 +43,8 @@ import (
 	"koopmancrc/serve/client"
 )
 
-// Report is the artifact schema: host identification, the measured
-// startup auto-profile, and one row per kernel × payload size.
+// Report is the artifact schema: host identification, the kernel Auto
+// picks, and one row per kernel × payload size.
 type Report struct {
 	// Schema names the artifact format; bump on incompatible change.
 	Schema string `json:"schema"`
@@ -53,12 +53,9 @@ type Report struct {
 	Host        Host   `json:"host"`
 	// Algorithm is the catalogued algorithm swept.
 	Algorithm string `json:"algorithm"`
-	// AutoKernel is the kernel Kind Auto picked for the algorithm on
-	// this host during this run.
-	AutoKernel string `json:"auto_kernel"`
-	// AutoProfile is the startup micro-benchmark that drove the choice.
-	AutoProfile crchash.AutoReport `json:"auto_profile"`
-	Results     []Result           `json:"results"`
+	// AutoKernel is the kernel Kind Auto builds for the algorithm.
+	AutoKernel string   `json:"auto_kernel"`
+	Results    []Result `json:"results"`
 	// Serve, when present (-serve), measures the serving layer's batch
 	// amortization: many small checksums in one /v1/checksum/batch round
 	// trip versus the same checksums as sequential /v1/checksum calls.
@@ -223,9 +220,8 @@ func run(args []string, out io.Writer) error {
 			GOARCH:    runtime.GOARCH,
 			NumCPU:    runtime.NumCPU(),
 		},
-		Algorithm:   *algorithm,
-		AutoKernel:  crchash.AutoKind(params).String(),
-		AutoProfile: crchash.AutoProfile(),
+		Algorithm:  *algorithm,
+		AutoKernel: crchash.KindOf(crchash.New(params)).String(),
 	}
 
 	payload := make([]byte, sizes[len(sizes)-1])
@@ -375,8 +371,7 @@ func measureServe(algorithm string, quick bool) (*ServeBench, error) {
 	}
 	ctx := context.Background()
 
-	// Warm both paths: connection establishment, engine build, the
-	// measured auto-profile.
+	// Warm both paths: connection establishment, engine build.
 	if _, err := c.Checksum(ctx, algorithm, req.Items[0].Data); err != nil {
 		return nil, err
 	}
@@ -646,10 +641,24 @@ func timeFirstEvaluate(cfg serve.Config, req serve.EvaluateRequest) (time.Durati
 	return elapsed, m.Pool.Probes, nil
 }
 
+// retiredKernels are kernel names older reports carry for engines
+// since removed; the validator still accepts them so the checked-in
+// trajectory stays readable.
+var retiredKernels = map[string]bool{"slicing8": true, "chorba": true}
+
+// checkKernel accepts a current kind name or a retired kernel name.
+func checkKernel(name string) error {
+	if retiredKernels[name] {
+		return nil
+	}
+	_, err := crchash.ParseKind(name)
+	return err
+}
+
 // validateReport checks a report file against the schema the sweep
-// writes: schema tag, host fields, at least one kernel measured over at
-// least four sizes, every throughput positive, and the auto profile
-// present. It is the CI gate on the checked-in artifact.
+// writes: schema tag, host fields, a known auto kernel, at least one
+// kernel measured over at least four sizes, and every throughput
+// positive. It is the CI gate on the checked-in artifact.
 func validateReport(path string, out io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -674,15 +683,12 @@ func validateReport(path string, out io.Writer) error {
 	if rep.Algorithm == "" {
 		return fmt.Errorf("%s: missing algorithm", path)
 	}
-	if _, err := crchash.ParseKind(rep.AutoKernel); err != nil {
+	if err := checkKernel(rep.AutoKernel); err != nil {
 		return fmt.Errorf("%s: auto_kernel: %w", path, err)
-	}
-	if len(rep.AutoProfile.Kernels) == 0 {
-		return fmt.Errorf("%s: empty auto_profile", path)
 	}
 	sizesByKernel := map[string]map[int]bool{}
 	for i, r := range rep.Results {
-		if _, err := crchash.ParseKind(r.Kernel); err != nil {
+		if err := checkKernel(r.Kernel); err != nil {
 			return fmt.Errorf("%s: results[%d]: %w", path, i, err)
 		}
 		if r.Size <= 0 {

@@ -10,7 +10,7 @@
 //	         [-maxbody 1048576] [-maxbatchitems 256]
 //	         [-maxbatchbytes 16777216] [-maxstreambytes 1073741824]
 //	         [-cert server.crt -key server.key]
-//	         [-pprof 127.0.0.1:6060] [-remeasure 1h]
+//	         [-pprof 127.0.0.1:6060]
 //	         [-corpus /var/lib/crc/corpus]
 //	         [-traces 256] [-tracesample 0.1] [-accesslog]
 //
@@ -26,15 +26,6 @@
 // A bare port like ":6060" is rewritten to loopback; binding a
 // non-loopback host requires spelling it out explicitly, and doing so
 // is only sane behind a firewall.
-//
-// -remeasure enables the kernel-profile drift watch: every interval
-// the crchash startup micro-benchmark re-runs, the live auto-selection
-// profile is swapped atomically, and the relative per-kernel
-// throughput change is recorded in the
-// crcserve_kernel_drift_ratio{kernel} histogram (visible in
-// /metrics?format=prometheus) and logged. This catches machines whose
-// relative kernel speeds move after startup — CPU frequency policy,
-// thermal throttling, migration to a different host class.
 //
 // -corpus enables the persistent analysis corpus: evaluation sessions
 // warm-start from memos baked offline with crcbake (a covered query
@@ -62,7 +53,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -72,8 +62,6 @@ import (
 	"time"
 
 	"koopmancrc"
-	"koopmancrc/crchash"
-	"koopmancrc/internal/obs"
 	"koopmancrc/serve"
 )
 
@@ -102,7 +90,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	maxBatchBytes := fs.Int64("maxbatchbytes", 16<<20, "cap on total decoded payload bytes per /v1/checksum/batch request")
 	maxStreamBytes := fs.Int64("maxstreambytes", 1<<30, "cap on one /v1/checksum/stream body (bytes)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate address (bare :port binds loopback; empty = off)")
-	remeasure := fs.Duration("remeasure", 0, "re-run the kernel micro-benchmark at this interval and track profile drift (0 = off)")
 	corpusDir := fs.String("corpus", "", "persistent analysis corpus directory: warm-start sessions from baked memos (see crcbake) and persist new ones write-behind (empty = off)")
 	traces := fs.Int("traces", 256, "flight-recorder capacity in retained traces (0 = tracing off)")
 	traceSample := fs.Float64("tracesample", 0.1, "tail-sampling keep probability for ordinary traces; errored and slowest-per-endpoint are always kept (0 = keep only those)")
@@ -112,9 +99,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if (*cert == "") != (*key == "") {
 		return errors.New("-cert and -key must be given together")
-	}
-	if *remeasure != 0 && *remeasure < time.Second {
-		return errors.New("-remeasure interval must be at least 1s")
 	}
 	if *traces < 0 {
 		return errors.New("-traces must be >= 0")
@@ -165,12 +149,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer pln.Close()
 		fmt.Fprintf(out, "crcserve pprof on http://%s/debug/pprof/ (unauthenticated; keep loopback or firewalled)\n", pln.Addr())
 		go servePprof(pln)
-	}
-
-	if *remeasure != 0 {
-		wctx, wcancel := context.WithCancel(ctx)
-		defer wcancel()
-		go driftWatch(wctx, srv, *remeasure)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -245,61 +223,4 @@ func servePprof(ln net.Listener) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	_ = srv.Serve(ln) // closes with the listener on shutdown
-}
-
-// driftWatch periodically re-runs the crchash kernel micro-benchmark,
-// atomically swaps the live auto-selection profile, and records how far
-// each kernel's measured large-payload throughput moved relative to the
-// previous profile.
-func driftWatch(ctx context.Context, srv *serve.Server, interval time.Duration) {
-	reg := srv.Registry()
-	drift := reg.NewHistogramVec("crcserve_kernel_drift_ratio",
-		"Relative large-payload throughput change |cur-prev|/prev per kernel at each remeasurement.",
-		obs.ExpBuckets(1e-4, 4, 12), "kernel")
-	runs := reg.NewCounter("crcserve_remeasure_runs_total",
-		"Completed kernel-profile remeasurements.")
-
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		prev, cur := crchash.Remeasure()
-		runs.Inc()
-		prevBps := make(map[string]float64, len(prev.Kernels))
-		for _, ks := range prev.Kernels {
-			prevBps[ks.Kernel] = ks.LargeBps
-		}
-		var maxDrift float64
-		var maxKernel string
-		for _, ks := range cur.Kernels {
-			p := prevBps[ks.Kernel]
-			if p <= 0 {
-				continue
-			}
-			d := (ks.LargeBps - p) / p
-			if d < 0 {
-				d = -d
-			}
-			drift.With(ks.Kernel).Observe(d)
-			if d > maxDrift {
-				maxDrift, maxKernel = d, ks.Kernel
-			}
-		}
-		slog.Info("kernel profile remeasured",
-			"interval", interval,
-			"max_drift", maxDrift,
-			"max_drift_kernel", maxKernel,
-			"fastest", fastestKernel(cur))
-	}
-}
-
-func fastestKernel(r crchash.AutoReport) string {
-	if len(r.Kernels) == 0 {
-		return ""
-	}
-	return r.Kernels[0].Kernel
 }

@@ -295,32 +295,6 @@ func TestServePprofSeparateListener(t *testing.T) {
 	}
 }
 
-func TestServeRemeasureDrift(t *testing.T) {
-	url, stop := startServe(t, "-remeasure", "1s")
-	defer stop()
-
-	// Within a few intervals the drift histogram and run counter must
-	// appear in the exposition with at least one completed remeasure.
-	deadline := time.Now().Add(20 * time.Second)
-	ran := regexp.MustCompile(`crcserve_remeasure_runs_total ([1-9]\d*)`)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(url + "/metrics?format=prometheus")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if ran.Match(body) {
-			if !bytes.Contains(body, []byte(`crcserve_kernel_drift_ratio_bucket{kernel="slicing16"`)) {
-				t.Fatalf("drift run recorded but no per-kernel histogram:\n%s", body)
-			}
-			return
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	t.Fatal("no remeasure run recorded within deadline")
-}
-
 // TestServeTracingFlags wires -traces/-tracesample through the binary:
 // at sample rate 1 a request's X-Trace-ID resolves on /v1/traces/{id}
 // and the list endpoint sees it; -traces 0 switches tracing off.
@@ -380,11 +354,5 @@ func TestServeTracingFlagValidation(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-tracesample", "1.5"}, io.Discard); err == nil {
 		t.Error("-tracesample above 1 should error")
-	}
-}
-
-func TestServeRemeasureIntervalValidation(t *testing.T) {
-	if err := run(context.Background(), []string{"-remeasure", "10ms"}, io.Discard); err == nil {
-		t.Error("sub-second -remeasure should error")
 	}
 }

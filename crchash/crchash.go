@@ -1,11 +1,12 @@
 // Package crchash computes CRC checksums for widths up to 32 bits: a
 // catalogue of standard algorithms in the Rocksoft parameter model, user
-// registration of custom algorithms, six engine kinds (bit-at-a-time,
-// byte-table, slicing-by-8, slicing-by-16, the table-free Chorba fold,
-// and a hardware-assisted hash/crc32 delegate) cross-validated against
-// the bitwise reference, and hash.Hash32-compatible digests. Kind Auto
-// picks among them by a once-per-process startup micro-benchmark,
-// overridable with the CRCHASH_KIND environment variable.
+// registration of custom algorithms, four engine kinds (bit-at-a-time,
+// byte-table, slicing-by-16 and a hardware-assisted hash/crc32
+// delegate) cross-validated against the bitwise reference, and
+// hash.Hash32-compatible digests. Kind Auto picks among them by a static
+// structural rule: the accelerated hardware path for IEEE and
+// Castagnoli, otherwise slicing-by-16, otherwise the byte table,
+// otherwise the bitwise reference.
 //
 // This is the checksum half of the koopmancrc module, split out so that
 // serving paths that only compute CRCs need none of the evaluation
@@ -59,12 +60,10 @@ type Kind int
 
 // Available engine kinds.
 const (
-	// Auto picks the fastest admissible kernel by measurement: a
-	// once-per-process startup micro-benchmark times every reflected
-	// 32-bit kernel on small and large payloads and Auto rides the
-	// winner (overridable via the CRCHASH_KIND environment variable).
-	// Parameter sets outside the reflected 32-bit class fall back to
-	// the structurally fastest engine they admit.
+	// Auto picks the fastest kernel the parameter set admits by a
+	// static rule: Hardware for the generators hash/crc32 accelerates
+	// (IEEE, Castagnoli), otherwise Slicing16, otherwise Table,
+	// otherwise Bitwise.
 	Auto Kind = iota
 	// Bitwise is the bit-at-a-time reference engine, valid for every
 	// width and reflection combination.
@@ -72,19 +71,10 @@ const (
 	// Table is the 256-entry byte-table engine (width divisible by 8,
 	// RefIn == RefOut).
 	Table
-	// Slicing8 processes eight bytes per step (reflected 32-bit
-	// algorithms only) — the kind of software implementation the iSCSI
-	// effort contemplated for CRC-32C.
-	Slicing8
 	// Slicing16 processes sixteen bytes per step (reflected 32-bit
-	// algorithms only), doubling Slicing8's stride so the table loads
-	// for a whole block are independent.
+	// algorithms only): the table loads for a whole block are
+	// independent, so the XOR reduction is the only serial chain.
 	Slicing16
-	// Chorba is the table-free XOR-folding kernel after "Chorba: A
-	// novel CRC32 implementation" (reflected 32-bit algorithms only):
-	// no table memory and no cache pressure, at some cost in raw
-	// throughput against the slicing kernels.
-	Chorba
 	// Hardware delegates to the standard library's hash/crc32, which
 	// uses CLMUL folding (IEEE) and the SSE4.2/ARMv8 CRC32C
 	// instructions (Castagnoli) where the platform has them
@@ -101,12 +91,8 @@ func (k Kind) String() string {
 		return "bitwise"
 	case Table:
 		return "table"
-	case Slicing8:
-		return "slicing8"
 	case Slicing16:
 		return "slicing16"
-	case Chorba:
-		return "chorba"
 	case Hardware:
 		return "hardware"
 	default:
@@ -118,12 +104,11 @@ func (k Kind) String() string {
 // reference-first order — so callers (and cmd/crcbench) can iterate
 // kernels without hardcoding the list.
 func Kinds() []Kind {
-	return []Kind{Bitwise, Table, Slicing8, Slicing16, Chorba, Hardware}
+	return []Kind{Bitwise, Table, Slicing16, Hardware}
 }
 
 // ParseKind maps a kind name (as produced by String, case-insensitive)
-// back to the Kind. It is the parser behind the CRCHASH_KIND override
-// and cmd/crcbench's -kinds flag.
+// back to the Kind. It is the parser behind cmd/crcbench's -kinds flag.
 func ParseKind(s string) (Kind, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "auto":
@@ -132,12 +117,8 @@ func ParseKind(s string) (Kind, error) {
 		return Bitwise, nil
 	case "table":
 		return Table, nil
-	case "slicing8":
-		return Slicing8, nil
 	case "slicing16":
 		return Slicing16, nil
-	case "chorba":
-		return Chorba, nil
 	case "hardware":
 		return Hardware, nil
 	default:
@@ -154,7 +135,7 @@ func (k Kind) Admits(p Params) bool {
 		return true
 	case Table:
 		return p.Poly.Width()%8 == 0 && p.RefIn == p.RefOut
-	case Slicing8, Slicing16, Chorba, Hardware:
+	case Slicing16, Hardware:
 		return p.Poly.Width() == 32 && p.RefIn && p.RefOut
 	default:
 		return false
@@ -170,12 +151,8 @@ func KindOf(e Engine) Kind {
 		return Bitwise
 	case *crc.Table:
 		return Table
-	case *crc.Slicing8:
-		return Slicing8
 	case *crc.Slicing16:
 		return Slicing16
-	case *crc.Chorba:
-		return Chorba
 	case *crc.Hardware:
 		return Hardware
 	default:
@@ -183,27 +160,21 @@ func KindOf(e Engine) Kind {
 	}
 }
 
-// New returns the fastest engine the parameter set admits (Kind Auto):
-// the measured once-per-process winner for reflected 32-bit algorithms,
-// the structurally fastest kernel otherwise.
-func New(p Params) Engine { return autoEngine(p) }
+// New returns the fastest engine the parameter set admits (Kind Auto).
+func New(p Params) Engine { return crc.New(p) }
 
 // NewEngine builds an engine of an explicit kind, erroring when the
 // parameters do not admit it (e.g. Table for a width not divisible by 8).
 func NewEngine(p Params, k Kind) (Engine, error) {
 	switch k {
 	case Auto:
-		return autoEngine(p), nil
+		return crc.New(p), nil
 	case Bitwise:
 		return crc.NewBitwise(p), nil
 	case Table:
 		return crc.NewTable(p)
-	case Slicing8:
-		return crc.NewSlicing8(p)
 	case Slicing16:
 		return crc.NewSlicing16(p)
-	case Chorba:
-		return crc.NewChorba(p)
 	case Hardware:
 		return crc.NewHardware(p)
 	default:
@@ -255,7 +226,7 @@ func ForAlgorithm(name string) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, _ := engines.LoadOrStore(name, autoEngine(params))
+	e, _ := engines.LoadOrStore(name, crc.New(params))
 	return e.(Engine), nil
 }
 

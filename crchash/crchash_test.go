@@ -7,6 +7,7 @@ import (
 
 	"koopmancrc"
 	"koopmancrc/crchash"
+	"koopmancrc/internal/poly"
 )
 
 func TestForAlgorithmCachesEngines(t *testing.T) {
@@ -71,7 +72,7 @@ func TestChecksumConcurrent(t *testing.T) {
 
 func TestNewEngineKinds(t *testing.T) {
 	data := []byte("123456789")
-	for _, k := range []crchash.Kind{crchash.Auto, crchash.Bitwise, crchash.Table, crchash.Slicing8} {
+	for _, k := range []crchash.Kind{crchash.Auto, crchash.Bitwise, crchash.Table, crchash.Slicing16} {
 		e, err := crchash.NewEngine(crchash.CRC32C, k)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -80,15 +81,15 @@ func TestNewEngineKinds(t *testing.T) {
 			t.Errorf("%v: %#x, want %#x", k, got, crchash.CRC32C.Check)
 		}
 	}
-	// CCITT-FALSE is non-reflected 16-bit: slicing-by-8 must refuse it.
+	// CCITT-FALSE is non-reflected 16-bit: slicing-by-16 must refuse it.
 	p, err := crchash.Lookup("CRC-16/CCITT-FALSE")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := crchash.NewEngine(p, crchash.Slicing8); err == nil {
-		t.Error("slicing-by-8 should reject a non-reflected 16-bit algorithm")
+	if _, err := crchash.NewEngine(p, crchash.Slicing16); err == nil {
+		t.Error("slicing-by-16 should reject a non-reflected 16-bit algorithm")
 	}
-	if crchash.Slicing8.String() != "slicing8" || crchash.Kind(99).String() == "" {
+	if crchash.Slicing16.String() != "slicing16" || crchash.Kind(99).String() == "" {
 		t.Error("Kind.String misbehaves")
 	}
 }
@@ -151,5 +152,130 @@ func TestDigestSumAppendsBigEndian(t *testing.T) {
 	d.Write([]byte("123456789"))
 	if d.Sum32() != crchash.CRC32C.Check {
 		t.Error("Reset broke the digest")
+	}
+}
+
+func TestKindStringParseRoundTrip(t *testing.T) {
+	for _, k := range append(crchash.Kinds(), crchash.Auto) {
+		got, err := crchash.ParseKind(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	if got, err := crchash.ParseKind("  Slicing16 "); err != nil || got != crchash.Slicing16 {
+		t.Errorf("ParseKind should trim and fold case: got %v, %v", got, err)
+	}
+	if _, err := crchash.ParseKind("simd512"); err == nil {
+		t.Error("ParseKind should reject unknown names")
+	}
+	if crchash.Kind(99).String() != "Kind(99)" {
+		t.Errorf("out-of-range String() = %q", crchash.Kind(99).String())
+	}
+}
+
+func TestKindsEnumeratesEveryConcreteKind(t *testing.T) {
+	ks := crchash.Kinds()
+	seen := map[crchash.Kind]bool{}
+	for _, k := range ks {
+		if k == crchash.Auto {
+			t.Error("Kinds() must not include Auto")
+		}
+		if seen[k] {
+			t.Errorf("Kinds() lists %v twice", k)
+		}
+		seen[k] = true
+		// Every listed kind must be constructible for at least the
+		// reflected 32-bit class.
+		if !k.Admits(crchash.CRC32C) {
+			t.Errorf("%v does not admit CRC-32C", k)
+		}
+	}
+	if len(ks) != 4 {
+		t.Errorf("Kinds() has %d entries, want 4", len(ks))
+	}
+}
+
+func TestAdmitsMatchesConstructors(t *testing.T) {
+	ccitt, err := crchash.Lookup("CRC-16/CCITT-FALSE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arc, err := crchash.Lookup("CRC-16/ARC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []crchash.Params{crchash.CRC32IEEE, crchash.CRC32C, crchash.CRC32K, ccitt, arc} {
+		for _, k := range crchash.Kinds() {
+			_, err := crchash.NewEngine(p, k)
+			if admits := k.Admits(p); admits != (err == nil) {
+				t.Errorf("%s/%v: Admits=%v but constructor err=%v", p.Name, k, admits, err)
+			}
+		}
+	}
+}
+
+func TestKindOfRoundTrip(t *testing.T) {
+	for _, k := range crchash.Kinds() {
+		e, err := crchash.NewEngine(crchash.CRC32C, k)
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		if got := crchash.KindOf(e); got != k {
+			t.Errorf("KindOf(NewEngine(%v)) = %v", k, got)
+		}
+	}
+	// Auto resolves to some concrete kind, never back to Auto.
+	if got := crchash.KindOf(crchash.New(crchash.CRC32C)); got == crchash.Auto {
+		t.Error("KindOf(New(...)) should name the concrete kernel")
+	}
+}
+
+// TestNewFollowsStructuralRule pins Auto's choice for the paper's three
+// 32-bit algorithms and the two fallbacks: hardware where hash/crc32
+// accelerates the generator, slicing16 for every other reflected 32-bit
+// set, the byte table for other byte-aligned widths, bitwise otherwise.
+func TestNewFollowsStructuralRule(t *testing.T) {
+	ccitt, err := crchash.Lookup("CRC-16/CCITT-FALSE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	crc5 := crchash.Pure(poly.MustKoopman(5, 0x15))
+	for _, tc := range []struct {
+		p    crchash.Params
+		want crchash.Kind
+	}{
+		{crchash.CRC32IEEE, crchash.Hardware},
+		{crchash.CRC32C, crchash.Hardware},
+		{crchash.CRC32K, crchash.Slicing16},
+		{ccitt, crchash.Table},
+		{crc5, crchash.Bitwise},
+	} {
+		e := crchash.New(tc.p)
+		if got := crchash.KindOf(e); got != tc.want || !got.Admits(tc.p) {
+			t.Errorf("%s: New built %v, want %v", tc.p.Name, got, tc.want)
+		}
+		auto, err := crchash.NewEngine(tc.p, crchash.Auto)
+		if err != nil || crchash.KindOf(auto) != tc.want {
+			t.Errorf("%s: NewEngine(Auto) = %v, %v; want %v", tc.p.Name, crchash.KindOf(auto), err, tc.want)
+		}
+	}
+}
+
+func TestAutoEngineChecksumsCorrectly(t *testing.T) {
+	// Whatever Auto picks, the checksum must match the bitwise
+	// reference — selection can never change the answer.
+	data := []byte("123456789")
+	for _, p := range []crchash.Params{crchash.CRC32IEEE, crchash.CRC32C, crchash.CRC32K} {
+		ref, err := crchash.NewEngine(p, crchash.Bitwise)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Checksum(data)
+		if p.Check != 0 && want != p.Check {
+			t.Fatalf("%s: reference %#x disagrees with catalogue check %#x", p.Name, want, p.Check)
+		}
+		if got := crchash.New(p).Checksum(data); got != want {
+			t.Errorf("%s: auto engine checksum %#x, want %#x", p.Name, got, want)
+		}
 	}
 }

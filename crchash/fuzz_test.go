@@ -11,7 +11,7 @@ import (
 // a fuzzer-chosen parameter set and payload and asserts they all agree
 // with the bitwise reference — both one-shot and through a chunked
 // hash.Hash32 digest whose write boundaries the fuzzer also chooses
-// (so the 8/16/24-byte stride kernels see partial words at arbitrary
+// (so the 16-byte slicing stride sees partial blocks at arbitrary
 // offsets). Selection can never change the answer; a kernel that
 // drifts from the reference on any (params, payload, split) triple is
 // a bug this fuzzer is built to surface.

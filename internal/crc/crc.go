@@ -1,11 +1,11 @@
 // Package crc implements parameterised CRC computation for widths up to 32
-// bits with six engines: bit-at-a-time (the reference), byte-wise table
-// lookup, slicing-by-8, slicing-by-16, a table-free Chorba-style folding
-// kernel, and a stdlib hash/crc32 delegate that rides CLMUL/SSE4.2 where
-// the platform has them. Algorithms follow the Rocksoft model
-// (init / reflect-in / reflect-out / xor-out) so every catalogued standard
-// can be expressed; the engines are cross-checked against each other, against
-// hash/crc32 and against GF(2) polynomial arithmetic in the tests.
+// bits with four engines: bit-at-a-time (the reference), byte-wise table
+// lookup, slicing-by-16, and a stdlib hash/crc32 delegate that rides
+// CLMUL/SSE4.2 where the platform has them. Algorithms follow the
+// Rocksoft model (init / reflect-in / reflect-out / xor-out) so every
+// catalogued standard can be expressed; the engines are cross-checked
+// against each other, against hash/crc32 and against GF(2) polynomial
+// arithmetic in the tests.
 package crc
 
 import (
@@ -211,90 +211,16 @@ func (e *Table) Checksum(data []byte) uint32 {
 	return e.Finalize(e.Update(e.Init(), data))
 }
 
-// Slicing8 is the slicing-by-8 engine for reflected 32-bit algorithms,
-// processing eight bytes per step — the kind of software implementation the
-// iSCSI effort contemplated for CRC-32C.
-type Slicing8 struct {
-	params Params
-	tab    [8][256]uint32
-}
-
-var _ Engine = (*Slicing8)(nil)
-
-// NewSlicing8 builds the slicing-by-8 engine.
-func NewSlicing8(p Params) (*Slicing8, error) {
-	if p.Poly.Width() != 32 {
-		return nil, fmt.Errorf("crc: slicing-by-8 requires width 32, got %d", p.Poly.Width())
-	}
-	if !p.RefIn || !p.RefOut {
-		return nil, fmt.Errorf("crc: slicing-by-8 requires reflected input and output")
-	}
-	e := &Slicing8{params: p}
-	rev := uint32(p.Poly.Reversed())
-	for i := 0; i < 256; i++ {
-		c := uint32(i)
-		for k := 0; k < 8; k++ {
-			if c&1 != 0 {
-				c = (c >> 1) ^ rev
-			} else {
-				c >>= 1
-			}
-		}
-		e.tab[0][i] = c
-	}
-	for i := 0; i < 256; i++ {
-		c := e.tab[0][i]
-		for k := 1; k < 8; k++ {
-			c = e.tab[0][byte(c)] ^ (c >> 8)
-			e.tab[k][i] = c
-		}
-	}
-	return e, nil
-}
-
-// Params implements Engine.
-func (e *Slicing8) Params() Params { return e.params }
-
-// Init implements Engine.
-func (e *Slicing8) Init() uint32 { return reverseBits(e.params.Init, 32) }
-
-// Finalize implements Engine.
-func (e *Slicing8) Finalize(state uint32) uint32 { return state ^ e.params.XorOut }
-
-// Update implements Engine.
-func (e *Slicing8) Update(state uint32, data []byte) uint32 {
-	for len(data) >= 8 {
-		s := state ^ (uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24)
-		state = e.tab[7][byte(s)] ^
-			e.tab[6][byte(s>>8)] ^
-			e.tab[5][byte(s>>16)] ^
-			e.tab[4][byte(s>>24)] ^
-			e.tab[3][data[4]] ^
-			e.tab[2][data[5]] ^
-			e.tab[1][data[6]] ^
-			e.tab[0][data[7]]
-		data = data[8:]
-	}
-	for _, b := range data {
-		state = (state >> 8) ^ e.tab[0][byte(state)^b]
-	}
-	return state
-}
-
-// Checksum implements Engine.
-func (e *Slicing8) Checksum(data []byte) uint32 {
-	return e.Finalize(e.Update(e.Init(), data))
-}
-
 // New returns the fastest engine the parameter set admits on structural
 // grounds: the stdlib hardware delegate for generators it accelerates
 // (IEEE, Castagnoli — its software fallback is itself slicing-by-8, so
 // this never loses), then slicing-by-16, then byte-table, falling back
-// to the reference bitwise engine. The public crchash package layers a
-// measured once-per-process selection on top of this ordering.
+// to the reference bitwise engine. It is crchash's Kind Auto.
 func New(p Params) Engine {
-	if h, err := NewHardware(p); err == nil && h.Accelerated() {
-		return h
+	if accelerated(p) {
+		if h, err := NewHardware(p); err == nil {
+			return h
+		}
 	}
 	if s, err := NewSlicing16(p); err == nil {
 		return s

@@ -19,14 +19,8 @@ func engines(t *testing.T, p Params) []Engine {
 	if tab, err := NewTable(p); err == nil {
 		out = append(out, tab)
 	}
-	if s8, err := NewSlicing8(p); err == nil {
-		out = append(out, s8)
-	}
 	if s16, err := NewSlicing16(p); err == nil {
 		out = append(out, s16)
-	}
-	if ch, err := NewChorba(p); err == nil {
-		out = append(out, ch)
 	}
 	if hw, err := NewHardware(p); err == nil {
 		out = append(out, hw)
@@ -237,15 +231,6 @@ func TestTableEngineErrors(t *testing.T) {
 	mixed.RefOut = false
 	if _, err := NewTable(mixed); err == nil {
 		t.Error("expected error for mixed reflection")
-	}
-}
-
-func TestSlicing8Errors(t *testing.T) {
-	if _, err := NewSlicing8(CRC16ARC); err == nil {
-		t.Error("expected error for width 16 slicing engine")
-	}
-	if _, err := NewSlicing8(CRC16CCITTFalse); err == nil {
-		t.Error("expected error for non-reflected slicing engine")
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // instructions for Castagnoli where the CPU has them. For any other
 // reflected 32-bit generator the delegate is hash/crc32's portable
 // byte-table loop, so construction succeeds but nothing is offloaded —
-// Accelerated reports which case an engine landed in, and the measured
-// Auto selection in crchash only picks Hardware when it actually wins.
+// Accelerated reports which case an engine landed in, and New picks
+// Hardware only for the accelerated generators.
 type Hardware struct {
 	params Params
 	tab    *crc32.Table
@@ -28,18 +28,23 @@ func NewHardware(p Params) (*Hardware, error) {
 	if !p.RefIn || !p.RefOut {
 		return nil, fmt.Errorf("crc: hardware engine requires reflected input and output")
 	}
-	rev := uint32(p.Poly.Reversed())
 	return &Hardware{
 		params: p,
-		tab:    crc32.MakeTable(rev),
-		accel:  rev == crc32.IEEE || rev == crc32.Castagnoli,
+		tab:    crc32.MakeTable(uint32(p.Poly.Reversed())),
+		accel:  accelerated(p),
 	}, nil
+}
+
+// accelerated reports whether hash/crc32 has an architecture fast path
+// for the parameter set's generator, without building its table.
+func accelerated(p Params) bool {
+	rev := uint32(p.Poly.Reversed())
+	return rev == crc32.IEEE || rev == crc32.Castagnoli
 }
 
 // Accelerated reports whether hash/crc32 has an architecture fast path
 // for this generator (IEEE and Castagnoli); whether the running CPU
-// actually provides the instructions is the stdlib's runtime decision,
-// which the crchash startup micro-benchmark observes empirically.
+// actually provides the instructions is the stdlib's runtime decision.
 func (e *Hardware) Accelerated() bool { return e.accel }
 
 // Params implements Engine.

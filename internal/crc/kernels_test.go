@@ -2,7 +2,6 @@ package crc
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -15,15 +14,7 @@ import (
 // parameter set, keyed by a short name.
 func reflected32Kernels(t *testing.T, p Params) map[string]Engine {
 	t.Helper()
-	s8, err := NewSlicing8(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s16, err := NewSlicing16(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := NewChorba(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +27,7 @@ func reflected32Kernels(t *testing.T, p Params) map[string]Engine {
 		t.Fatal(err)
 	}
 	return map[string]Engine{
-		"table": tab, "slicing8": s8, "slicing16": s16, "chorba": ch, "hardware": hw,
+		"table": tab, "slicing16": s16, "hardware": hw,
 	}
 }
 
@@ -59,7 +50,7 @@ func randomReflected32Params(rng *rand.Rand) Params {
 // TestKernelsCrossValidateRandomParams drives every reflected-32-bit
 // kernel against the bitwise reference over random generators, random
 // init/xorout conventions and payload lengths that exercise the odd
-// (non-8-aligned, non-16-aligned, sub-cutover) paths of each kernel.
+// (non-8-aligned, non-16-aligned) paths of each kernel.
 func TestKernelsCrossValidateRandomParams(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 211))
 	for trial := 0; trial < 12; trial++ {
@@ -83,8 +74,8 @@ func TestKernelsCrossValidateRandomParams(t *testing.T) {
 
 // TestKernelsChunkedDigestOddOffsets pins that hash.Hash32 digests over
 // each kernel produce the one-shot answer when writes are split at odd,
-// adversarial offsets (1-byte writes straddling the 8/16/24-byte kernel
-// strides included).
+// adversarial offsets (1-byte writes straddling the 16-byte slicing
+// stride included).
 func TestKernelsChunkedDigestOddOffsets(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 77))
 	params := []Params{CRC32IEEE, CRC32C, CRC32K, randomReflected32Params(rng)}
@@ -134,7 +125,6 @@ func TestKernelsRefuseInadmissibleParams(t *testing.T) {
 	}
 	builders := map[string]func(Params) (Engine, error){
 		"slicing16": func(p Params) (Engine, error) { return NewSlicing16(p) },
-		"chorba":    func(p Params) (Engine, error) { return NewChorba(p) },
 		"hardware":  func(p Params) (Engine, error) { return NewHardware(p) },
 	}
 	for bname, build := range builders {
@@ -143,44 +133,6 @@ func TestKernelsRefuseInadmissibleParams(t *testing.T) {
 				t.Errorf("%s: expected error for %s params", bname, tc.name)
 			} else if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Errorf("%s/%s: error %q does not name the %q requirement", bname, tc.name, err, tc.wantSub)
-			}
-		}
-	}
-}
-
-// TestChorbaUnrolledShiftsMatch re-derives each unrolled kernel's shift
-// sequence from x^95 mod G and checks the hardcoded constants by
-// comparing the unrolled kernel's output against a generic-fold engine
-// forced onto the same polynomial. A drifted shift constant changes the
-// checksum on essentially any input.
-func TestChorbaUnrolledShiftsMatch(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 15))
-	for _, p := range []Params{CRC32IEEE, CRC32C, CRC32K} {
-		e, err := NewChorba(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.fold == nil {
-			t.Fatalf("%s: expected an unrolled chorba kernel", p.Name)
-		}
-		// Force the generic path on a clone.
-		g := &Chorba{params: p, rpoly: uint32(p.Poly.Reversed())}
-		r95 := xnModG(p, 95)
-		for d := 31; d >= 0; d-- {
-			if r95&(1<<uint(d)) != 0 {
-				g.shifts = append(g.shifts, uint8(31-d))
-			}
-		}
-		if got := len(g.shifts); got != bits.OnesCount32(r95) {
-			t.Fatalf("%s: shift list length %d != popcount(r95) %d", p.Name, got, bits.OnesCount32(r95))
-		}
-		for _, n := range []int{24, 100, 1000, 4096} {
-			data := make([]byte, n)
-			for i := range data {
-				data[i] = byte(rng.Uint64())
-			}
-			if eu, gu := e.Checksum(data), g.Checksum(data); eu != gu {
-				t.Fatalf("%s: unrolled %#x != generic fold %#x at len %d", p.Name, eu, gu, n)
 			}
 		}
 	}
@@ -222,11 +174,11 @@ func throughput(e Engine, data []byte) float64 {
 }
 
 // TestHardwarePathEngaged asserts the stdlib delegate actually beats
-// slicing-by-8 on this host for an accelerated generator. On hosts
-// without CLMUL/SSE4.2 (or non-amd64/arm64 builds, GOAMD64 regardless)
-// the stdlib falls back to its own software slicing, so the ratio test
-// is skipped rather than failed — detection is empirical, not a CPU
-// feature probe.
+// slicing-by-16, the software kernel New falls back to, on this host
+// for an accelerated generator. On hosts without CLMUL/SSE4.2 (or
+// non-amd64/arm64 builds, GOAMD64 regardless) the stdlib falls back to
+// its own software slicing, so the ratio test is skipped rather than
+// failed — detection is empirical, not a CPU feature probe.
 func TestHardwarePathEngaged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement in -short mode")
@@ -240,17 +192,17 @@ func TestHardwarePathEngaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s8, err := NewSlicing8(CRC32C)
+	s16, err := NewSlicing16(CRC32C)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hwBps, s8Bps := throughput(hw, data), throughput(s8, data)
-	ratio := hwBps / s8Bps
-	t.Logf("hardware %.2f GB/s, slicing8 %.2f GB/s, ratio %.2fx", hwBps/1e9, s8Bps/1e9, ratio)
+	hwBps, s16Bps := throughput(hw, data), throughput(s16, data)
+	ratio := hwBps / s16Bps
+	t.Logf("hardware %.2f GB/s, slicing16 %.2f GB/s, ratio %.2fx", hwBps/1e9, s16Bps/1e9, ratio)
 	if ratio < 1.5 {
 		t.Skip("no hardware CRC acceleration detected on this host (stdlib fell back to software)")
 	}
-	if hwBps < 2*s8Bps {
-		t.Errorf("hardware path engaged but only %.2fx slicing8", ratio)
+	if hwBps < 2*s16Bps {
+		t.Errorf("hardware path engaged but only %.2fx slicing16", ratio)
 	}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // Slicing16 is the slicing-by-16 engine for reflected 32-bit algorithms,
-// processing sixteen bytes per step. It doubles Slicing8's stride: the
-// sixteen 256-entry tables advance each byte's contribution past the
-// whole 16-byte block in one lookup, so the sixteen loads per block are
-// independent and the XOR reduction is the only serial chain.
+// processing sixteen bytes per step. The sixteen 256-entry tables
+// advance each byte's contribution past the whole 16-byte block in one
+// lookup, so the sixteen loads per block are independent and the XOR
+// reduction is the only serial chain.
 type Slicing16 struct {
 	params Params
 	tab    [16][256]uint32

@@ -22,15 +22,13 @@
 //
 // Checksum computation lives in the koopmancrc/crchash subpackage:
 // catalogued algorithms, user registration, engine selection and
-// hash.Hash32 digests, with engines cached per algorithm. The Checksum
-// and NewEngine helpers here remain as deprecated wrappers over it.
+// hash.Hash32 digests, with engines cached per algorithm.
 package koopmancrc
 
 import (
 	"context"
 	"fmt"
 
-	"koopmancrc/crchash"
 	"koopmancrc/internal/core"
 	"koopmancrc/internal/crc"
 	"koopmancrc/internal/errmodel"
@@ -129,75 +127,13 @@ func (r *Report) MaxLenAtHD(hd int) (int, bool) {
 	return best, best > 0
 }
 
-// EvaluateOptions tune the deprecated Evaluate wrapper.
-//
-// Deprecated: pass WithMaxHD to NewAnalyzer instead.
-type EvaluateOptions struct {
-	// MaxHD bounds the classified Hamming distances (default 13).
-	MaxHD int
-}
-
-// Evaluate computes the full HD-vs-length profile of a polynomial up to
-// maxLen data bits — one column of the paper's Table 1. Cost grows with
-// the polynomial's weight-4 boundary; the full 131072-bit evaluation of a
-// Table 1 polynomial takes seconds to about a minute.
-//
-// Deprecated: use NewAnalyzer(p).Evaluate(ctx, maxLen) — the Analyzer
-// keeps the boundary scans this function recomputes on every call, and
-// its context supports cancellation.
-func Evaluate(p Polynomial, maxLen int, opts *EvaluateOptions) (*Report, error) {
-	var o []Option
-	if opts != nil && opts.MaxHD >= 2 {
-		o = append(o, WithMaxHD(opts.MaxHD))
-	}
-	return NewAnalyzer(p, o...).Evaluate(context.Background(), maxLen)
-}
-
-// HammingDistanceAt returns the exact Hamming distance of the polynomial
-// at one data-word length (searching weights up to maxHD; exact=false
-// means the true HD exceeds maxHD).
-//
-// Deprecated: use NewAnalyzer(p, WithMaxHD(maxHD)).HDAt(ctx, dataLen),
-// which reuses the session's cached knowledge across calls.
-func HammingDistanceAt(p Polynomial, dataLen, maxHD int) (hd int, exact bool, err error) {
-	return NewAnalyzer(p, WithMaxHD(maxHD)).HDAt(context.Background(), dataLen)
-}
-
-// UndetectableWeight returns the exact number of undetectable w-bit error
-// patterns at a data-word length (w <= 4), e.g. 223059 for the 802.3
-// polynomial with w=4 at 12112 bits.
-//
-// Deprecated: use NewAnalyzer(p).Weight(ctx, w, dataLen).
-func UndetectableWeight(p Polynomial, w, dataLen int) (uint64, error) {
-	return NewAnalyzer(p).Weight(context.Background(), w, dataLen)
-}
-
-// UndetectableWitness returns one undetectable error pattern of exactly w
-// bits at the given length, as codeword bit positions (position 0 = last
-// transmitted bit).
-//
-// Deprecated: use NewAnalyzer(p).Witness(ctx, w, dataLen).
-func UndetectableWitness(p Polynomial, w, dataLen int) (positions []int, found bool, err error) {
-	return NewAnalyzer(p).Witness(context.Background(), w, dataLen)
-}
-
-// Selection scores one candidate for SelectPolynomial.
+// Selection scores one candidate for Select.
 type Selection struct {
 	Poly Polynomial
 	// HD is the Hamming distance at the target length.
 	HD int
 	// CoverageAtHD is the largest length keeping that HD.
 	CoverageAtHD int
-}
-
-// SelectPolynomial ranks candidates for protecting messages of the given
-// data-word length: highest HD at that length first, ties broken by how
-// far the HD extends. It returns the ranking, best first.
-//
-// Deprecated: use Select(ctx, candidates, dataLen, WithMaxHD(maxHD)),
-// or SelectAnalyzers to reuse evaluation sessions across calls.
-func SelectPolynomial(candidates []Polynomial, dataLen, maxHD int) ([]Selection, error) {
-	return Select(context.Background(), candidates, dataLen, WithMaxHD(maxHD))
 }
 
 // SearchConfig describes a design-space search (see the paper's §4).
@@ -268,35 +204,6 @@ func Search(ctx context.Context, cfg SearchConfig) (*SearchResult, error) {
 	}, nil
 }
 
-// Checksum computes the CRC of data under a catalogued algorithm name
-// (e.g. "CRC-32/IEEE-802.3", "CRC-32C/iSCSI", "CRC-32K/Koopman"). It
-// uses crchash's per-algorithm engine cache, so repeated calls no longer
-// rebuild lookup tables.
-//
-// Deprecated: use crchash.Checksum.
-func Checksum(algorithm string, data []byte) (uint32, error) {
-	return crchash.Checksum(algorithm, data)
-}
-
-// Algorithms lists the catalogued algorithm names.
-//
-// Deprecated: use crchash.Algorithms.
-func Algorithms() []string { return crchash.Algorithms() }
-
-// Engine computes CRCs incrementally; obtain one from NewEngine.
-//
-// Deprecated: use crchash.Engine.
-type Engine = crc.Engine
-
-// NewEngine returns a streaming engine for a catalogued algorithm,
-// served from crchash's per-algorithm cache.
-//
-// Deprecated: use crchash.ForAlgorithm (cached) or crchash.NewEngine
-// (explicit engine kind).
-func NewEngine(algorithm string) (Engine, error) {
-	return crchash.ForAlgorithm(algorithm)
-}
-
 // PureChecksum computes the plain polynomial-remainder CRC (zero init, no
 // reflection, zero xor-out): data(x)*x^width mod G(x). This is the
 // convention under which Hamming-distance analysis holds bit-for-bit, used
@@ -328,7 +235,7 @@ func VerifyFCS(p Polynomial, frame []byte) bool {
 
 // CorruptCodeword flips codeword bit positions in a frame produced by
 // AppendFCS. Positions use the polynomial convention of
-// UndetectableWitness: position 0 is the last transmitted bit.
+// Analyzer.Witness: position 0 is the last transmitted bit.
 func CorruptCodeword(frame []byte, positions []int) error {
 	return errmodel.FlipCodewordPositions(frame, positions)
 }

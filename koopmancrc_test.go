@@ -4,6 +4,8 @@ import (
 	"context"
 	"hash/crc32"
 	"testing"
+
+	"koopmancrc/crchash"
 )
 
 func TestParseAndNotations(t *testing.T) {
@@ -23,7 +25,7 @@ func TestParseAndNotations(t *testing.T) {
 }
 
 func TestEvaluate8023Short(t *testing.T) {
-	rep, err := Evaluate(IEEE8023, 512, nil)
+	rep, err := NewAnalyzer(IEEE8023).Evaluate(context.Background(), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestEvaluate8023Short(t *testing.T) {
 }
 
 func TestHammingDistanceAt(t *testing.T) {
-	hd, exact, err := HammingDistanceAt(Koopman32K, 1024, 8)
+	hd, exact, err := NewAnalyzer(Koopman32K, WithMaxHD(8)).HDAt(context.Background(), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,18 +52,19 @@ func TestHammingDistanceAt(t *testing.T) {
 }
 
 func TestUndetectableWeightAndWitness(t *testing.T) {
-	w4, err := UndetectableWeight(IEEE8023, 4, 2975)
+	ctx := context.Background()
+	w4, err := NewAnalyzer(IEEE8023).Weight(ctx, 4, 2975)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w4 != 1 {
 		t.Errorf("W4(2975) = %d, want 1 (paper §4.1)", w4)
 	}
-	wit, found, err := UndetectableWitness(IEEE8023, 4, 2975)
+	wit, found, err := NewAnalyzer(IEEE8023).Witness(ctx, 4, 2975)
 	if err != nil || !found || len(wit) != 4 {
 		t.Errorf("witness = %v found=%v err=%v", wit, found, err)
 	}
-	_, found, err = UndetectableWitness(Koopman32K, 4, 2975)
+	_, found, err = NewAnalyzer(Koopman32K).Witness(ctx, 4, 2975)
 	if err != nil || found {
 		t.Errorf("0xBA0DC66B should have no 4-bit failures at 2975 bits (found=%v err=%v)", found, err)
 	}
@@ -72,7 +75,8 @@ func TestSelectPolynomialPrefersKoopmanAtISCSILengths(t *testing.T) {
 	// polynomial 0x8F6E37A0 (HD=4). Use a shorter length for test speed:
 	// at 4096 bits the iSCSI polynomial already has HD=6 but 0xBA0DC66B
 	// holds HD=6 further (16360 vs 5243).
-	ranked, err := SelectPolynomial([]Polynomial{CastagnoliISCSI, Koopman32K, IEEE8023}, 4096, 8)
+	ctx := context.Background()
+	ranked, err := Select(ctx, []Polynomial{CastagnoliISCSI, Koopman32K, IEEE8023}, 4096, WithMaxHD(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestSelectPolynomialPrefersKoopmanAtISCSILengths(t *testing.T) {
 	if ranked[2].Poly != IEEE8023 || ranked[2].HD != 4 {
 		t.Errorf("third: %v HD %d, want 802.3/4", ranked[2].Poly, ranked[2].HD)
 	}
-	if _, err := SelectPolynomial(nil, 100, 8); err == nil {
+	if _, err := Select(ctx, nil, 100, WithMaxHD(8)); err == nil {
 		t.Error("empty candidates should error")
 	}
 }
@@ -115,7 +119,7 @@ func TestSearchSmallWidth(t *testing.T) {
 	}
 	// Every survivor must genuinely achieve the HD.
 	for _, p := range res.Survivors {
-		hd, _, err := HammingDistanceAt(p, 19, 6)
+		hd, _, err := NewAnalyzer(p, WithMaxHD(6)).HDAt(context.Background(), 19)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,27 +170,27 @@ func TestSearchValidation(t *testing.T) {
 
 func TestChecksumMatchesStdlib(t *testing.T) {
 	data := []byte("The quick brown fox jumps over the lazy dog")
-	got, err := Checksum("CRC-32/IEEE-802.3", data)
+	got, err := crchash.Checksum("CRC-32/IEEE-802.3", data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := crc32.ChecksumIEEE(data); got != want {
 		t.Errorf("Checksum = %#x, want %#x", got, want)
 	}
-	got, err = Checksum("CRC-32C/iSCSI", data)
+	got, err = crchash.Checksum("CRC-32C/iSCSI", data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)); got != want {
 		t.Errorf("CRC-32C = %#x, want %#x", got, want)
 	}
-	if _, err := Checksum("nope", data); err == nil {
+	if _, err := crchash.Checksum("nope", data); err == nil {
 		t.Error("unknown algorithm should error")
 	}
 }
 
 func TestNewEngineStreaming(t *testing.T) {
-	e, err := NewEngine("CRC-32K/Koopman")
+	e, err := crchash.ForAlgorithm("CRC-32K/Koopman")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +200,8 @@ func TestNewEngineStreaming(t *testing.T) {
 	if e.Finalize(s) != e.Checksum(data) {
 		t.Error("streaming disagrees with one-shot")
 	}
-	if len(Algorithms()) < 5 {
-		t.Errorf("catalogue too small: %v", Algorithms())
+	if len(crchash.Algorithms()) < 5 {
+		t.Errorf("catalogue too small: %v", crchash.Algorithms())
 	}
 }
 
@@ -231,7 +235,7 @@ func TestFrameHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An undetectable witness pattern is, by construction, not caught.
-	wit, found, err := UndetectableWitness(IEEE8023, 4, len(payload)*8)
+	wit, found, err := NewAnalyzer(IEEE8023).Witness(context.Background(), 4, len(payload)*8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -335,8 +335,8 @@ func TestStreamConstantBuffering(t *testing.T) {
 		}
 		return out.Hex
 	}
-	// Warm everything once: engine construction, the measured
-	// auto-profile, the pooled copy buffer.
+	// Warm everything once: engine construction, the pooled copy
+	// buffer.
 	run(1 << 20)
 
 	allocBytes := func(n int64) uint64 {

@@ -83,10 +83,9 @@
 // trace volume.
 //
 // The crcserve binary adds -pprof (net/http/pprof on a separate,
-// default-loopback listener, never this mux) and -remeasure (periodic
-// kernel-profile drift watch registered on Server.Registry); the dist
-// coordinator's DebugAddr serves its live ledger in the same exposition
-// format. cmd/promcheck validates any scrape offline.
+// default-loopback listener, never this mux); the dist coordinator's
+// DebugAddr serves its live ledger in the same exposition format.
+// cmd/promcheck validates any scrape offline.
 //
 // # Sessions, coalescing, cancellation
 //

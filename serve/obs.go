@@ -258,11 +258,6 @@ func (s *Server) observeSpan(ctx context.Context, sp koopmancrc.Span) {
 	)
 }
 
-// Registry exposes the server's obs registry so the embedding binary can
-// register process-level metrics (e.g. crcserve's auto-profile drift
-// histogram) onto the same /metrics exposition.
-func (s *Server) Registry() *obs.Registry { return s.obs.registry }
-
 // statusLabel formats an HTTP status for the code label without
 // allocating for the codes a healthy server actually returns.
 func statusLabel(status int) string {

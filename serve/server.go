@@ -898,7 +898,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"stream_bytes":     json.RawMessage(s.metrics.streamBytes.String()),
 		"pool":             s.pool.stats(),
 		"corpus":           s.corpusMetrics(),
-		"auto_profile":     crchash.AutoProfile(),
 	}
 	writeJSON(w, http.StatusOK, out)
 }

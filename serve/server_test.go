@@ -38,14 +38,6 @@ type metricsSnapshot struct {
 		Misses  int64 `json:"misses"`
 		Writes  int64 `json:"writes"`
 	} `json:"corpus"`
-	Profile struct {
-		Override string `json:"override"`
-		Kernels  []struct {
-			Kernel   string  `json:"kernel"`
-			SmallBps float64 `json:"small_bps"`
-			LargeBps float64 `json:"large_bps"`
-		} `json:"kernels"`
-	} `json:"auto_profile"`
 }
 
 func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -396,7 +388,7 @@ func TestEvaluateWeights(t *testing.T) {
 	}
 	for _, wc := range resp.Weights {
 		for w, got := range map[int]uint64{2: wc.W2, 3: wc.W3, 4: wc.W4} {
-			want, err := koopmancrc.UndetectableWeight(p, w, wc.Length)
+			want, err := koopmancrc.NewAnalyzer(p).Weight(context.Background(), w, wc.Length)
 			if err != nil {
 				t.Fatalf("reference W%d at %d: %v", w, wc.Length, err)
 			}
@@ -563,14 +555,6 @@ func TestEndpoints(t *testing.T) {
 	m := getMetrics(t, ts)
 	if m.Kernels[sum.Kernel] == 0 {
 		t.Fatalf("checksum_kernels missing %q: %+v", sum.Kernel, m.Kernels)
-	}
-	if len(m.Profile.Kernels) == 0 {
-		t.Fatal("auto_profile absent from /metrics")
-	}
-	for _, ks := range m.Profile.Kernels {
-		if ks.LargeBps <= 0 {
-			t.Fatalf("auto_profile kernel %q has non-positive throughput", ks.Kernel)
-		}
 	}
 	var sumData ChecksumResponse
 	if code, _ := postJSON(t, ts.URL+"/v1/checksum", ChecksumRequest{

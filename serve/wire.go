@@ -239,8 +239,7 @@ type ChecksumRequest struct {
 
 // ChecksumResponse reports the check value in decimal and hex, plus
 // which checksum kernel actually served the request ("hardware",
-// "slicing16", ... — see crchash.Kind) so operators can confirm the
-// measured Auto selection or a CRCHASH_KIND override took effect.
+// "slicing16", ... — see crchash.Kind).
 type ChecksumResponse struct {
 	Algorithm string `json:"algorithm"`
 	Length    int    `json:"length"` // payload bytes
