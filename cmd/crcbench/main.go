@@ -31,6 +31,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -461,9 +462,14 @@ func measureCorpus(quick bool) (*CorpusBench, error) {
 		MaxLen:  maxLen,
 		MaxHD:   maxHD,
 	}
-	cold, _, err := timeFirstEvaluate(serve.Config{}, req)
+	cold, coldProbes, err := timeFirstEvaluate(serve.Config{}, req)
 	if err != nil {
 		return nil, fmt.Errorf("cold: %w", err)
+	}
+	if coldProbes == 0 {
+		// A cold session must probe the engine; reading zero means the
+		// probe scrape is broken and a zero warm count would prove nothing.
+		return nil, fmt.Errorf("cold: evaluation reported no live engine probes")
 	}
 	warm, warmProbes, err := timeFirstEvaluate(serve.Config{CorpusDir: dir}, req)
 	if err != nil {
@@ -598,7 +604,7 @@ func measureTracing(quick bool) (*TracingBench, error) {
 
 // timeFirstEvaluate stands up an in-process crcserve with the config,
 // times one /v1/evaluate round trip, and returns it with the pool's
-// live engine probe total afterwards.
+// live engine probe total afterwards, read from the /metrics exposition.
 func timeFirstEvaluate(cfg serve.Config, req serve.EvaluateRequest) (time.Duration, int64, error) {
 	srv, err := serve.New(cfg)
 	if err != nil {
@@ -630,15 +636,23 @@ func timeFirstEvaluate(cfg serve.Config, req serve.EvaluateRequest) (time.Durati
 		return 0, 0, err
 	}
 	defer resp.Body.Close()
-	var m struct {
-		Pool struct {
-			Probes int64 `json:"probes"`
-		} `json:"pool"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return 0, 0, err
 	}
-	return elapsed, m.Pool.Probes, nil
+	// The pool's live probe total is the sum of its per-session series.
+	var probes int64
+	for _, line := range strings.Split(string(body), "\n") {
+		if !strings.HasPrefix(line, "crcserve_pool_session_probes{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			return 0, 0, fmt.Errorf("metrics line %q: %w", line, err)
+		}
+		probes += int64(v)
+	}
+	return elapsed, probes, nil
 }
 
 // retiredKernels are kernel names older reports carry for engines

@@ -27,10 +27,12 @@
 // -mode status -json emits the same report as machine-readable JSON.
 // A running coordinator can additionally serve live telemetry —
 // per-worker EWMA rates, grant sizes, lease ages, requeue counters —
-// as a Prometheus exposition:
+// as a Prometheus exposition, and its per-job traces:
 //
 //	crcsearch -mode coord -debug 127.0.0.1:9100 ...
 //	curl http://127.0.0.1:9100/metrics
+//	curl 'http://127.0.0.1:9100/v1/traces?error=true'
+//	curl http://127.0.0.1:9100/v1/traces/<id>
 package main
 
 import (
@@ -79,7 +81,7 @@ func run(args []string) error {
 	par := fs.Int("parallelism", 0, "filter goroutines per machine, 0 = GOMAXPROCS (local and worker modes)")
 	batch := fs.Int("batch", 0, "results coalesced per gzipped send, 1 = every result its own message, 0 = default (worker mode)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of the human report (status mode)")
-	debug := fs.String("debug", "", "read-only telemetry listener: /metrics Prometheus exposition + /healthz (coord mode; keep loopback)")
+	debug := fs.String("debug", "", "read-only telemetry listener: /metrics Prometheus exposition, /v1/traces job traces + /healthz (coord mode; keep loopback)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

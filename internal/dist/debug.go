@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"time"
@@ -9,12 +8,12 @@ import (
 	"koopmancrc/internal/obs"
 )
 
-// startDebug opens the coordinator's optional telemetry listener: a
-// plain HTTP server with /metrics in Prometheus text exposition (the
-// live ledger — per-worker EWMA rates and grant sizes, lease ages of
-// assigned jobs, requeue and coverage counters), /v1/traces and
-// /v1/traces/{id} serving the per-job trace recorder (grant → worker →
-// pipeline-stage span trees; expired leases retained as errored), and
+// startDebug opens the coordinator's optional telemetry listener: the
+// shared obs debug surface (obs.Mount) over the live ledger registry —
+// /metrics with per-worker EWMA rates and grant sizes, lease ages of
+// assigned jobs, requeue and coverage counters — and the per-job trace
+// recorder at /v1/traces and /v1/traces/{id} (grant → worker →
+// pipeline-stage span trees; expired leases retained as errored), plus
 // /healthz for liveness probes. The endpoint is read-only and
 // unauthenticated, so it belongs on loopback or an operator network,
 // never the open internet.
@@ -25,48 +24,7 @@ func (c *Coordinator) startDebug(addr string) error {
 	}
 	c.debugLn = ln
 	mux := http.NewServeMux()
-	reg := c.debugRegistry()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Same negotiation as serve: the classic 0.0.4 exposition stays
-		// exemplar-free; an OpenMetrics scrape gets the terminated form.
-		if r.URL.Query().Get("format") == "openmetrics" ||
-			obs.AcceptsOpenMetrics(r.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", obs.OpenMetricsContentType)
-			_ = reg.WriteOpenMetrics(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
-		f := obs.TraceFilter{Limit: 100}
-		q := r.URL.Query()
-		if v := q.Get("error"); v == "true" || v == "1" {
-			f.ErrorsOnly = true
-		}
-		if v := q.Get("min_duration"); v != "" {
-			if d, err := time.ParseDuration(v); err == nil {
-				f.MinDuration = d
-			}
-		}
-		traces := c.recorder.Summaries(f)
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"count": len(traces), "traces": traces,
-		})
-	})
-	mux.HandleFunc("GET /v1/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
-		td, ok := c.recorder.Get(r.PathValue("id"))
-		if !ok {
-			http.Error(w, `{"error":"trace not found"}`, http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(td)
-	})
+	obs.Mount(mux, c.debugRegistry(), c.recorder)
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	c.wg.Add(1)
 	go func() {

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -48,7 +49,7 @@ func TestDebugListenerExposesLedger(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	if code, body := get("/healthz"); code != http.StatusOK || body != "ok\n" {
+	if code, body := get("/healthz"); code != http.StatusOK || body != `{"status":"ok"}`+"\n" {
 		t.Fatalf("/healthz: %d %q", code, body)
 	}
 
@@ -135,4 +136,107 @@ func itoa(v uint64) string {
 		v /= 10
 	}
 	return string(b[i:])
+}
+
+// TestDebugTracesFiltersAndErrors pins the debug listener's trace routes
+// to the same contract crcserve serves: malformed filters answer 400,
+// endpoint and limit filter the listing, and a missing trace is a JSON
+// 404.
+func TestDebugTracesFiltersAndErrors(t *testing.T) {
+	coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+		Spec:         smallSpec,
+		JobSize:      32, // 4 jobs, one trace each
+		LeaseTimeout: 30 * time.Second,
+		Logf:         t.Logf,
+		DebugAddr:    "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	w := dist.NewWorker(coord.Addr(), dist.WorkerConfig{ID: "solo", Logf: t.Logf})
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.Run(context.Background())
+		done <- err
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	sum, err := coord.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	base := "http://" + coord.DebugAddr()
+
+	get := func(path string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	list := func(query string) obs.TracesResponse {
+		t.Helper()
+		resp, body := get("/v1/traces" + query)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/traces%s: %d %s", query, resp.StatusCode, body)
+		}
+		var out obs.TracesResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	for _, q := range []string{"?min_duration=bogus", "?error=maybe", "?limit=0", "?limit=x"} {
+		resp, body := get("/v1/traces" + q)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/v1/traces%s: %d, want 400", q, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("/v1/traces%s: Content-Type %q", q, ct)
+		}
+		var er struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+			t.Errorf("/v1/traces%s: error body %q", q, body)
+		}
+	}
+
+	if got := list("").Count; got != sum.Jobs || sum.Jobs < 3 {
+		t.Fatalf("unfiltered listing has %d traces, want one per job (%d >= 3)", got, sum.Jobs)
+	}
+	if got := list("?endpoint=dist.job").Count; got != sum.Jobs {
+		t.Errorf("?endpoint=dist.job lists %d traces, want %d", got, sum.Jobs)
+	}
+	if got := list("?endpoint=/v1/evaluate").Count; got != 0 {
+		t.Errorf("?endpoint=/v1/evaluate lists %d traces, want 0", got)
+	}
+	if got := list("?limit=2"); got.Count != 2 || len(got.Traces) != 2 {
+		t.Errorf("?limit=2 lists %d traces", got.Count)
+	}
+	if got := list("?error=false&min_duration=0s").Count; got != sum.Jobs {
+		t.Errorf("well-formed no-op filters list %d traces, want %d", got, sum.Jobs)
+	}
+
+	resp, body := get("/v1/traces/nope")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("missing trace: %d, want 404", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("missing trace: Content-Type %q, want application/json", ct)
+	}
+	if !strings.Contains(string(body), `"error":`) {
+		t.Errorf("missing trace body %q", body)
+	}
 }

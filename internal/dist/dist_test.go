@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -286,4 +288,66 @@ func TestWorkerRunAgainstNoCoordinator(t *testing.T) {
 	if _, err := w.Run(context.Background()); err == nil {
 		t.Error("dialing a dead coordinator should error")
 	}
+}
+
+// TestOversizedFrameDropsOnlyThatPeer bounds the wire: a peer streaming
+// one frame past the cap is disconnected as soon as the cap is crossed,
+// without the coordinator waiting for (or buffering) the rest of the
+// frame. Other connections are untouched and a real worker still
+// completes an exact sweep.
+func TestOversizedFrameDropsOnlyThatPeer(t *testing.T) {
+	const limit = 64 << 10
+	defer dist.SetFrameLimitForTest(limit)()
+	coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+		Spec:         smallSpec,
+		JobSize:      16,
+		LeaseTimeout: 50 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	bystander := dialRaw(t, coord.Addr())
+	defer bystander.conn.Close()
+
+	// One frame, twice the cap, with no newline: the coordinator must
+	// drop the peer on the byte count alone.
+	big := dialRaw(t, coord.Addr())
+	defer big.conn.Close()
+	go func() {
+		frame := `{"type":"next","worker":"big","pad":"` + strings.Repeat("a", 2*limit)
+		_, _ = big.conn.Write([]byte(frame)) // fails once the coordinator hangs up
+	}()
+	big.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := big.conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("oversized peer got a %d-byte reply instead of a disconnect", n)
+	} else if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("coordinator kept the oversized peer connected")
+	}
+
+	// The other connection still speaks the protocol.
+	bystander.send(map[string]any{"type": "next", "worker": "bystander"})
+	if reply := bystander.recv(); reply["type"] != "job" {
+		t.Fatalf("bystander got %v, want a job", reply["type"])
+	}
+	bystander.conn.Close() // its job requeues when the lease expires
+
+	w := dist.NewWorker(coord.Addr(), dist.WorkerConfig{ID: "healthy", Logf: t.Logf})
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.Run(context.Background())
+		done <- err
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	sum, err := coord.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	checkMatchesSingleMachine(t, smallSpec, sum)
 }

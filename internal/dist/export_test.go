@@ -16,3 +16,12 @@ func AssembleJobTraceForTest(rootSpan string, spans []WireSpan) *obs.TraceData {
 	}
 	return assembleJobTrace(j, "test-worker", "", spans, time.Now())
 }
+
+// SetFrameLimitForTest lowers the wire frame cap so a test can send an
+// oversized frame cheaply; the returned func restores maxFrameBytes. Call
+// it before starting any coordinator or worker, and restore only after
+// they have stopped.
+func SetFrameLimitForTest(n int) (restore func()) {
+	frameLimit = n
+	return func() { frameLimit = maxFrameBytes }
+}

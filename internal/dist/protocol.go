@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/base64"
@@ -229,21 +228,55 @@ func decodeBatch(m *message) ([]*message, error) {
 	return out, nil
 }
 
+// maxFrameBytes caps one wire frame, one JSON message. The largest
+// frame a worker legitimately sends is a result_batch holding at most
+// maxBatchDecodedBytes of result lines, gzipped (at worst a fraction of a
+// percent larger than its input) and base64-wrapped (4/3 larger), so
+// under 1.34 × maxBatchDecodedBytes; a single result the batch path
+// could carry is at most maxBatchDecodedBytes. Twice the batch cap clears
+// both, so the frame cap rejects no result the coordinator would
+// otherwise accept and cannot wedge a job in a requeue loop, while one
+// peer can no longer make the coordinator buffer an unbounded value.
+const maxFrameBytes = 2 * maxBatchDecodedBytes
+
+// frameLimit is the cap recv enforces: maxFrameBytes, lowered only by
+// tests (export_test.go) so an oversized frame stays cheap to send.
+var frameLimit = maxFrameBytes
+
 // wire frames line-delimited JSON messages over a connection. Decoding
 // streams through json.Decoder, so a result carrying millions of
-// survivors (a permissive filter on a large job) has no fixed line-size
-// cap that could wedge the job in a requeue loop. Sends are serialized
-// by a mutex because a worker's heartbeat goroutine writes concurrently
-// with its request/reply loop.
+// survivors (a permissive filter on a large job) has no line-size cap
+// that could wedge the job in a requeue loop; only the frame cap
+// applies. Sends are serialized by a mutex because a worker's heartbeat
+// goroutine writes concurrently with its request/reply loop.
 type wire struct {
 	conn net.Conn
 	mu   sync.Mutex
 	enc  *json.Encoder
+	in   *frameReader
 	dec  *json.Decoder
 }
 
 func newWire(conn net.Conn) *wire {
-	return &wire{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(bufio.NewReader(conn))}
+	in := &frameReader{r: conn}
+	return &wire{conn: conn, enc: json.NewEncoder(conn), in: in, dec: json.NewDecoder(in)}
+}
+
+// frameReader fails once the decoder has read past max bytes of the
+// connection, so one frame cannot grow the decoder's buffer unboundedly.
+type frameReader struct {
+	r      io.Reader
+	n, max int64
+}
+
+func (f *frameReader) Read(p []byte) (int, error) {
+	if f.n >= f.max {
+		return 0, fmt.Errorf("dist: frame exceeds the %d-byte cap", frameLimit)
+	}
+	p = p[:min(int64(len(p)), f.max-f.n)]
+	k, err := f.r.Read(p)
+	f.n += int64(k)
+	return k, err
 }
 
 // send writes one message as a single JSON line.
@@ -253,8 +286,12 @@ func (w *wire) send(m *message) error {
 	return w.enc.Encode(m)
 }
 
-// recv blocks for the next message.
+// recv blocks for the next message. The next frame starts where the
+// decoder's last value ended, and may run frameLimit bytes past it; the
+// caller closes the connection on any error, since the stream cannot be
+// resynchronised.
 func (w *wire) recv() (*message, error) {
+	w.in.max = w.dec.InputOffset() + int64(frameLimit)
 	var m message
 	if err := w.dec.Decode(&m); err != nil {
 		if err == io.EOF {

@@ -8,10 +8,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // CheckExposition validates a Prometheus text-format (0.0.4) document:
-// line syntax, metric and label name grammar, label-value escaping,
+// UTF-8, line syntax, metric and label name grammar, label-value escaping,
 // known TYPE declarations, duplicate series, and histogram coherence
 // (parseable le bounds, cumulative bucket counts, a +Inf bucket
 // matching _count). It is the pure-Go validator behind the exposition
@@ -28,6 +29,9 @@ func CheckExposition(r io.Reader) error {
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
+		if !utf8.ValidString(line) {
+			return fmt.Errorf("line %d: invalid UTF-8", lineNo)
+		}
 		if line == "" {
 			continue
 		}

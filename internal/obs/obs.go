@@ -36,11 +36,28 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // labelSep joins label values into sync.Map keys. 0xff cannot appear in
-// valid UTF-8 label values, so joined keys never collide.
+// valid UTF-8, and labelKey makes every value valid UTF-8 first, so
+// joined keys never collide.
 const labelSep = "\xff"
+
+// labelKey joins label values into a vec's sync.Map key, replacing
+// invalid UTF-8 (the exposition format is UTF-8) with U+FFFD.
+func labelKey(values []string) string {
+	for _, s := range values {
+		if !utf8.ValidString(s) {
+			clean := make([]string, len(values))
+			for i, s := range values {
+				clean[i] = strings.ToValidUTF8(s, "\uFFFD")
+			}
+			return strings.Join(clean, labelSep)
+		}
+	}
+	return strings.Join(values, labelSep)
+}
 
 // Counter is a monotonically increasing metric.
 type Counter struct {
@@ -70,7 +87,7 @@ type CounterVec struct {
 // With returns the counter for the label values (created on first use).
 // The number of values must match the vector's label names.
 func (v *CounterVec) With(values ...string) *Counter {
-	key := strings.Join(values, labelSep)
+	key := labelKey(values)
 	if c, ok := v.m.Load(key); ok {
 		return c.(*Counter)
 	}
@@ -176,7 +193,7 @@ type HistogramVec struct {
 // With returns the histogram for the label values (created on first
 // use).
 func (v *HistogramVec) With(values ...string) *Histogram {
-	key := strings.Join(values, labelSep)
+	key := labelKey(values)
 	if h, ok := v.m.Load(key); ok {
 		return h.(*Histogram)
 	}
@@ -351,18 +368,6 @@ func validName(s string) bool {
 	return true
 }
 
-// OpenMetricsContentType is the content type a negotiated OpenMetrics
-// exposition (WriteOpenMetrics) must be served under.
-const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-
-// AcceptsOpenMetrics reports whether an Accept header asks for the
-// OpenMetrics text exposition. Prometheus servers configured for
-// exemplar scraping send application/openmetrics-text ahead of
-// text/plain; everything else falls back to the classic format.
-func AcceptsOpenMetrics(accept string) bool {
-	return strings.Contains(accept, "application/openmetrics-text")
-}
-
 // WritePrometheus renders every registered family in the classic
 // Prometheus text exposition format (version 0.0.4), in registration
 // order, with label-sorted series for deterministic output. The 0.0.4
@@ -377,8 +382,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // text exposition: counter families are declared under their base name
 // (the mandatory _total suffix stays on the sample lines), histogram
 // buckets carry their latest exemplar trailers, and the document ends
-// with the required "# EOF" terminator. Serve this only under
-// OpenMetricsContentType — the classic text-format parser rejects it.
+// with the required "# EOF" terminator. Serve this only under the
+// OpenMetrics content type, as Mount does: the classic text-format
+// parser rejects it.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	if err := r.write(w, true); err != nil {
 		return err
@@ -539,15 +545,19 @@ func writeSampleBare(b *strings.Builder, name, le string, labels, values []strin
 // defines — backslash, double quote and newline; every other byte is
 // emitted literally (the format is UTF-8 and defines no other escapes,
 // so Go's %q, which invents \t and \u escapes, would be wrong here).
+// Invalid UTF-8, which a collector may emit from peer-supplied names,
+// becomes U+FFFD.
 func escapeLabel(s string) string {
+	s = strings.ToValidUTF8(s, "\uFFFD")
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, `"`, `\"`)
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
 // escapeHelp escapes a HELP text: backslashes and newlines only, per the
-// exposition format.
+// exposition format, with invalid UTF-8 replaced by U+FFFD.
 func escapeHelp(s string) string {
+	s = strings.ToValidUTF8(s, "\uFFFD")
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
 }

@@ -50,23 +50,21 @@ func resolveBatchEngine(algorithm string) batchEngine {
 }
 
 func (s *Server) handleChecksumBatch(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/checksum/batch"
-	s.metrics.requests.Add(ep, 1)
 	var req ChecksumBatchRequest
 	// The batch body bound is derived from MaxBatchBytes, not
 	// MaxBodyBytes: base64 inflates payloads by 4/3 and the JSON framing
 	// adds more, so twice the decoded-bytes cap covers any legitimate
 	// batch while still bounding hostile ones.
 	if err := s.decodeBounded(w, r, &req, 2*s.cfg.MaxBatchBytes); err != nil {
-		s.writeError(w, r, ep, decodeStatus(err), err)
+		writeError(w, r, decodeStatus(err), err)
 		return
 	}
 	if len(req.Items) == 0 {
-		s.writeError(w, r, ep, http.StatusBadRequest, errors.New("empty batch"))
+		writeError(w, r, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
 	if len(req.Items) > s.cfg.MaxBatchItems {
-		s.writeError(w, r, ep, http.StatusUnprocessableEntity,
+		writeError(w, r, http.StatusUnprocessableEntity,
 			fmt.Errorf("%d items exceed the batch cap of %d", len(req.Items), s.cfg.MaxBatchItems))
 		return
 	}
@@ -79,7 +77,7 @@ func (s *Server) handleChecksumBatch(w http.ResponseWriter, r *http.Request) {
 		total += n
 	}
 	if total > s.cfg.MaxBatchBytes {
-		s.writeError(w, r, ep, http.StatusRequestEntityTooLarge,
+		writeError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch payloads total %d bytes, exceeding the cap of %d", total, s.cfg.MaxBatchBytes))
 		return
 	}
@@ -119,12 +117,11 @@ func (s *Server) handleChecksumBatch(w http.ResponseWriter, r *http.Request) {
 		out.Checksum = sum
 		out.Hex = fmt.Sprintf("0x%0*x", be.hexWidth, sum)
 		out.Kernel = be.kernel
-		s.metrics.kernels.Add(be.kernel, 1)
+		s.obs.checksums.With(be.kernel).Inc()
 	}
-	s.metrics.batchItems.Add(int64(resp.Count))
 	s.obs.batchItems.Observe(float64(resp.Count))
 	s.obs.batchBytes.Observe(float64(total))
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // streamBufs pools the fixed-size copy buffers of the stream handler so
@@ -138,25 +135,23 @@ var streamBufs = sync.Pool{
 }
 
 func (s *Server) handleChecksumStream(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/checksum/stream"
-	s.metrics.requests.Add(ep, 1)
 	algorithm := r.URL.Query().Get("algorithm")
 	if algorithm == "" {
 		algorithm = r.Header.Get(StreamAlgorithmHeader)
 	}
 	if algorithm == "" {
-		s.writeError(w, r, ep, http.StatusBadRequest,
+		writeError(w, r, http.StatusBadRequest,
 			fmt.Errorf("missing algorithm (use ?algorithm= or the %s header)", StreamAlgorithmHeader))
 		return
 	}
 	params, err := crchash.Lookup(algorithm)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusNotFound, err)
+		writeError(w, r, http.StatusNotFound, err)
 		return
 	}
 	engine, err := crchash.ForAlgorithm(algorithm)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusInternalServerError, err)
+		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	kernel := crchash.KindOf(engine).String()
@@ -175,7 +170,7 @@ func (s *Server) handleChecksumStream(w http.ResponseWriter, r *http.Request) {
 		// server deadline stops the read loop promptly and abandons the
 		// digest — the server never drains a body nobody is waiting on.
 		if err := ctx.Err(); err != nil {
-			s.writeError(w, r, ep, statusForStream(r, err), fmt.Errorf("stream abandoned after %d bytes: %w", hashed, err))
+			writeError(w, r, statusForStream(r, err), fmt.Errorf("stream abandoned after %d bytes: %w", hashed, err))
 			return
 		}
 		n, err := body.Read(buf)
@@ -187,16 +182,15 @@ func (s *Server) handleChecksumStream(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			s.writeError(w, r, ep, statusForStream(r, err), fmt.Errorf("reading stream body after %d bytes: %w", hashed, err))
+			writeError(w, r, statusForStream(r, err), fmt.Errorf("reading stream body after %d bytes: %w", hashed, err))
 			return
 		}
 	}
 
 	sum := digest.Sum32()
-	s.metrics.streamBytes.Add(hashed)
 	s.obs.streamBytes.Observe(float64(hashed))
-	s.metrics.kernels.Add(kernel, 1)
-	writeJSON(w, http.StatusOK, &ChecksumResponse{
+	s.obs.checksums.With(kernel).Inc()
+	obs.WriteJSON(w, http.StatusOK, &ChecksumResponse{
 		Algorithm: algorithm,
 		Length:    int(hashed),
 		Checksum:  sum,

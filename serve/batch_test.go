@@ -53,8 +53,8 @@ func TestChecksumBatchMixed(t *testing.T) {
 			t.Errorf("item %d: kernel %q length %d", i, item.Kernel, item.Length)
 		}
 	}
-	if m := getMetrics(t, ts); m.BatchItems != 5 {
-		t.Errorf("batch_items metric = %d, want 5", m.BatchItems)
+	if n := getMetrics(t, ts)["crcserve_checksum_batch_items_sum"]; n != 5 {
+		t.Errorf("crcserve_checksum_batch_items_sum = %v, want 5", n)
 	}
 }
 
@@ -175,8 +175,8 @@ func TestChecksumStreamDigest(t *testing.T) {
 	if out.Length != len(data) || out.Kernel == "" || out.Algorithm != algorithm {
 		t.Errorf("response %+v", out)
 	}
-	if m := getMetrics(t, ts); m.StreamBytes != int64(len(data)) {
-		t.Errorf("stream_bytes metric = %d, want %d", m.StreamBytes, len(data))
+	if n := getMetrics(t, ts)["crcserve_checksum_stream_bytes_sum"]; n != float64(len(data)) {
+		t.Errorf("crcserve_checksum_stream_bytes_sum = %v, want %d", n, len(data))
 	}
 }
 
@@ -218,10 +218,10 @@ func TestChecksumStreamBadAlgorithm(t *testing.T) {
 
 // TestChecksumStreamCancelMidBody proves a client disconnect mid-body
 // stops the server's read loop: the digest is abandoned and the request
-// lands in the stream endpoint's error counter instead of hanging until
-// the body would have completed.
+// is counted under the stream endpoint with a non-200 code instead of
+// hanging until the body would have completed.
 func TestChecksumStreamCancelMidBody(t *testing.T) {
-	srv, ts := startServer(t, Config{})
+	_, ts := startServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -257,11 +257,13 @@ func TestChecksumStreamCancelMidBody(t *testing.T) {
 		t.Fatal("request succeeded despite cancellation")
 	}
 
-	// The handler notices between chunks; poll until its error is
+	// The handler notices between chunks; poll until its outcome is
 	// accounted.
+	const stream = `endpoint="/v1/checksum/stream"`
 	deadline := time.Now().Add(10 * time.Second)
+	var m scrape
 	for {
-		if srv.metrics.errors.Get("/v1/checksum/stream") != nil {
+		if m = getMetrics(t, ts); len(m.series("crcserve_requests_total", stream)) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -269,8 +271,11 @@ func TestChecksumStreamCancelMidBody(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if m := getMetrics(t, ts); m.StreamBytes != 0 {
-		t.Errorf("abandoned stream still counted %d digested bytes", m.StreamBytes)
+	if n := m.sum("crcserve_requests_total", stream, `code="200"`); n != 0 {
+		t.Errorf("abandoned stream answered 200 (%v times)", n)
+	}
+	if n := m["crcserve_checksum_stream_bytes_sum"]; n != 0 {
+		t.Errorf("abandoned stream still counted %v digested bytes", n)
 	}
 }
 

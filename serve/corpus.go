@@ -61,15 +61,13 @@ func (s *Server) warmStart(ctx context.Context, sess *session) {
 	if ok {
 		sess.restored = true
 		sess.persisted = sess.an.MemoStats()
-		s.metrics.corpusHits.Add(1)
+		s.obs.corpusHits.Inc()
 	} else {
-		s.metrics.corpusMisses.Add(1)
+		s.obs.corpusMisses.Inc()
 	}
 	sp.SetAttr("hit", strconv.FormatBool(ok))
 	sp.End()
-	if s.obs != nil {
-		s.obs.corpusLoad.Observe(time.Since(start).Seconds())
-	}
+	s.obs.corpusLoad.Observe(time.Since(start).Seconds())
 }
 
 // notePersist queues a session for write-behind persistence. Safe (and
@@ -138,7 +136,7 @@ func (s *Server) persistSession(sess *session) {
 	if err != nil {
 		sp.SetError(err.Error())
 		sp.End()
-		s.metrics.corpusWriteErrs.Add(1)
+		s.obs.corpusWriteErrs.Inc()
 		s.logger.Warn("corpus export failed",
 			slog.String("poly", hexStr(sess.poly.In(koopmancrc.Koopman))),
 			slog.String("error", err.Error()))
@@ -149,7 +147,7 @@ func (s *Server) persistSession(sess *session) {
 	if err := s.corpus.Put(snap); err != nil {
 		sp.SetError(err.Error())
 		sp.End()
-		s.metrics.corpusWriteErrs.Add(1)
+		s.obs.corpusWriteErrs.Inc()
 		s.logger.Warn("corpus write failed",
 			slog.String("poly", hexStr(sess.poly.In(koopmancrc.Koopman))),
 			slog.String("error", err.Error()))
@@ -158,30 +156,9 @@ func (s *Server) persistSession(sess *session) {
 	sp.End()
 	root.SetAttr("facts", strconv.Itoa(snap.Entries()))
 	sess.persisted = sess.an.MemoStats()
-	s.metrics.corpusWrites.Add(1)
+	s.obs.corpusWrites.Inc()
 	s.logger.Debug("corpus write",
 		slog.String("poly", hexStr(sess.poly.In(koopmancrc.Koopman))),
 		slog.Int("facts", snap.Entries()),
 		slog.Int64("probes", snap.Probes))
-}
-
-// corpusMetrics builds the "corpus" document of the JSON /metrics view.
-func (s *Server) corpusMetrics() map[string]any {
-	out := map[string]any{"enabled": s.corpus != nil}
-	if s.corpus == nil {
-		return out
-	}
-	st := s.corpus.Stats()
-	out["entries"] = st.Entries
-	out["facts"] = st.Facts
-	out["bytes"] = st.Bytes
-	out["truncated_at_open"] = st.TruncatedAtOpen
-	out["skipped_at_open"] = st.SkippedAtOpen
-	out["appends"] = st.Appends
-	out["compactions"] = st.Compactions
-	out["hits"] = s.metrics.corpusHits.Value()
-	out["misses"] = s.metrics.corpusMisses.Value()
-	out["writes"] = s.metrics.corpusWrites.Value()
-	out["write_errors"] = s.metrics.corpusWriteErrs.Value()
-	return out
 }

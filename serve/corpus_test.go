@@ -72,21 +72,23 @@ func TestWarmStartServesBakedCorpus(t *testing.T) {
 	}
 
 	m := getMetrics(t, warm)
-	if !m.Corpus.Enabled || m.Corpus.Entries != 2 {
-		t.Fatalf("corpus metrics: %+v", m.Corpus)
+	if entries, ok := m["crcserve_corpus_entries"]; !ok || entries != 2 {
+		t.Fatalf("crcserve_corpus_entries = %v (present %v), want 2", entries, ok)
 	}
-	if m.Corpus.Hits < 1 {
-		t.Fatalf("expected at least one corpus hit: %+v", m.Corpus)
+	if m["crcserve_corpus_hits_total"] < 1 {
+		t.Fatalf("expected at least one corpus hit: %v", m["crcserve_corpus_hits_total"])
 	}
-	if m.Pool.Probes != 0 {
-		t.Fatalf("warm sessions probed the engine: %+v", m.Pool)
+	if m.sum("crcserve_pool_session_probes") != 0 {
+		t.Fatalf("warm sessions probed the engine: %v", m.series("crcserve_pool_session_probes"))
 	}
-	for _, si := range m.Pool.Detail {
-		if !si.Restored {
-			t.Fatalf("session %s/%d not marked restored: %+v", si.Poly, si.Width, si)
+	for _, k := range m.series("crcserve_pool_session_restored") {
+		if m[k] != 1 {
+			t.Fatalf("session %s not marked restored", k)
 		}
-		if si.Probes != 0 {
-			t.Fatalf("session %s/%d did %d live probes", si.Poly, si.Width, si.Probes)
+	}
+	for _, k := range m.series("crcserve_pool_session_probes") {
+		if m[k] != 0 {
+			t.Fatalf("session %s did %v live probes", k, m[k])
 		}
 	}
 }
@@ -116,11 +118,12 @@ func TestCorpusWriteBehindPersists(t *testing.T) {
 		t.Fatalf("evaluate: %d %s", code, body)
 	}
 	waitFor(t, 5*time.Second, "write-behind persist", func() bool {
-		return getMetrics(t, ts).Corpus.Writes >= 1
+		return getMetrics(t, ts)["crcserve_corpus_writes_total"] >= 1
 	})
 	m := getMetrics(t, ts)
-	if m.Corpus.Misses < 1 || m.Corpus.Entries != 1 {
-		t.Fatalf("corpus metrics after persist: %+v", m.Corpus)
+	if m["crcserve_corpus_misses_total"] < 1 || m["crcserve_corpus_entries"] != 1 {
+		t.Fatalf("corpus metrics after persist: %v misses, %v entries",
+			m["crcserve_corpus_misses_total"], m["crcserve_corpus_entries"])
 	}
 	closeAll() // release the journal before reopening the store
 
@@ -166,9 +169,9 @@ func TestPoolEvictsCheapestSession(t *testing.T) {
 	if len(evicted) != 1 || evicted[0].poly.Koopman() != cheap.Koopman() {
 		t.Fatalf("evicted %d sessions, want exactly the cheap one: %+v", len(evicted), evicted)
 	}
-	for _, si := range p.stats().Detail {
+	for _, si := range p.sessions() {
 		if si.Poly == "0x9c" {
-			t.Fatalf("cheap session survived eviction: %+v", p.stats().Detail)
+			t.Fatalf("cheap session survived eviction: %+v", p.sessions())
 		}
 	}
 }

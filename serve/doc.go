@@ -22,18 +22,23 @@
 //	GET  /v1/algorithms  catalogued algorithm names
 //	GET  /v1/traces      retained traces, newest first; filters:
 //	                     ?endpoint= (root span name), ?min_duration=
-//	                     (Go duration), ?error=true, ?limit=
+//	                     (Go duration), ?error= (bool), ?limit= (positive
+//	                     integer, default 100); a malformed value is a 400
 //	GET  /v1/traces/{id} one retained trace's full span tree
-//	GET  /healthz        liveness (always unauthenticated)
-//	GET  /metrics        request/pool counters, expvar-style JSON;
-//	                     ?format=prometheus (or Accept: text/plain) selects
-//	                     the classic 0.0.4 text exposition (exemplar-free):
-//	                     per-endpoint latency histograms, request outcomes,
-//	                     engine probe-phase histograms, flight/pool gauges;
+//	GET  /healthz        liveness, {"status":"ok"} (always unauthenticated)
+//	GET  /metrics        the classic 0.0.4 text exposition (exemplar-free):
+//	                     per-endpoint latency histograms, request outcomes
+//	                     by endpoint and code, engine probe-phase
+//	                     histograms, flight/stream/checksum counters, pool
+//	                     and per-session gauges, crcserve_corpus_* series;
 //	                     ?format=openmetrics (or Accept:
 //	                     application/openmetrics-text) selects the
 //	                     OpenMetrics exposition with histogram exemplars
 //	                     and the # EOF terminator
+//
+// The last four routes are the shared debug surface of internal/obs
+// (obs.Mount), mounted behind the server's auth and request-ID
+// middleware; the dist coordinator's DebugAddr serves the same routes.
 //
 // # Observability
 //
@@ -84,7 +89,8 @@
 //
 // The crcserve binary adds -pprof (net/http/pprof on a separate,
 // default-loopback listener, never this mux); the dist coordinator's
-// DebugAddr serves its live ledger in the same exposition format.
+// DebugAddr serves its live ledger and job traces through the same
+// handler.
 // cmd/promcheck validates any scrape offline.
 //
 // # Sessions, coalescing, cancellation
@@ -120,8 +126,9 @@
 // knowledge rebuilds for free — is evicted first, LRU breaking ties.
 // The store itself is crash-safe (CRC-protected journal; torn or
 // corrupt tails truncated at open, never served), and /metrics reports
-// hits, misses, writes, write errors, entry/byte totals and load
-// latency under the "corpus" document and the crcserve_corpus_* series.
+// hits, misses, writes, write errors, entry/fact/byte totals, appends,
+// compactions, open-time recovery and load latency as the
+// crcserve_corpus_* series.
 //
 // # Checksum ingestion tier
 //

@@ -9,15 +9,14 @@ import (
 	"time"
 
 	"koopmancrc"
+	"koopmancrc/internal/corpus"
 	"koopmancrc/internal/obs"
 )
 
-// serverObs bundles the server's obs-based instrumentation: per-endpoint
-// request latency and outcome counters, per-phase engine histograms, and
-// gauge views over the expvar counters and the session pool. It is the
-// Prometheus-format sibling of the expvar metrics struct — the JSON
-// /metrics document is untouched, this adds the exposition the ROADMAP's
-// fleet tooling scrapes.
+// serverObs is the server's only metrics store: per-endpoint request
+// latency and outcome counters, per-phase engine histograms, the
+// evaluation and checksum counters, and gauge views over the session
+// pool and the corpus, all behind one obs registry that /metrics renders.
 type serverObs struct {
 	registry *obs.Registry
 
@@ -27,11 +26,23 @@ type serverObs struct {
 	phaseSeconds *obs.HistogramVec // engine phase wall time by phase
 	phaseProbes  *obs.HistogramVec // engine phase work ops by phase
 
+	flights   *obs.Counter    // evaluations actually started on an engine
+	coalesced *obs.Counter    // requests that joined an in-flight identical evaluation
+	canceled  *obs.Counter    // evaluations aborted via the engine's cancel hook
+	streams   *obs.Counter    // SSE streams served
+	streamErr *obs.Counter    // SSE streams that ended in an error event
+	checksums *obs.CounterVec // checksums served, by kernel kind
+
 	batchItems  *obs.Histogram // items per checksum batch
 	batchBytes  *obs.Histogram // total decoded payload bytes per checksum batch
 	streamBytes *obs.Histogram // body bytes per completed checksum stream
 
-	corpusLoad *obs.Histogram // corpus lookup+restore wall time per new session
+	// The corpus series exist only when the server has a corpus.
+	corpusHits      *obs.Counter   // sessions warm-started from the corpus
+	corpusMisses    *obs.Counter   // sessions created with no stored knowledge
+	corpusWrites    *obs.Counter   // memo snapshots persisted write-behind
+	corpusWriteErrs *obs.Counter   // persistence attempts that failed
+	corpusLoad      *obs.Histogram // corpus lookup+restore wall time per new session
 }
 
 func newServerObs(s *Server) *serverObs {
@@ -48,24 +59,27 @@ func newServerObs(s *Server) *serverObs {
 		phaseProbes: r.NewHistogramVec("crcserve_engine_phase_probes",
 			"Engine probe-phase work operations (probes + store inserts).",
 			obs.WorkBuckets(), "phase"),
+		flights: r.NewCounter("crcserve_flights_total",
+			"Evaluations actually started on an engine."),
+		coalesced: r.NewCounter("crcserve_coalesced_requests_total",
+			"Requests that joined an in-flight identical evaluation."),
+		canceled: r.NewCounter("crcserve_canceled_evaluations_total",
+			"Evaluations aborted via the engine's cancel hook."),
+		streams: r.NewCounter("crcserve_streams_total",
+			"SSE streams served."),
+		streamErr: r.NewCounter("crcserve_stream_errors_total",
+			"SSE streams that ended in an error event (inside a 200 response)."),
+		checksums: r.NewCounterVec("crcserve_checksums_total",
+			"Checksums served (single, batch items and streams) by kernel kind.", "kernel"),
 		batchItems: r.NewHistogram("crcserve_checksum_batch_items",
 			"Items per /v1/checksum/batch request.", obs.WorkBuckets()),
 		batchBytes: r.NewHistogram("crcserve_checksum_batch_bytes",
 			"Total decoded payload bytes per /v1/checksum/batch request.", obs.WorkBuckets()),
 		streamBytes: r.NewHistogram("crcserve_checksum_stream_bytes",
 			"Body bytes digested per completed /v1/checksum/stream request.", obs.WorkBuckets()),
-		corpusLoad: r.NewHistogram("crcserve_corpus_load_seconds",
-			"Corpus lookup plus memo restore wall time per new session (hits and misses).",
-			obs.LatencyBuckets()),
 	}
-	r.NewGaugeFunc("crcserve_flights",
-		"Evaluations actually started on an engine.", func() float64 { return float64(s.metrics.flights.Value()) })
-	r.NewGaugeFunc("crcserve_coalesced_requests",
-		"Requests that joined an in-flight identical evaluation.", func() float64 { return float64(s.metrics.coalesced.Value()) })
-	r.NewGaugeFunc("crcserve_canceled_evaluations",
-		"Evaluations aborted via the engine's cancel hook.", func() float64 { return float64(s.metrics.canceled.Value()) })
-	r.NewGaugeFunc("crcserve_streams",
-		"SSE streams served.", func() float64 { return float64(s.metrics.streams.Value()) })
+	r.NewGaugeFunc("crcserve_pool_capacity",
+		"Session pool capacity (Config.PoolSize).", func() float64 { return float64(s.pool.cap) })
 	r.NewGaugeFunc("crcserve_pool_sessions",
 		"Live Analyzer sessions in the pool.", func() float64 { n, _, _, _ := s.pool.counts(); return float64(n) })
 	r.NewGaugeFunc("crcserve_pool_hits",
@@ -74,26 +88,73 @@ func newServerObs(s *Server) *serverObs {
 		"Session pool misses.", func() float64 { _, _, m, _ := s.pool.counts(); return float64(m) })
 	r.NewGaugeFunc("crcserve_pool_evictions",
 		"Session pool evictions.", func() float64 { _, _, _, e := s.pool.counts(); return float64(e) })
+	r.NewGaugeFunc("crcserve_pool_memo_entries",
+		"Boundary plus weight memo entries across live sessions.", func() float64 {
+			n := 0
+			for _, si := range s.pool.sessions() {
+				n += si.BoundWeights + si.WeightEntries
+			}
+			return float64(n)
+		})
+	sessionID := func(si sessionInfo, extra ...string) []string {
+		return append([]string{si.Poly, strconv.Itoa(si.Width), strconv.Itoa(si.MaxHD)}, extra...)
+	}
 	r.NewGaugeCollector("crcserve_pool_session_probes",
 		"Engine probes spent by each live session.", []string{"poly", "width", "max_hd"},
 		func(emit func([]string, float64)) {
-			for _, si := range s.pool.stats().Detail {
-				emit([]string{si.Poly, strconv.Itoa(si.Width), strconv.Itoa(si.MaxHD)}, float64(si.Probes))
+			for _, si := range s.pool.sessions() {
+				emit(sessionID(si), float64(si.Probes))
+			}
+		})
+	r.NewGaugeCollector("crcserve_pool_session_memo_entries",
+		"Memo entries held by each live session, by kind (bound_weights, exact_boundaries, weight_entries).",
+		[]string{"poly", "width", "max_hd", "kind"}, func(emit func([]string, float64)) {
+			for _, si := range s.pool.sessions() {
+				emit(sessionID(si, "bound_weights"), float64(si.BoundWeights))
+				emit(sessionID(si, "exact_boundaries"), float64(si.ExactBoundaries))
+				emit(sessionID(si, "weight_entries"), float64(si.WeightEntries))
+			}
+		})
+	r.NewGaugeCollector("crcserve_pool_session_restored",
+		"1 for a live session warm-started from the persistent corpus, else 0.", []string{"poly", "width", "max_hd"},
+		func(emit func([]string, float64)) {
+			for _, si := range s.pool.sessions() {
+				restored := 0.0
+				if si.Restored {
+					restored = 1
+				}
+				emit(sessionID(si), restored)
 			}
 		})
 	if s.corpus != nil {
-		r.NewGaugeFunc("crcserve_corpus_hits",
-			"Sessions warm-started from the persistent corpus.", func() float64 { return float64(s.metrics.corpusHits.Value()) })
-		r.NewGaugeFunc("crcserve_corpus_misses",
-			"Sessions created with no stored corpus knowledge.", func() float64 { return float64(s.metrics.corpusMisses.Value()) })
-		r.NewGaugeFunc("crcserve_corpus_writes",
-			"Memo snapshots persisted to the corpus write-behind.", func() float64 { return float64(s.metrics.corpusWrites.Value()) })
-		r.NewGaugeFunc("crcserve_corpus_write_errors",
-			"Corpus persistence attempts that failed.", func() float64 { return float64(s.metrics.corpusWriteErrs.Value()) })
-		r.NewGaugeFunc("crcserve_corpus_entries",
-			"Polynomials with stored knowledge in the corpus.", func() float64 { return float64(s.corpus.Stats().Entries) })
-		r.NewGaugeFunc("crcserve_corpus_bytes",
-			"Approximate serialized bytes of the corpus entries.", func() float64 { return float64(s.corpus.Stats().Bytes) })
+		o.corpusHits = r.NewCounter("crcserve_corpus_hits_total",
+			"Sessions warm-started from the persistent corpus.")
+		o.corpusMisses = r.NewCounter("crcserve_corpus_misses_total",
+			"Sessions created with no stored corpus knowledge.")
+		o.corpusWrites = r.NewCounter("crcserve_corpus_writes_total",
+			"Memo snapshots persisted to the corpus write-behind.")
+		o.corpusWriteErrs = r.NewCounter("crcserve_corpus_write_errors_total",
+			"Corpus persistence attempts that failed.")
+		o.corpusLoad = r.NewHistogram("crcserve_corpus_load_seconds",
+			"Corpus lookup plus memo restore wall time per new session (hits and misses).",
+			obs.LatencyBuckets())
+		corpusGauge := func(name, help string, v func(corpus.Stats) float64) {
+			r.NewGaugeFunc(name, help, func() float64 { return v(s.corpus.Stats()) })
+		}
+		corpusGauge("crcserve_corpus_entries", "Polynomials with stored knowledge in the corpus.",
+			func(st corpus.Stats) float64 { return float64(st.Entries) })
+		corpusGauge("crcserve_corpus_facts", "Discrete memo facts (bounds plus counts) across the corpus entries.",
+			func(st corpus.Stats) float64 { return float64(st.Facts) })
+		corpusGauge("crcserve_corpus_bytes", "Approximate serialized bytes of the corpus entries.",
+			func(st corpus.Stats) float64 { return float64(st.Bytes) })
+		corpusGauge("crcserve_corpus_appends", "Corpus puts that reached the WAL since open.",
+			func(st corpus.Stats) float64 { return float64(st.Appends) })
+		corpusGauge("crcserve_corpus_compactions", "Corpus WAL compactions since open.",
+			func(st corpus.Stats) float64 { return float64(st.Compactions) })
+		corpusGauge("crcserve_corpus_truncated_at_open_bytes", "WAL bytes discarded at open (torn or corrupt tail).",
+			func(st corpus.Stats) float64 { return float64(st.TruncatedAtOpen) })
+		corpusGauge("crcserve_corpus_skipped_at_open_records", "Replayed corpus records dropped at open for failing validation.",
+			func(st corpus.Stats) float64 { return float64(st.SkippedAtOpen) })
 	}
 	return o
 }

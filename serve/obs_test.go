@@ -90,17 +90,6 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		}
 	}
 
-	// Default stays JSON.
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Errorf("default /metrics Content-Type = %q", ct)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("default /metrics not JSON: %v", err)
-	}
-
 	check := func(name string, r *http.Request) string {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, r)
@@ -114,7 +103,10 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		return out
 	}
 
-	out := check("format=prometheus", httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+	// The default is a valid 0.0.4 exposition; ?format=prometheus names
+	// the same format explicitly.
+	check("format=prometheus", httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+	out := check("default", httptest.NewRequest("GET", "/metrics", nil))
 	for _, want := range []string{
 		`crcserve_request_duration_seconds_bucket{endpoint="/v1/evaluate",le="+Inf"} 1`,
 		`crcserve_requests_total{endpoint="/v1/evaluate",code="200"} 1`,
@@ -126,7 +118,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		`phase="mitm_store"`,
 		`phase="mitm_probe"`,
 		"crcserve_pool_sessions 1",
-		"crcserve_flights 2",
+		"crcserve_flights_total 2",
 		`crcserve_pool_session_probes{poly="0x82608edb",width="32",max_hd="6"}`,
 	} {
 		if !strings.Contains(out, want) {

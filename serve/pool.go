@@ -189,59 +189,38 @@ func (p *pool) cheapestLocked() *list.Element {
 	return victim
 }
 
-// counts returns the pool's scalar gauges without building the full
-// per-session stats document.
+// counts returns the pool's scalar gauges without walking the sessions.
 func (p *pool) counts() (sessions int, hits, misses, evictions int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.order.Len(), p.hits, p.misses, p.evictions
 }
 
-// PoolStats aggregates the pool's live state for /metrics.
-type PoolStats struct {
-	Capacity    int           `json:"capacity"`
-	Sessions    int           `json:"sessions"`
-	Hits        int64         `json:"hits"`
-	Misses      int64         `json:"misses"`
-	Evictions   int64         `json:"evictions"`
-	Probes      int64         `json:"probes"`       // engine probes across live sessions
-	MemoEntries int           `json:"memo_entries"` // boundary + weight memo entries across live sessions
-	Detail      []SessionInfo `json:"sessions_detail"`
-}
-
-// SessionInfo reports one live session's identity and memoized cost, the
+// sessionInfo reports one live session's identity and memoized cost, the
 // per-session view the eviction policy and capacity planning read.
-type SessionInfo struct {
-	Poly            string `json:"poly"`
-	Width           int    `json:"width"`
-	MaxHD           int    `json:"max_hd"`
-	BoundWeights    int    `json:"bound_weights"`
-	ExactBoundaries int    `json:"exact_boundaries"`
-	WeightEntries   int    `json:"weight_entries"`
-	Probes          int64  `json:"probes"`
+type sessionInfo struct {
+	Poly            string
+	Width           int
+	MaxHD           int
+	BoundWeights    int
+	ExactBoundaries int
+	WeightEntries   int
+	Probes          int64
 	// Restored marks a session warm-started from the persistent corpus.
-	Restored bool `json:"restored,omitempty"`
+	Restored bool
 }
 
-// stats snapshots the pool, most recently used session first. Session
-// memo numbers come from Analyzer.MemoStats, which never waits behind an
-// in-flight evaluation.
-func (p *pool) stats() PoolStats {
+// sessions snapshots the live sessions, most recently used first.
+// Session memo numbers come from Analyzer.MemoStats, which never waits
+// behind an in-flight evaluation.
+func (p *pool) sessions() []sessionInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := PoolStats{
-		Capacity:  p.cap,
-		Sessions:  p.order.Len(),
-		Hits:      p.hits,
-		Misses:    p.misses,
-		Evictions: p.evictions,
-	}
+	var out []sessionInfo
 	for el := p.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*poolEntry)
 		m := e.sess.an.MemoStats()
-		st.Probes += m.Probes
-		st.MemoEntries += m.BoundWeights + m.WeightEntries
-		st.Detail = append(st.Detail, SessionInfo{
+		out = append(out, sessionInfo{
 			Poly:            hexStr(e.sess.poly.In(koopmancrc.Koopman)),
 			Width:           e.key.width,
 			MaxHD:           e.key.maxHD,
@@ -252,5 +231,5 @@ func (p *pool) stats() PoolStats {
 			Restored:        e.sess.restored,
 		})
 	}
-	return st
+	return out
 }

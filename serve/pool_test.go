@@ -29,15 +29,14 @@ func TestPoolKeysAndLRU(t *testing.T) {
 	}
 	// Capacity 2: the MaxProbes get above evicted one entry; atm/6 was
 	// least recently used at that point, so it must rebuild now.
-	st := p.stats()
-	if st.Sessions != 2 || st.Evictions != 1 {
-		t.Fatalf("pool state: %+v", st)
+	if n, _, _, ev := p.counts(); n != 2 || ev != 1 {
+		t.Fatalf("pool state: %d sessions, %d evictions", n, ev)
 	}
 	if _, hit := p.get(context.Background(), darc, 6, koopmancrc.Limits{}); hit {
 		t.Fatal("new polynomial hit")
 	}
-	if p.stats().Evictions != 2 {
-		t.Fatalf("eviction count: %+v", p.stats())
+	if _, _, _, ev := p.counts(); ev != 2 {
+		t.Fatalf("eviction count: %d", ev)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -129,33 +128,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metrics are the server's counters, expvar types kept unpublished so
-// multiple Servers can coexist in one process; /metrics renders them.
-type metrics struct {
-	requests    *expvar.Map // per-endpoint request counts
-	errors      *expvar.Map // per-endpoint non-2xx counts
-	kernels     *expvar.Map // checksums served, by kernel kind
-	flights     expvar.Int  // evaluations actually started on an engine
-	coalesced   expvar.Int  // requests that joined an in-flight identical evaluation
-	canceled    expvar.Int  // evaluations aborted via the engine's cancel hook
-	streams     expvar.Int  // SSE streams served
-	batchItems  expvar.Int  // checksum items received via /v1/checksum/batch
-	streamBytes expvar.Int  // payload bytes digested via /v1/checksum/stream
-
-	corpusHits      expvar.Int // sessions warm-started from the corpus
-	corpusMisses    expvar.Int // sessions created with no stored knowledge
-	corpusWrites    expvar.Int // memo snapshots persisted write-behind
-	corpusWriteErrs expvar.Int // persistence attempts that failed
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		requests: new(expvar.Map).Init(),
-		errors:   new(expvar.Map).Init(),
-		kernels:  new(expvar.Map).Init(),
-	}
-}
-
 // Server is the HTTP serving layer: JSON endpoints over a bounded LRU
 // pool of Analyzer sessions with singleflight coalescing of identical
 // evaluations. Create one with New; it implements http.Handler.
@@ -163,7 +135,6 @@ type Server struct {
 	cfg     Config
 	pool    *pool
 	flights flightGroup
-	metrics *metrics
 	obs     *serverObs
 	logger  *slog.Logger
 	mux     *http.ServeMux
@@ -192,11 +163,10 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg.withDefaults(),
-		metrics: newMetrics(),
-		mux:     http.NewServeMux(),
-		base:    base,
-		cancel:  cancel,
+		cfg:    cfg.withDefaults(),
+		mux:    http.NewServeMux(),
+		base:   base,
+		cancel: cancel,
 	}
 	s.logger = s.cfg.Logger
 	if s.logger == nil {
@@ -222,10 +192,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/checksum/batch", s.handleChecksumBatch)
 	s.mux.HandleFunc("POST /v1/checksum/stream", s.handleChecksumStream)
 	s.mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
-	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	obs.Mount(s.mux, s.obs.registry, s.recorder)
 	return s, nil
 }
 
@@ -287,14 +254,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 		if !ok || !tokenEqual(got, s.cfg.Token) {
 			sw.Header().Set("WWW-Authenticate", `Bearer realm="crcserve"`)
-			// Fixed counter key: keying by request path would let
-			// unauthenticated scanners grow the errors map unboundedly.
 			// Deliberately not writeError: that would mark the root span
 			// errored, and errored traces are always retained and pinned —
 			// unauthenticated probes must not be able to fill the flight
 			// recorder (or, with AccessLog, drive log volume).
-			s.metrics.errors.Add("auth", 1)
-			writeJSON(sw, http.StatusUnauthorized,
+			obs.WriteJSON(sw, http.StatusUnauthorized,
 				ErrorResponse{Error: "missing or invalid bearer token", RequestID: rid})
 			return
 		}
@@ -302,18 +266,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(sw, r)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, endpoint string, status int, err error) {
-	s.metrics.errors.Add(endpoint, 1)
-	// The span keeps the specific failure; tail sampling then pins this
-	// request's trace in the flight recorder (errors are always retained).
-	obs.SpanFromContext(r.Context()).SetError(err.Error())
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), RequestID: obs.RequestID(r.Context())})
+func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
+	obs.WriteError(w, r, status, err.Error())
 }
 
 // statusFor maps evaluation errors onto HTTP statuses.
@@ -422,14 +376,14 @@ func (s *Server) evaluation(ctx context.Context, key string, fn func(context.Con
 	fsp := obs.SpanFromContext(ctx).StartChild("flight")
 	ctx = obs.ContextWithSpan(ctx, fsp)
 	onJoin := func() {
-		s.metrics.coalesced.Add(1)
+		s.obs.coalesced.Inc()
 		fsp.SetAttr("coalesced", "true")
 	}
 	v, err := s.flights.do(ctx, s.base, key, onJoin, func(fctx context.Context) (any, error) {
-		s.metrics.flights.Add(1)
+		s.obs.flights.Inc()
 		v, err := fn(fctx)
 		if err != nil && errors.Is(err, context.Canceled) {
-			s.metrics.canceled.Add(1)
+			s.obs.canceled.Inc()
 		}
 		return v, err
 	})
@@ -441,30 +395,28 @@ func (s *Server) evaluation(ctx context.Context, key string, fn func(context.Con
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/evaluate"
-	s.metrics.requests.Add(ep, 1)
 	var req EvaluateRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.writeError(w, r, ep, decodeStatus(err), err)
+		writeError(w, r, decodeStatus(err), err)
 		return
 	}
 	p, err := req.Polynomial()
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	maxHD, err := s.clampMaxHD(req.MaxHD)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	maxLen, err := s.clampLen("max_len", req.MaxLen)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Weights) > s.cfg.MaxWeightLens {
-		s.writeError(w, r, ep, http.StatusBadRequest,
+		writeError(w, r, http.StatusBadRequest,
 			fmt.Errorf("weights: %d lengths exceed the cap of %d", len(req.Weights), s.cfg.MaxWeightLens))
 		return
 	}
@@ -475,7 +427,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	for i, l := range req.Weights {
 		cl, err := s.clampLen("weights", l)
 		if err != nil {
-			s.writeError(w, r, ep, http.StatusBadRequest, err)
+			writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
 		weights[i] = cl
@@ -507,10 +459,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	v, err := s.evaluation(ctx, key, run)
 	if err != nil {
-		s.writeError(w, r, ep, statusFor(err), err)
+		writeError(w, r, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	obs.WriteJSON(w, http.StatusOK, v)
 }
 
 // isStream reports whether the request asked for SSE progress.
@@ -541,16 +493,14 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 // treat events as "the session is working", not as a percentage of this
 // request's max_len.
 func (s *Server) streamEvaluate(w http.ResponseWriter, ctx context.Context, sess *session, key string, run func(context.Context) (any, error)) {
-	const ep = "/v1/evaluate"
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		s.metrics.errors.Add(ep, 1)
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{
+		obs.WriteJSON(w, http.StatusInternalServerError, ErrorResponse{
 			Error: "streaming unsupported by connection", RequestID: obs.RequestID(ctx),
 		})
 		return
 	}
-	s.metrics.streams.Add(1)
+	s.obs.streams.Inc()
 	id, ticks := sess.subscribe(64)
 	defer sess.unsubscribe(id)
 
@@ -590,9 +540,10 @@ func (s *Server) streamEvaluate(w http.ResponseWriter, ctx context.Context, sess
 			break
 		}
 		if res.err != nil {
-			s.metrics.errors.Add(ep, 1)
-			// SSE errors ride inside a 200 stream; mark the root span so the
-			// trace is still retained as errored.
+			// SSE errors ride inside a 200 stream, so the status-code
+			// counter misses them: count them, and mark the root span so
+			// the trace is still retained as errored.
+			s.obs.streamErr.Inc()
 			obs.SpanFromContext(ctx).SetError(res.err.Error())
 			writeSSE(w, "error", ErrorResponse{Error: res.err.Error(), RequestID: obs.RequestID(ctx)})
 		} else {
@@ -622,26 +573,24 @@ func (s *Server) streamEvaluate(w http.ResponseWriter, ctx context.Context, sess
 }
 
 func (s *Server) handleHD(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/hd"
-	s.metrics.requests.Add(ep, 1)
 	var req HDRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.writeError(w, r, ep, decodeStatus(err), err)
+		writeError(w, r, decodeStatus(err), err)
 		return
 	}
 	p, err := req.Polynomial()
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	maxHD, err := s.clampMaxHD(req.MaxHD)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	dataLen, err := s.clampLen("data_len", req.DataLen)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	limits := s.clampLimits(req.Limits)
@@ -661,39 +610,37 @@ func (s *Server) handleHD(w http.ResponseWriter, r *http.Request) {
 		}, nil
 	})
 	if err != nil {
-		s.writeError(w, r, ep, statusFor(err), err)
+		writeError(w, r, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	obs.WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleMaxLen(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/maxlen"
-	s.metrics.requests.Add(ep, 1)
 	var req MaxLenRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.writeError(w, r, ep, decodeStatus(err), err)
+		writeError(w, r, decodeStatus(err), err)
 		return
 	}
 	p, err := req.Polynomial()
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	if req.HD < 2 {
-		s.writeError(w, r, ep, http.StatusBadRequest, fmt.Errorf("hd %d: need at least 2", req.HD))
+		writeError(w, r, http.StatusBadRequest, fmt.Errorf("hd %d: need at least 2", req.HD))
 		return
 	}
 	horizon, err := s.clampLen("horizon", req.Horizon)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	// The session must classify up to hd-1 to answer; derive its depth
 	// from the question rather than the default.
 	maxHD := min(max(req.HD, s.cfg.DefaultMaxHD), s.cfg.MaxHDCap)
 	if req.HD-1 > s.cfg.MaxHDCap {
-		s.writeError(w, r, ep, http.StatusBadRequest,
+		writeError(w, r, http.StatusBadRequest,
 			fmt.Errorf("hd %d exceeds the server's classification cap of %d", req.HD, s.cfg.MaxHDCap))
 		return
 	}
@@ -714,37 +661,35 @@ func (s *Server) handleMaxLen(w http.ResponseWriter, r *http.Request) {
 		}, nil
 	})
 	if err != nil {
-		s.writeError(w, r, ep, statusFor(err), err)
+		writeError(w, r, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	obs.WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/select"
-	s.metrics.requests.Add(ep, 1)
 	var req SelectRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.writeError(w, r, ep, decodeStatus(err), err)
+		writeError(w, r, decodeStatus(err), err)
 		return
 	}
 	if len(req.Candidates) == 0 {
-		s.writeError(w, r, ep, http.StatusBadRequest, errors.New("no candidates"))
+		writeError(w, r, http.StatusBadRequest, errors.New("no candidates"))
 		return
 	}
 	if len(req.Candidates) > s.cfg.MaxCandidates {
-		s.writeError(w, r, ep, http.StatusBadRequest,
+		writeError(w, r, http.StatusBadRequest,
 			fmt.Errorf("%d candidates exceed the cap of %d", len(req.Candidates), s.cfg.MaxCandidates))
 		return
 	}
 	maxHD, err := s.clampMaxHD(req.MaxHD)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	dataLen, err := s.clampLen("data_len", req.DataLen)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	limits := s.clampLimits(req.Limits)
@@ -753,7 +698,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	for i, ref := range req.Candidates {
 		p, err := ref.Polynomial()
 		if err != nil {
-			s.writeError(w, r, ep, http.StatusBadRequest, fmt.Errorf("candidate %d: %w", i, err))
+			writeError(w, r, http.StatusBadRequest, fmt.Errorf("candidate %d: %w", i, err))
 			return
 		}
 		sess, _ := s.poolGet(r.Context(), p, maxHD, limits)
@@ -782,27 +727,25 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return resp, nil
 	})
 	if err != nil {
-		s.writeError(w, r, ep, statusFor(err), err)
+		writeError(w, r, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	obs.WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleChecksum(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/checksum"
-	s.metrics.requests.Add(ep, 1)
 	var req ChecksumRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.writeError(w, r, ep, decodeStatus(err), err)
+		writeError(w, r, decodeStatus(err), err)
 		return
 	}
 	if req.Algorithm == "" {
-		s.writeError(w, r, ep, http.StatusBadRequest, errors.New("missing algorithm"))
+		writeError(w, r, http.StatusBadRequest, errors.New("missing algorithm"))
 		return
 	}
 	params, err := crchash.Lookup(req.Algorithm)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusNotFound, err)
+		writeError(w, r, http.StatusNotFound, err)
 		return
 	}
 	data := req.Data
@@ -811,13 +754,13 @@ func (s *Server) handleChecksum(w http.ResponseWriter, r *http.Request) {
 	}
 	engine, err := crchash.ForAlgorithm(req.Algorithm)
 	if err != nil {
-		s.writeError(w, r, ep, http.StatusInternalServerError, err)
+		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	kernel := crchash.KindOf(engine).String()
-	s.metrics.kernels.Add(kernel, 1)
+	s.obs.checksums.With(kernel).Inc()
 	sum := engine.Checksum(data)
-	writeJSON(w, http.StatusOK, &ChecksumResponse{
+	obs.WriteJSON(w, http.StatusOK, &ChecksumResponse{
 		Algorithm: req.Algorithm,
 		Length:    len(data),
 		Checksum:  sum,
@@ -827,77 +770,5 @@ func (s *Server) handleChecksum(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/algorithms"
-	s.metrics.requests.Add(ep, 1)
-	writeJSON(w, http.StatusOK, &AlgorithmsResponse{Algorithms: crchash.Algorithms()})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// wantsOpenMetrics decides whether the scrape negotiated the
-// OpenMetrics exposition — the only mode that carries exemplar
-// trailers, which the classic 0.0.4 parser rejects. An explicit
-// ?format=openmetrics wins; otherwise the Accept header must name
-// application/openmetrics-text (what Prometheus sends when configured
-// to scrape exemplars).
-func wantsOpenMetrics(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "openmetrics" {
-		return true
-	}
-	return r.URL.Query().Get("format") == "" && obs.AcceptsOpenMetrics(r.Header.Get("Accept"))
-}
-
-// wantsPrometheus decides the /metrics format: an explicit ?format=
-// parameter wins, otherwise an Accept header preferring text/plain over
-// JSON selects the Prometheus text exposition. The default stays the
-// historical JSON document.
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") && !strings.Contains(accept, "application/json")
-}
-
-// handleMetrics renders the expvar counters and the session pool's
-// per-session memo costs as one JSON document — or, with
-// ?format=prometheus (or an Accept header preferring text/plain), the
-// obs registry in exemplar-free Prometheus 0.0.4 text exposition, or,
-// with ?format=openmetrics (or Accept: application/openmetrics-text),
-// the OpenMetrics exposition carrying the histogram exemplars and the
-// "# EOF" terminator.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsOpenMetrics(r) {
-		w.Header().Set("Content-Type", obs.OpenMetricsContentType)
-		if err := s.obs.registry.WriteOpenMetrics(w); err != nil {
-			s.logger.Debug("metrics exposition write failed", slog.String("error", err.Error()))
-		}
-		return
-	}
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.obs.registry.WritePrometheus(w); err != nil {
-			s.logger.Debug("metrics exposition write failed", slog.String("error", err.Error()))
-		}
-		return
-	}
-	out := map[string]any{
-		"requests":         json.RawMessage(s.metrics.requests.String()),
-		"errors":           json.RawMessage(s.metrics.errors.String()),
-		"checksum_kernels": json.RawMessage(s.metrics.kernels.String()),
-		"flights":          json.RawMessage(s.metrics.flights.String()),
-		"coalesced":        json.RawMessage(s.metrics.coalesced.String()),
-		"canceled":         json.RawMessage(s.metrics.canceled.String()),
-		"streams":          json.RawMessage(s.metrics.streams.String()),
-		"batch_items":      json.RawMessage(s.metrics.batchItems.String()),
-		"stream_bytes":     json.RawMessage(s.metrics.streamBytes.String()),
-		"pool":             s.pool.stats(),
-		"corpus":           s.corpusMetrics(),
-	}
-	writeJSON(w, http.StatusOK, out)
+	obs.WriteJSON(w, http.StatusOK, &AlgorithmsResponse{Algorithms: crchash.Algorithms()})
 }

@@ -10,35 +10,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"koopmancrc"
 	"koopmancrc/crchash"
+	"koopmancrc/internal/obs"
 )
-
-// metricsSnapshot mirrors the /metrics document for test assertions.
-type metricsSnapshot struct {
-	Requests    map[string]int64 `json:"requests"`
-	Errors      map[string]int64 `json:"errors"`
-	Kernels     map[string]int64 `json:"checksum_kernels"`
-	Flights     int64            `json:"flights"`
-	Coalesced   int64            `json:"coalesced"`
-	Canceled    int64            `json:"canceled"`
-	Streams     int64            `json:"streams"`
-	BatchItems  int64            `json:"batch_items"`
-	StreamBytes int64            `json:"stream_bytes"`
-	Pool        PoolStats        `json:"pool"`
-	Corpus      struct {
-		Enabled bool  `json:"enabled"`
-		Entries int   `json:"entries"`
-		Facts   int   `json:"facts"`
-		Hits    int64 `json:"hits"`
-		Misses  int64 `json:"misses"`
-		Writes  int64 `json:"writes"`
-	} `json:"corpus"`
-}
 
 func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -77,18 +57,70 @@ func postJSON(t *testing.T, url string, req, resp any) (int, []byte) {
 	return r.StatusCode, data
 }
 
-func getMetrics(t *testing.T, ts *httptest.Server) metricsSnapshot {
+// scrape is one parsed /metrics exposition: every sample line's series
+// (the metric name plus its rendered labels, exactly as exposed) mapped
+// to its value.
+type scrape map[string]float64
+
+// getMetrics scrapes the default /metrics exposition, checking it with
+// the format validator first.
+func getMetrics(t *testing.T, ts *httptest.Server) scrape {
 	t.Helper()
 	r, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Body.Close()
-	var m metricsSnapshot
-	if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := obs.CheckExposition(bytes.NewReader(body)); err != nil {
+		t.Fatalf("invalid exposition: %v\n%s", err, body)
+	}
+	m := make(scrape)
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		m[line[:i]] = v
+	}
 	return m
+}
+
+// series lists the series of the named family whose labels include
+// every given `label="value"` pair.
+func (m scrape) series(name string, labels ...string) []string {
+	var out []string
+	for k := range m {
+		rest, ok := strings.CutPrefix(k, name)
+		if !ok || (rest != "" && rest[0] != '{') {
+			continue
+		}
+		match := true
+		for _, l := range labels {
+			match = match && (strings.Contains(rest, "{"+l) || strings.Contains(rest, ","+l))
+		}
+		if match {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// sum adds up the values of m.series(name, labels...): with no labels,
+// the family total, e.g. the probes of every live session.
+func (m scrape) sum(name string, labels ...string) float64 {
+	var v float64
+	for _, k := range m.series(name, labels...) {
+		v += m[k]
+	}
+	return v
 }
 
 // smallEval is a cheap 8-bit evaluation used wherever the test needs a
@@ -110,10 +142,11 @@ func TestEvaluateWarmSessionZeroProbes(t *testing.T) {
 		t.Fatalf("first evaluate: %d %s", code, body)
 	}
 	m1 := getMetrics(t, ts)
-	if m1.Pool.Misses != 1 || m1.Pool.Sessions != 1 {
-		t.Fatalf("after first request: %+v", m1.Pool)
+	if m1["crcserve_pool_misses"] != 1 || m1["crcserve_pool_sessions"] != 1 {
+		t.Fatalf("after first request: %v misses, %v sessions", m1["crcserve_pool_misses"], m1["crcserve_pool_sessions"])
 	}
-	if m1.Pool.Probes == 0 {
+	probes1 := m1.sum("crcserve_pool_session_probes")
+	if probes1 == 0 {
 		t.Fatal("first evaluation did no engine probes?")
 	}
 
@@ -122,17 +155,18 @@ func TestEvaluateWarmSessionZeroProbes(t *testing.T) {
 		t.Fatalf("second evaluate: %d %s", code, body)
 	}
 	m2 := getMetrics(t, ts)
-	if m2.Pool.Hits != 1 {
-		t.Fatalf("second request missed the pool: %+v", m2.Pool)
+	if m2["crcserve_pool_hits"] != 1 {
+		t.Fatalf("second request missed the pool: %v hits", m2["crcserve_pool_hits"])
 	}
-	if m2.Pool.Probes != m1.Pool.Probes {
-		t.Fatalf("warm session probed the engine: %d -> %d probes", m1.Pool.Probes, m2.Pool.Probes)
+	probes2 := m2.sum("crcserve_pool_session_probes")
+	if probes2 != probes1 {
+		t.Fatalf("warm session probed the engine: %v -> %v probes", probes1, probes2)
 	}
 	if !bytesEqualJSON(t, first, second) {
 		t.Fatalf("warm response differs: %+v vs %+v", first, second)
 	}
-	if len(m2.Pool.Detail) != 1 || m2.Pool.Detail[0].Probes != m2.Pool.Probes {
-		t.Fatalf("per-session detail: %+v", m2.Pool.Detail)
+	if sessions := m2.series("crcserve_pool_session_probes"); len(sessions) != 1 || m2[sessions[0]] != probes2 {
+		t.Fatalf("per-session detail: %v", sessions)
 	}
 }
 
@@ -229,10 +263,10 @@ func TestSingleflightAndDisconnectCancellation(t *testing.T) {
 		bErr <- err
 	}()
 	waitFor(t, 10*time.Second, "request B to coalesce", func() bool {
-		return getMetrics(t, ts).Coalesced >= 1
+		return getMetrics(t, ts)["crcserve_coalesced_requests_total"] >= 1
 	})
-	if m := getMetrics(t, ts); m.Flights != 1 {
-		t.Fatalf("identical concurrent requests started %d engine runs", m.Flights)
+	if n := getMetrics(t, ts)["crcserve_flights_total"]; n != 1 {
+		t.Fatalf("identical concurrent requests started %v engine runs", n)
 	}
 
 	// B disconnects; the flight must keep running for A. Progress events
@@ -242,7 +276,7 @@ func TestSingleflightAndDisconnectCancellation(t *testing.T) {
 		t.Fatalf("request B returned %v, want context.Canceled", err)
 	}
 	waitEvent(t, events, "progress", 30*time.Second)
-	if m := getMetrics(t, ts); m.Canceled != 0 {
+	if getMetrics(t, ts)["crcserve_canceled_evaluations_total"] != 0 {
 		t.Fatalf("evaluation canceled while a client was still attached")
 	}
 
@@ -250,7 +284,7 @@ func TestSingleflightAndDisconnectCancellation(t *testing.T) {
 	// its context and the engine's cancel hook must abort the scan.
 	cancelA()
 	waitFor(t, 30*time.Second, "engine cancellation", func() bool {
-		return getMetrics(t, ts).Canceled == 1
+		return getMetrics(t, ts)["crcserve_canceled_evaluations_total"] == 1
 	})
 }
 
@@ -297,11 +331,14 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	m := getMetrics(t, ts)
-	if m.Pool.Sessions != 1 || m.Pool.Evictions != 2 || m.Pool.Misses != 3 || m.Pool.Hits != 0 {
-		t.Fatalf("pool after eviction churn: %+v", m.Pool)
+	if m["crcserve_pool_sessions"] != 1 || m["crcserve_pool_evictions"] != 2 ||
+		m["crcserve_pool_misses"] != 3 || m["crcserve_pool_hits"] != 0 {
+		t.Fatalf("pool after eviction churn: %v sessions, %v evictions, %v misses, %v hits",
+			m["crcserve_pool_sessions"], m["crcserve_pool_evictions"], m["crcserve_pool_misses"], m["crcserve_pool_hits"])
 	}
-	if len(m.Pool.Detail) != 1 || m.Pool.Detail[0].Poly != "0x83" {
-		t.Fatalf("surviving session: %+v", m.Pool.Detail)
+	if sessions := m.series("crcserve_pool_session_probes"); len(sessions) != 1 ||
+		len(m.series("crcserve_pool_session_probes", `poly="0x83"`)) != 1 {
+		t.Fatalf("surviving session: %v", sessions)
 	}
 }
 
@@ -472,6 +509,17 @@ func TestTimeout(t *testing.T) {
 	events := make(chan string, 64)
 	go sseEvents(t, resp.Body, events)
 	waitEvent(t, events, "error", 10*time.Second)
+
+	// The in-band SSE error rides a 200 response, so it has a counter
+	// of its own; the plain timeout is a 504 outcome.
+	m := getMetrics(t, ts)
+	if m["crcserve_streams_total"] != 1 || m["crcserve_stream_errors_total"] != 1 {
+		t.Errorf("streams %v, stream errors %v; want 1 and 1",
+			m["crcserve_streams_total"], m["crcserve_stream_errors_total"])
+	}
+	if n := m.sum("crcserve_requests_total", `endpoint="/v1/evaluate"`, `code="504"`); n != 1 {
+		t.Errorf("504 outcomes on /v1/evaluate = %v, want 1", n)
+	}
 }
 
 // TestAuth: bearer-token gating on everything but /healthz.
@@ -553,8 +601,8 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("checksum response kernel %q is not a concrete kind", sum.Kernel)
 	}
 	m := getMetrics(t, ts)
-	if m.Kernels[sum.Kernel] == 0 {
-		t.Fatalf("checksum_kernels missing %q: %+v", sum.Kernel, m.Kernels)
+	if m.sum("crcserve_checksums_total", `kernel="`+sum.Kernel+`"`) == 0 {
+		t.Fatalf("crcserve_checksums_total missing %q: %v", sum.Kernel, m.series("crcserve_checksums_total"))
 	}
 	var sumData ChecksumResponse
 	if code, _ := postJSON(t, ts.URL+"/v1/checksum", ChecksumRequest{
@@ -613,8 +661,9 @@ func TestValidation(t *testing.T) {
 	}
 
 	m := getMetrics(t, ts)
-	if m.Errors["/v1/evaluate"] == 0 || m.Errors["/v1/checksum"] == 0 {
-		t.Errorf("error counters did not tick: %+v", m.Errors)
+	if m.sum("crcserve_requests_total", `endpoint="/v1/evaluate"`, `code="400"`) == 0 ||
+		m.sum("crcserve_requests_total", `endpoint="/v1/checksum"`, `code="404"`) == 0 {
+		t.Errorf("error counters did not tick: %v", m.series("crcserve_requests_total"))
 	}
 }
 
@@ -630,15 +679,15 @@ func TestSelectReusesEvaluationSessions(t *testing.T) {
 	if code, body := postJSON(t, ts.URL+"/v1/select", sel, nil); code != http.StatusOK {
 		t.Fatalf("first select: %d %s", code, body)
 	}
-	before := getMetrics(t, ts).Pool
+	before := getMetrics(t, ts)
 	if code, body := postJSON(t, ts.URL+"/v1/select", sel, nil); code != http.StatusOK {
 		t.Fatalf("second select: %d %s", code, body)
 	}
-	after := getMetrics(t, ts).Pool
-	if after.Probes != before.Probes {
-		t.Fatalf("repeat selection probed the engine: %d -> %d", before.Probes, after.Probes)
+	after := getMetrics(t, ts)
+	if b, a := before.sum("crcserve_pool_session_probes"), after.sum("crcserve_pool_session_probes"); a != b {
+		t.Fatalf("repeat selection probed the engine: %v -> %v", b, a)
 	}
-	if after.Hits != before.Hits+2 {
-		t.Fatalf("repeat selection missed the pool: %+v -> %+v", before, after)
+	if b, a := before["crcserve_pool_hits"], after["crcserve_pool_hits"]; a != b+2 {
+		t.Fatalf("repeat selection missed the pool: %v -> %v hits", b, a)
 	}
 }

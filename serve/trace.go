@@ -2,10 +2,7 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"net/http"
 	"strconv"
-	"time"
 
 	"koopmancrc"
 	"koopmancrc/internal/obs"
@@ -21,13 +18,9 @@ type (
 	TraceData = obs.TraceData
 	// SpanData is one node of a TraceData span tree.
 	SpanData = obs.SpanData
+	// TracesResponse is the body of GET /v1/traces.
+	TracesResponse = obs.TracesResponse
 )
-
-// TracesResponse is the body of GET /v1/traces.
-type TracesResponse struct {
-	Count  int            `json:"count"`
-	Traces []TraceSummary `json:"traces"`
-}
 
 // poolGet wraps pool.get with a "pool.acquire" child span on the
 // request's trace, so session creation cost (including a corpus
@@ -39,61 +32,4 @@ func (s *Server) poolGet(ctx context.Context, p koopmancrc.Polynomial, maxHD int
 	sp.SetAttr("hit", strconv.FormatBool(hit))
 	sp.End()
 	return sess, hit
-}
-
-// handleTraces lists retained traces, newest first. Filters: endpoint
-// (exact root-span name), min_duration (Go duration string), error
-// (true → errored only), limit (default 100).
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/v1/traces"
-	if s.recorder == nil {
-		s.writeError(w, r, endpoint, http.StatusNotFound, errors.New("tracing disabled"))
-		return
-	}
-	q := r.URL.Query()
-	f := obs.TraceFilter{
-		Name:  q.Get("endpoint"),
-		Limit: 100,
-	}
-	if v := q.Get("min_duration"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			s.writeError(w, r, endpoint, http.StatusBadRequest, errors.New("min_duration: "+err.Error()))
-			return
-		}
-		f.MinDuration = d
-	}
-	if v := q.Get("error"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			s.writeError(w, r, endpoint, http.StatusBadRequest, errors.New("error: "+err.Error()))
-			return
-		}
-		f.ErrorsOnly = b
-	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			s.writeError(w, r, endpoint, http.StatusBadRequest, errors.New("limit must be a positive integer"))
-			return
-		}
-		f.Limit = n
-	}
-	traces := s.recorder.Summaries(f)
-	writeJSON(w, http.StatusOK, &TracesResponse{Count: len(traces), Traces: traces})
-}
-
-// handleTrace serves one retained trace's full span tree.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/v1/traces/{id}"
-	if s.recorder == nil {
-		s.writeError(w, r, endpoint, http.StatusNotFound, errors.New("tracing disabled"))
-		return
-	}
-	td, ok := s.recorder.Get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, r, endpoint, http.StatusNotFound, errors.New("trace not found (evicted or never retained)"))
-		return
-	}
-	writeJSON(w, http.StatusOK, td)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"koopmancrc"
+	"koopmancrc/internal/obs"
 )
 
 // PolyRef identifies a polynomial on the wire. Width defaults to 32 and
@@ -294,10 +295,5 @@ type ProgressEvent struct {
 }
 
 // ErrorResponse is the body of every non-2xx JSON reply (and the SSE
-// "error" event of a failed stream). RequestID matches the response's
-// X-Request-ID header, so a failure seen by a client can be located in
-// the server's structured logs.
-type ErrorResponse struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
+// "error" event of a failed stream), shared with the obs debug routes.
+type ErrorResponse = obs.ErrorResponse
