@@ -23,17 +23,15 @@ const DefaultMaxHD = 13
 // Limits exposes the evaluation resource budgets of the underlying
 // Hamming-distance engine. Zero fields keep the defaults.
 type Limits struct {
-	// MaxProbes bounds the probe work of a single existence query (a
-	// boundary scan is one query); queries beyond it fail with
-	// ErrBudgetExceeded (default 2^62, effectively unbounded).
+	// MaxProbes bounds the probe work of a single engine query — a
+	// boundary scan, which also answers existence queries, or an exact
+	// weight count; queries beyond it fail with ErrBudgetExceeded
+	// (default 2^62, effectively unbounded).
 	MaxProbes int64
-	// MaxStoreEntries is the threshold above which meet-in-the-middle
-	// joins and boundary scans switch from a compact map to the
-	// whole-space bitmap (default 1<<20 entries).
+	// MaxStoreEntries is the threshold above which boundary scans
+	// switch from a compact map to the whole-space bitmap (default 1<<20
+	// entries).
 	MaxStoreEntries int
-	// MaxPairBuffer bounds the pair-syndrome buffer used by exact
-	// weight-4 counting, in 4-byte entries (default 300<<20).
-	MaxPairBuffer int
 }
 
 // Progress is a live report from a long-running evaluation, delivered to
@@ -50,13 +48,12 @@ type Progress struct {
 }
 
 // Span reports one completed engine phase of an evaluation — a w >= 5
-// boundary scan, a dedicated W3/W4 scan, one side of an existence
-// query's meet-in-the-middle join, or an exact weight count — with its
-// wall duration and the probe/store work it performed. Phase is one of
-// the hamming.Span* constants: "boundary", "w3_scan" and "w4_scan" from
-// boundary searches (Evaluate, MaxLenAtHD, Coverage); "mitm_store" and
-// "mitm_probe" from existence queries (HDAt, Witness, Search); and
-// "w2_count", "w3_count", "w4_count" from Weight. Like Progress hooks,
+// boundary scan, a dedicated W3/W4 scan or an exact weight count — with
+// its wall duration and the probe/store work it performed. Phase is one
+// of the hamming.Span* constants: "boundary", "w3_scan" and "w4_scan"
+// from boundary searches and existence queries alike (Evaluate,
+// MaxLenAtHD, Coverage, HDAt, Witness), and "w2_count", "w3_count",
+// "w4_count" from Weight. Like Progress hooks,
 // span hooks run on the evaluating goroutine and must not block or call
 // back into the Analyzer.
 type Span struct {
@@ -140,9 +137,6 @@ func WithLimits(l Limits) Option {
 		}
 		if l.MaxStoreEntries > 0 {
 			o.limits.MaxStoreEntries = l.MaxStoreEntries
-		}
-		if l.MaxPairBuffer > 0 {
-			o.limits.MaxPairBuffer = l.MaxPairBuffer
 		}
 	}
 }
@@ -235,9 +229,6 @@ func (a *Analyzer) evaluatorLocked() (*hamming.Evaluator, error) {
 	if a.opt.limits.MaxStoreEntries > 0 {
 		hopts = append(hopts, hamming.WithMaxStoreEntries(a.opt.limits.MaxStoreEntries))
 	}
-	if a.opt.limits.MaxPairBuffer > 0 {
-		hopts = append(hopts, hamming.WithMaxPairBuffer(a.opt.limits.MaxPairBuffer))
-	}
 	if fn := a.opt.progress; fn != nil {
 		p := a.p
 		hopts = append(hopts, hamming.WithProgress(func(ev hamming.Event) {
@@ -287,8 +278,9 @@ func (a *Analyzer) boundLocked(w int) *bound {
 }
 
 // existsLocked answers "does a weight-w pattern fit at dataLen?" from the
-// memo when possible, running (and memoizing) an existence query
-// otherwise (sem held, a.ctx set).
+// memo when possible, otherwise by the boundary search up to dataLen,
+// whose answer is memoized as an exact boundary that also answers every
+// later length (sem held, a.ctx set).
 func (a *Analyzer) existsLocked(w, dataLen int) ([]int, bool, error) {
 	if w == 1 {
 		return nil, false, nil // a single flipped bit is always detected
@@ -304,22 +296,11 @@ func (a *Analyzer) existsLocked(w, dataLen int) ([]int, bool, error) {
 	case b.clearTo >= dataLen:
 		return nil, false, nil
 	}
-	ev, err := a.evaluatorLocked()
-	if err != nil {
+	b, found, err := a.boundaryLocked(w, dataLen)
+	if err != nil || !found {
 		return nil, false, err
 	}
-	wit, found, err := ev.Exists(w, dataLen)
-	if err != nil {
-		return nil, false, err
-	}
-	if found {
-		if b.hitAt == 0 || dataLen < b.hitAt {
-			b.hitAt, b.witness = dataLen, wit
-		}
-	} else if dataLen > b.clearTo {
-		b.clearTo = dataLen
-	}
-	return wit, found, nil
+	return b.witness, true, nil
 }
 
 // boundaryLocked answers "what is the smallest data length with a

@@ -1,10 +1,13 @@
 package koopmancrc_test
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 
 	"koopmancrc"
+	"koopmancrc/internal/gf2"
 )
 
 // FuzzParsePolynomialRoundTrip feeds arbitrary (width, notation, value)
@@ -52,6 +55,78 @@ func FuzzParsePolynomialRoundTrip(f *testing.F) {
 			}
 			if q != p {
 				t.Fatalf("round trip through %v changed %v into %v", m, p, q)
+			}
+		}
+	})
+}
+
+// FuzzRestoreMemos feeds arbitrary JSON through the corpus read path —
+// decode, Validate, RestoreMemos — which must never panic, and checks
+// that every snapshot a session accepts serves only real witnesses:
+// for each known hit, Witness answers from the memo with a pattern the
+// engine's witness rule accepts (the right weight, sorted distinct
+// positions inside the codeword, and zero syndrome).
+func FuzzRestoreMemos(f *testing.F) {
+	ctx := context.Background()
+	seed := koopmancrc.NewAnalyzer(koopmancrc.IEEE8023, koopmancrc.WithMaxHD(6))
+	if _, err := seed.Evaluate(ctx, 400); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := seed.Weight(ctx, 4, 2975); err != nil {
+		f.Fatal(err)
+	}
+	snap, err := seed.MemoSnapshot(ctx)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"version":1,"width":8,"poly":131,"bounds":[{"weight":2,"hit_at":10,"witness":[0,99999]}]}`))
+	f.Add([]byte(`{"version":1,"width":8,"poly":131,"bounds":[{"weight":3,"first":4,"exact":true}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var snap koopmancrc.MemoSnapshot
+		if json.Unmarshal(data, &snap) != nil || snap.Validate() != nil {
+			return
+		}
+		p, err := koopmancrc.ParsePolynomial(snap.Width, koopmancrc.Koopman, fmt.Sprintf("%#x", snap.Poly))
+		if err != nil {
+			return
+		}
+		// A tiny probe budget turns any query the memo fails to answer
+		// into an error instead of a long engine run.
+		a := koopmancrc.NewAnalyzer(p, koopmancrc.WithLimits(koopmancrc.Limits{MaxProbes: 1 << 12}))
+		if a.RestoreMemos(ctx, &snap) != nil {
+			return
+		}
+		for _, b := range snap.Bounds {
+			hit := b.HitAt
+			if b.Exact {
+				hit = b.First
+			}
+			if hit == 0 {
+				continue
+			}
+			wit, found, err := a.Witness(ctx, b.Weight, hit)
+			if err != nil {
+				t.Fatalf("Witness(%d, %d) on a restored hit: %v", b.Weight, hit, err)
+			}
+			if !found {
+				continue // a conflicting exact boundary for this weight won the merge
+			}
+			n := hit + p.Width()
+			var syndrome gf2.Poly
+			for i, pos := range wit {
+				if pos < 0 || pos >= n || (i > 0 && pos <= wit[i-1]) {
+					t.Fatalf("Witness(%d, %d) = %v: not sorted distinct positions of a %d-bit codeword", b.Weight, hit, wit, n)
+				}
+				syndrome ^= gf2.ExpMod(gf2.X, uint64(pos), p.Full())
+			}
+			if len(wit) != b.Weight || syndrome != 0 {
+				t.Fatalf("Witness(%d, %d) = %v: weight %d, syndrome %#x", b.Weight, hit, wit, len(wit), syndrome)
 			}
 		}
 	})

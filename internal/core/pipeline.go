@@ -19,7 +19,7 @@ type EngineKind int
 
 // Engine kinds.
 const (
-	// EngineFast is the syndrome meet-in-the-middle engine.
+	// EngineFast is the syndrome engine: one boundary scan per weight.
 	EngineFast EngineKind = iota + 1
 	// EngineBruteLex is the paper's enumeration engine in plain order.
 	EngineBruteLex

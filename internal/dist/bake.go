@@ -222,8 +222,8 @@ func bakeOne(ctx context.Context, spec BakeSpec, sink BakeSink, cfg BakeConfig, 
 		var w2 uint64
 		for w := 2; w <= maxW; w++ {
 			if w == 4 && w2 > 0 {
-				// The engine's pair-collision W4 formula requires W2 == 0
-				// at the length; past that point W4 is simply not baked.
+				// The engine's W4 pair scan requires W2 == 0 at the
+				// length; past that point W4 is simply not baked.
 				continue
 			}
 			n, err := a.Weight(ctx, w, l)

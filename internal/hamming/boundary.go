@@ -207,16 +207,20 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 	return 0, nil, false, nil
 }
 
-// firstLenSearch locates a w>=5 boundary with existence queries.
+// firstLenSearch locates a w>=5 boundary with the §4.1 existence
+// queries, one meet-in-the-middle join per length tried. It calls the
+// join directly, not Exists (which is the scan), so the reference never
+// checks the scan against itself.
 func (e *Evaluator) firstLenSearch(w, maxLen int, s Strategy) (int, []int, bool, error) {
 	defer e.spanStart(SpanBoundary, w, maxLen)()
+	exists := func(l int) ([]int, bool, error) { return e.meetInMiddle(w, e.codewordLen(l)) }
 	// lo is the largest length known to have no weight-w pattern; hi the
 	// smallest known to have one.
 	lo, hi := 0, 0
 	var hiWitness []int
 	switch s {
 	case StrategyDirect:
-		wit, found, err := e.Exists(w, maxLen)
+		wit, found, err := exists(maxLen)
 		if err != nil {
 			return 0, nil, false, err
 		}
@@ -230,7 +234,7 @@ func (e *Evaluator) firstLenSearch(w, maxLen int, s Strategy) (int, []int, bool,
 			if l > maxLen {
 				l = maxLen
 			}
-			wit, found, err := e.Exists(w, l)
+			wit, found, err := exists(l)
 			if err != nil {
 				return 0, nil, false, err
 			}
@@ -247,7 +251,7 @@ func (e *Evaluator) firstLenSearch(w, maxLen int, s Strategy) (int, []int, bool,
 	}
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		wit, found, err := e.Exists(w, mid)
+		wit, found, err := exists(mid)
 		if err != nil {
 			return 0, nil, false, err
 		}

@@ -3,7 +3,6 @@ package hamming
 import (
 	"errors"
 	"math/rand/v2"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -119,26 +118,49 @@ func TestExistsBruteMatchesFastEngine(t *testing.T) {
 
 func TestExactWeightsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(404, 4))
-	for trial := 0; trial < 25; trial++ {
-		width := 4 + int(rng.Uint64N(6)) // widths 4..9
-		p := randPoly(rng, width)
+	every := make([]int, 40)
+	for i := range every {
+		every[i] = i + 1
+	}
+	// Random widths 4..9 at a few lengths, then 8- and 16-bit generators
+	// at every length to 40 bits: the weight-4 pair scan must match the
+	// brute count wherever W2 = 0 and refuse every length where W2 > 0.
+	type trial struct {
+		width   int
+		lengths []int
+	}
+	var trials []trial
+	for i := 0; i < 25; i++ {
+		trials = append(trials, trial{4 + int(rng.Uint64N(6)), []int{1, 3, 8, 15, 22}})
+	}
+	for i := 0; i < 6; i++ {
+		trials = append(trials, trial{8 + 8*(i%2), every})
+	}
+	refused := 0
+	for _, tr := range trials {
+		p := randPoly(rng, tr.width)
 		e := New(p)
-		for _, n := range []int{1, 3, 8, 15, 22} {
+		for _, n := range tr.lengths {
+			w2, err := e.Weight(2, n)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for w := 2; w <= 4; w++ {
 				want, err := e.WeightBrute(w, n)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got, err := e.Weight(w, n)
-				if err != nil {
-					// The pair-collision W4 formula legitimately refuses
-					// lengths where W2 > 0.
-					if w == 4 {
-						w2, werr := e.Weight(2, n)
-						if werr == nil && w2 > 0 {
-							continue
-						}
+				if w == 4 && w2 > 0 {
+					// The pair scan legitimately refuses lengths where
+					// W2 > 0.
+					if err == nil {
+						t.Fatalf("%v W4(%d) = %d with W2 = %d, want the W2 > 0 error", p, n, got, w2)
 					}
+					refused++
+					continue
+				}
+				if err != nil {
 					t.Fatalf("%v W%d(%d): %v", p, w, n, err)
 				}
 				if got != want {
@@ -146,6 +168,9 @@ func TestExactWeightsMatchBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+	if refused == 0 {
+		t.Error("no length with W2 > 0 exercised the W4 refusal")
 	}
 }
 
@@ -350,7 +375,7 @@ func TestBudgetExceeded(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
-	if _, err := New(poly.IEEE8023, WithMaxPairBuffer(10)).Weight(4, 1000); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := New(poly.IEEE8023, WithMaxProbes(100)).Weight(4, 1000); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("W4 err = %v, want ErrBudgetExceeded", err)
 	}
 	if _, err := New(poly.IEEE8023, WithMaxProbes(100)).WeightBrute(4, 1000); !errors.Is(err, ErrBudgetExceeded) {
@@ -377,8 +402,8 @@ func TestInvalidArguments(t *testing.T) {
 	}
 }
 
-// TestWeightScanCancelAndBudget: the exact W2/W3 scans honour the cancel
-// hook and the probe budget like every other engine loop.
+// TestWeightScanCancelAndBudget: the exact W2/W3/W4 scans honour the
+// cancel hook and the probe budget like every other engine loop.
 func TestWeightScanCancelAndBudget(t *testing.T) {
 	// W2 runs on (x+1)(x^3+x+1), period 7. W3 needs a generator without
 	// the (x+1) factor, x^4+x+1: with it, odd weights are answered 0
@@ -402,6 +427,19 @@ func TestWeightScanCancelAndBudget(t *testing.T) {
 		if _, err := tight.Weight(w, 12); !errors.Is(err, ErrBudgetExceeded) {
 			t.Errorf("Weight(%d, 12) with 1-probe budget: %v, want ErrBudgetExceeded", w, err)
 		}
+	}
+	// W4 of 802.3 at the MTU length is a 73M-probe pair scan: let it
+	// start and stop it at the first in-scan poll.
+	polls := 0
+	midCount := New(poly.IEEE8023, WithCancel(func() bool {
+		polls++
+		return polls > 1
+	}))
+	if _, err := midCount.Weight(4, 12112); !errors.Is(err, ErrCanceled) {
+		t.Errorf("Weight(4, 12112) canceled mid-count: %v, want ErrCanceled", err)
+	}
+	if midCount.Stats.Probes == 0 {
+		t.Error("cancel fired before the W4 count probed anything")
 	}
 }
 
@@ -525,27 +563,6 @@ func TestU32Count(t *testing.T) {
 	}
 }
 
-func TestRadixSortUint32(t *testing.T) {
-	f := func(vals []uint32) bool {
-		got := append([]uint32(nil), vals...)
-		got = radixSortUint32(got, nil)
-		want := append([]uint32(nil), vals...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBinomAtMost(t *testing.T) {
 	tests := []struct {
 		n, k int
@@ -586,13 +603,15 @@ func TestMeetsHDAtLengthsShortCircuit(t *testing.T) {
 
 func TestExistsMatchesBruteForceHighWeights(t *testing.T) {
 	// Weights 7 and 8 exercise the store-side recursion (p=3) and the
-	// probe-side q=4 recursion of the meet-in-the-middle join.
+	// probe-side q=4 recursion of the §4.1 reference join; weights 9 and
+	// 10 exercise the same recursions in the boundary scan behind Exists
+	// (store rows of p-1=3, probes of q=4).
 	rng := rand.New(rand.NewPCG(111, 12))
 	for trial := 0; trial < 12; trial++ {
 		p := randPoly(rng, 8)
 		e := New(p)
 		for _, n := range []int{4, 9, 14} {
-			for w := 7; w <= 8; w++ {
+			for w := 7; w <= 10; w++ {
 				count, err := e.WeightBrute(w, n)
 				if err != nil {
 					t.Fatal(err)
@@ -606,6 +625,13 @@ func TestExistsMatchesBruteForceHighWeights(t *testing.T) {
 				}
 				if found && len(wit) != w {
 					t.Fatalf("witness %v", wit)
+				}
+				first, _, dfound, err := e.FirstDataLenStrategy(w, n, StrategyDirect)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dfound != found || (found && first > n) {
+					t.Fatalf("%v w=%d n=%d: Exists=%v, direct=(%d,%v)", p, w, n, found, first, dfound)
 				}
 			}
 		}

@@ -19,8 +19,14 @@
 //
 // # Engines
 //
-// Two engines are provided. The fast engine (Exists, FirstDataLen, Weight,
-// Profile) exploits the syndrome formulation; the brute-force engine
+// Two engines are provided. The fast engine (Exists, FirstDataLen, HDAt,
+// MeetsHD, Weight, Profile) exploits the syndrome formulation with one
+// incremental scan per weight: a code of length n+1 extends the code of
+// length n, so each scan grows the length a bit at a time, stops at the
+// first undetectable pattern (the exact boundary, which answers every
+// existence query up to it), or runs to the end to count W3 and W4. The
+// per-length meet-in-the-middle join survives only as the paper's §4.1
+// reference search behind FirstDataLenStrategy. The brute-force engine
 // (ExistsBrute, WeightBrute) enumerates bit patterns exactly as the paper's
 // software did — including the FCS-bits-first ordering and early-bailout
 // optimisations of §4.1 — and serves as the reference implementation the
@@ -38,15 +44,12 @@ import (
 // Default resource limits.
 const (
 	// DefaultMaxStoreEntries bounds the number of subset syndromes
-	// materialised on the store side of a meet-in-the-middle join or a
-	// boundary scan before switching to the whole-space bitmap.
+	// materialised on the store side of a boundary scan (or a reference
+	// meet-in-the-middle join) before switching to the whole-space bitmap.
 	DefaultMaxStoreEntries = 1 << 20
-	// DefaultMaxPairBuffer bounds the pair-syndrome buffer used by exact
-	// weight-4 counting (entries, 4 bytes each).
-	DefaultMaxPairBuffer = 300 << 20
-	// DefaultMaxProbes bounds the total probe work of a single existence
-	// query (a boundary scan is one query); queries beyond it return
-	// ErrBudgetExceeded.
+	// DefaultMaxProbes bounds the total probe work of a single query (a
+	// boundary scan, which also answers existence queries, or an exact
+	// weight count); queries beyond it return ErrBudgetExceeded.
 	DefaultMaxProbes = int64(1) << 62
 )
 
@@ -69,10 +72,10 @@ type Event struct {
 }
 
 // Span phases emitted by the evaluator's span hook, one per distinct
-// search machinery: the w >= 5 boundary search (one incremental scan;
-// only the §4.1 reference strategies nest existence queries in it), the
-// dedicated weight-3/4 incremental scans, the two halves of an existence
-// query's meet-in-the-middle join, and the exact weight-counting passes.
+// search machinery: the w >= 5 boundary scan, the dedicated weight-3/4
+// boundary scans (every existence query is one of these three), the two
+// halves of a meet-in-the-middle join (only the §4.1 reference searches
+// of FirstDataLenStrategy run one), and the exact weight-counting passes.
 const (
 	SpanBoundary  = "boundary"
 	SpanW3Scan    = "w3_scan"
@@ -110,7 +113,6 @@ type Stats struct {
 // Options configure an Evaluator.
 type Options struct {
 	MaxStoreEntries int
-	MaxPairBuffer   int
 	MaxProbes       int64
 	// Progress, when non-nil, receives Events at query boundaries and
 	// periodically inside long scans.
@@ -126,8 +128,8 @@ type Options struct {
 // Option mutates evaluator options.
 type Option func(*Options)
 
-// WithMaxProbes bounds the probe work per existence query; a boundary
-// scan counts as one query.
+// WithMaxProbes bounds the probe work per query: one boundary scan (and
+// so one existence query) or one exact weight count.
 func WithMaxProbes(n int64) Option { return func(o *Options) { o.MaxProbes = n } }
 
 // WithProgress installs a progress hook receiving Events.
@@ -141,12 +143,9 @@ func WithCancel(fn func() bool) Option { return func(o *Options) { o.Cancel = fn
 // engine phase.
 func WithSpanHook(fn func(SpanEvent)) Option { return func(o *Options) { o.Span = fn } }
 
-// WithMaxPairBuffer bounds the exact weight-4 pair buffer (entries).
-func WithMaxPairBuffer(n int) Option { return func(o *Options) { o.MaxPairBuffer = n } }
-
-// WithMaxStoreEntries sets the threshold above which meet-in-the-middle
-// joins and boundary scans switch from a compact map to the whole-space
-// bitmap.
+// WithMaxStoreEntries sets the threshold above which boundary scans (and
+// the reference meet-in-the-middle joins) switch from a compact map to
+// the whole-space bitmap.
 func WithMaxStoreEntries(n int) Option { return func(o *Options) { o.MaxStoreEntries = n } }
 
 // Evaluator computes error-detection properties of one generator
@@ -234,7 +233,6 @@ func (e *Evaluator) spanStart(phase string, w, dataLen int) func() {
 func New(p poly.P, opts ...Option) *Evaluator {
 	o := Options{
 		MaxStoreEntries: DefaultMaxStoreEntries,
-		MaxPairBuffer:   DefaultMaxPairBuffer,
 		MaxProbes:       DefaultMaxProbes,
 	}
 	for _, fn := range opts {

@@ -11,13 +11,9 @@ import (
 // pattern — a weight-w multiple of the generator. Position 0 is the lowest
 // FCS bit.
 //
-// Weight 2 follows directly from the polynomial period. Higher weights use
-// a meet-in-the-middle join over position syndromes: a canonical pattern
-// contains position 0, its remaining w-1 positions are split into a stored
-// p-subset side and a probed q-subset side, and a probe hitting a stored
-// syndrome value is exactly an undetectable pattern (up to position
-// overlap, which is re-verified before reporting). Odd weights of a
-// generator divisible by (x+1) are answered without a search.
+// A pattern that fits at one length fits at every longer one, so Exists
+// is FirstDataLen(w, dataLen) found: one boundary scan per weight, which
+// stops at the first undetectable pattern and returns it as the witness.
 func (e *Evaluator) Exists(w, dataLen int) ([]int, bool, error) {
 	if w < 1 {
 		return nil, false, fmt.Errorf("hamming: invalid weight %d", w)
@@ -25,29 +21,21 @@ func (e *Evaluator) Exists(w, dataLen int) ([]int, bool, error) {
 	if dataLen < 1 {
 		return nil, false, fmt.Errorf("hamming: invalid data length %d", dataLen)
 	}
-	n := e.codewordLen(dataLen)
-	if w > n || e.oddWeightImpossible(w) {
-		return nil, false, nil
-	}
-	switch w {
-	case 1:
+	if w == 1 {
 		// A single flipped bit always has non-zero syndrome.
 		return nil, false, nil
-	case 2:
-		period, err := e.Period()
-		if err != nil {
-			return nil, false, err
-		}
-		if period <= uint64(n-1) {
-			return []int{0, int(period)}, true, nil
-		}
-		return nil, false, nil
-	default:
-		return e.meetInMiddle(w, n)
 	}
+	_, wit, found, err := e.FirstDataLen(w, dataLen)
+	return wit, found, err
 }
 
-// meetInMiddle searches for a weight-w multiple of G within n codeword bits.
+// meetInMiddle searches for a weight-w multiple of G within n codeword
+// bits by one join: a canonical pattern contains position 0, its
+// remaining w-1 positions are split into a stored p-subset side and a
+// probed q-subset side, and a probe hitting a stored syndrome value is
+// exactly an undetectable pattern (up to position overlap, which is
+// re-verified before reporting). It backs only the §4.1 reference
+// searches of FirstDataLenStrategy.
 func (e *Evaluator) meetInMiddle(w, n int) ([]int, bool, error) {
 	if err := e.begin(w, n-e.width); err != nil {
 		return nil, false, err

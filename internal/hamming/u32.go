@@ -152,30 +152,3 @@ func (m *u32count) count(key uint32) uint32 {
 		i = (i + 1) & m.mask
 	}
 }
-
-// radixSortUint32 sorts a in place (using scratch of equal length) by four
-// byte passes — linear time for the hundreds of millions of pair syndromes
-// produced by exact weight-4 counting.
-func radixSortUint32(a, scratch []uint32) []uint32 {
-	if len(scratch) < len(a) {
-		scratch = make([]uint32, len(a))
-	}
-	src, dst := a, scratch[:len(a)]
-	for pass := 0; pass < 4; pass++ {
-		shift := uint(8 * pass)
-		var count [257]int
-		for _, v := range src {
-			count[int(byte(v>>shift))+1]++
-		}
-		for i := 1; i < 257; i++ {
-			count[i] += count[i-1]
-		}
-		for _, v := range src {
-			b := byte(v >> shift)
-			dst[count[b]] = v
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	return src // four passes: result is back in the original slice
-}

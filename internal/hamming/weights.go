@@ -85,62 +85,55 @@ func (e *Evaluator) weight3(dataLen int) (uint64, error) {
 	return total, nil
 }
 
-// weight4 counts weight-4 multiples of G via pair-syndrome collisions:
-// every weight-4 codeword {i,j,k,l} is counted by exactly three unordered
-// pairs of position pairs with equal syndromes, so
-//
-//	W4 = sum over syndrome values s of C(m_s, 2) / 3
-//
-// where m_s is the number of position pairs with syndrome s. The formula
-// requires W2 = 0 at this length (otherwise pairs may share positions),
-// which is detected via zero-syndrome runs and reported as an error.
+// weight4 counts weight-4 multiples of G with the firstLen4 pair scan
+// run to the end instead of stopping at the first hit: for each largest
+// position c, every pair {b,c} is probed against the stored {0,a}
+// syndromes (a < c), and each canonical pattern {0,a,b,c} — found once
+// with a < b and once with the middle positions swapped — is credited
+// with its n-c translates, as in weight3. One pass costs C(n-1,2) probes
+// and O(n) memory. The stored syndromes are distinct only while W2 = 0
+// at this length (x^a = x^b mod G needs the period to divide b-a), so a
+// length past the period is reported as an error.
 func (e *Evaluator) weight4(dataLen int) (uint64, error) {
 	n := e.codewordLen(dataLen)
-	pairs := int64(n) * int64(n-1) / 2
-	if pairs > int64(e.opts.MaxPairBuffer) {
-		return 0, fmt.Errorf("%w: exact W4 at %d codeword bits needs %d pair entries (limit %d)",
-			ErrBudgetExceeded, n, pairs, e.opts.MaxPairBuffer)
+	if probes := binomAtMost(n-1, 2, 1<<62); probes > e.opts.MaxProbes {
+		return 0, fmt.Errorf("%w: exact W4 at %d codeword bits needs %d probes (limit %d)",
+			ErrBudgetExceeded, n, probes, e.opts.MaxProbes)
 	}
 	if err := e.begin(4, dataLen); err != nil {
 		return 0, err
 	}
 	defer e.spanStart(SpanW4Count, 4, dataLen)()
 	syn := e.syndromes(n)
-	buf := make([]uint32, pairs)
-	idx := 0
-	for i := 0; i < n; i++ {
-		if err := e.tick(4, dataLen, int64(n-i-1)); err != nil {
+	m := newU32Map(n)
+	var total, shapes, mirrored uint64
+	for c := 1; c < n; c++ {
+		if err := e.tick(4, dataLen, int64(c-1)); err != nil {
 			return 0, err
 		}
-		si := syn[i]
-		for j := i + 1; j < n; j++ {
-			buf[idx] = si ^ syn[j]
-			idx++
+		sc := syn[c]
+		if sc == 1 {
+			// x^c = 1 mod G: {0, c} is a weight-2 codeword.
+			return 0, fmt.Errorf("hamming: W2 > 0 at data length %d; the weight-4 pair scan needs W2 = 0", dataLen)
 		}
-	}
-	e.Stats.StoreOps += pairs
-	sorted := radixSortUint32(buf, nil)
-	if len(sorted) > 0 && sorted[0] == 0 {
-		// A zero pair syndrome is a weight-2 codeword: pairs may then share
-		// positions and the three-pairings-per-codeword argument breaks.
-		return 0, fmt.Errorf("hamming: W2 > 0 at data length %d; pair-collision W4 formula inapplicable", dataLen)
-	}
-	var matches uint64
-	run := uint64(1)
-	for i := 1; i <= len(sorted); i++ {
-		if i < len(sorted) && sorted[i] == sorted[i-1] {
-			run++
-			continue
+		for b := 1; b < c; b++ {
+			if a := m.get(syn[b] ^ sc); a >= 0 {
+				if int(a) < b {
+					shapes++
+					total += uint64(n - c)
+				} else {
+					mirrored++
+				}
+			}
 		}
-		if run > 1 {
-			matches += run * (run - 1) / 2
-		}
-		run = 1
+		e.Stats.Probes += int64(c - 1)
+		m.put(1^sc, int32(c))
 	}
-	if matches%3 != 0 {
-		return 0, fmt.Errorf("hamming: internal error: %d pair matches not divisible by 3", matches)
+	e.Stats.StoreOps += int64(n - 1)
+	if shapes != mirrored {
+		return 0, fmt.Errorf("hamming: internal error: %d weight-4 shapes found with a < b, %d with a > b", shapes, mirrored)
 	}
-	return matches / 3, nil
+	return total, nil
 }
 
 // Weights returns exact W2..Wmax at the given length (max <= 4), the

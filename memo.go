@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"koopmancrc/internal/gf2"
 )
 
 // MemoSnapshotVersion is the schema version stamped into every exported
@@ -90,11 +92,12 @@ func (m *MemoSnapshot) Clone() *MemoSnapshot {
 
 // Validate checks the snapshot's internal consistency: version and
 // width in range, weights sane, exact boundaries with a positive first
-// length, and no clear-prefix contradicting a known hit. A snapshot
-// read from a CRC-protected corpus can only fail this through a
-// software bug or schema drift, never silent disk corruption — but a
-// restore must still refuse it, because a corrupt memo would be served
-// as truth.
+// length, no clear-prefix contradicting a known hit, and every hit
+// backed by a witness of weight-many sorted distinct positions that fit
+// the codeword of its hit length. A snapshot read from a CRC-protected
+// corpus can only fail this through a software bug or schema drift,
+// never silent disk corruption — but a restore must still refuse it,
+// because a corrupt memo would be served as truth.
 func (m *MemoSnapshot) Validate() error {
 	if m == nil {
 		return fmt.Errorf("koopmancrc: nil memo snapshot")
@@ -125,8 +128,23 @@ func (m *MemoSnapshot) Validate() error {
 		if hit != 0 && b.ClearTo >= hit {
 			return fmt.Errorf("koopmancrc: bounds[%d] (weight %d): clear to %d contradicts hit at %d", i, b.Weight, b.ClearTo, hit)
 		}
-		if len(b.Witness) != 0 && len(b.Witness) != b.Weight {
+		// Every hit is backed by its witness, and a witness by its hit.
+		if (hit == 0) != (len(b.Witness) == 0) {
+			return fmt.Errorf("koopmancrc: bounds[%d] (weight %d): hit at %d with a %d-position witness", i, b.Weight, hit, len(b.Witness))
+		}
+		if hit == 0 {
+			continue
+		}
+		if len(b.Witness) != b.Weight {
 			return fmt.Errorf("koopmancrc: bounds[%d] (weight %d): witness has %d positions", i, b.Weight, len(b.Witness))
+		}
+		// Sorted distinct positions inside the codeword of the hit
+		// length: hit data bits plus the width FCS bits.
+		for j, pos := range b.Witness {
+			if pos < 0 || (j > 0 && pos <= b.Witness[j-1]) || pos-m.Width >= hit {
+				return fmt.Errorf("koopmancrc: bounds[%d] (weight %d): witness %v is not sorted distinct positions of a %d-bit codeword",
+					i, b.Weight, b.Witness, hit+m.Width)
+			}
 		}
 	}
 	for i, w := range m.Weights {
@@ -291,11 +309,13 @@ func (a *Analyzer) memoSnapshotLocked() *MemoSnapshot {
 
 // RestoreMemos merges a snapshot's knowledge into the session — the
 // read half of the persistent analysis corpus. The snapshot must
-// describe the session's polynomial and pass Validate; on any error the
-// session is left untouched. Restoring never discards knowledge the
-// session already has: live facts and snapshot facts are unioned under
-// the same monotonicity rules every query obeys, so a restore is safe
-// at any point in a session's life, not just on a fresh one.
+// describe the session's polynomial, pass Validate and carry only
+// witnesses that are multiples of the generator (undetectable
+// patterns); on any error the session is left untouched. Restoring
+// never discards knowledge the session already has: live facts and
+// snapshot facts are unioned under the same monotonicity rules every
+// query obeys, so a restore is safe at any point in a session's life,
+// not just on a fresh one.
 //
 // Queries answered from restored knowledge perform zero engine probes,
 // which is what makes a corpus-backed serving tier observably cheap:
@@ -310,6 +330,12 @@ func (a *Analyzer) RestoreMemos(ctx context.Context, snap *MemoSnapshot) error {
 	if snap.Width != a.p.Width() || snap.Poly != a.p.Koopman() {
 		return fmt.Errorf("koopmancrc: memo snapshot is for %d:%#x, session analyzes %d:%#x",
 			snap.Width, snap.Poly, a.p.Width(), a.p.Koopman())
+	}
+	for _, m := range snap.Bounds {
+		if len(m.Witness) != 0 && !isCodeword(a.p, m.Witness) {
+			return fmt.Errorf("koopmancrc: memo snapshot witness %v (weight %d) is not a multiple of %v",
+				m.Witness, m.Weight, a.p)
+		}
 	}
 	return a.run(ctx, func() error {
 		for _, m := range snap.Bounds {
@@ -347,4 +373,15 @@ func (a *Analyzer) RestoreMemos(ctx context.Context, snap *MemoSnapshot) error {
 		}
 		return nil
 	})
+}
+
+// isCodeword reports whether the error pattern with bits set at the
+// given positions is a multiple of the generator, i.e. undetectable:
+// the sum of x^i mod G over its positions is zero.
+func isCodeword(p Polynomial, positions []int) bool {
+	var acc gf2.Poly
+	for _, i := range positions {
+		acc ^= gf2.ExpMod(gf2.X, uint64(i), p.Full())
+	}
+	return acc == 0
 }

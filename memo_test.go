@@ -232,10 +232,26 @@ func TestRestoreMemosRejectsInvalid(t *testing.T) {
 			Bounds: []BoundMemo{{Weight: 1, ClearTo: 4}}}},
 		{"exact without first", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
 			Bounds: []BoundMemo{{Weight: 2, Exact: true}}}},
-		{"clear contradicts hit", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
-			Bounds: []BoundMemo{{Weight: 2, ClearTo: 9, HitAt: 9}}}},
+		{"clear contradicts hit", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83, // G = {0,1,2,8}
+			Bounds: []BoundMemo{{Weight: 4, ClearTo: 1, HitAt: 1, Witness: []int{0, 1, 2, 8}}}}},
 		{"witness wrong size", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
 			Bounds: []BoundMemo{{Weight: 3, HitAt: 9, Witness: []int{1, 2}}}}},
+		{"witness past its codeword", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
+			Bounds: []BoundMemo{{Weight: 2, First: 10, Exact: true, Witness: []int{0, 99999}}}}},
+		{"witness one bit past its codeword", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
+			Bounds: []BoundMemo{{Weight: 2, HitAt: 10, Witness: []int{0, 18}}}}},
+		{"witness unsorted", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
+			Bounds: []BoundMemo{{Weight: 3, HitAt: 9, Witness: []int{4, 0, 9}}}}},
+		{"witness repeats a position", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
+			Bounds: []BoundMemo{{Weight: 3, HitAt: 9, Witness: []int{0, 4, 4}}}}},
+		{"witness negative position", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
+			Bounds: []BoundMemo{{Weight: 2, HitAt: 9, Witness: []int{-1, 4}}}}},
+		{"witness without a hit", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
+			Bounds: []BoundMemo{{Weight: 2, ClearTo: 3, Witness: []int{0, 4}}}}},
+		{"hit without a witness", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
+			Bounds: []BoundMemo{{Weight: 3, First: 4, Exact: true}}}},
+		{"witness not a multiple of the generator", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
+			Bounds: []BoundMemo{{Weight: 2, HitAt: 9, Witness: []int{0, 5}}}}},
 		{"count weight out of range", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
 			Weights: []WeightMemo{{Weight: 5, DataLen: 8, Count: 1}}}},
 		{"count length below 1", &MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,

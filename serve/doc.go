@@ -48,9 +48,10 @@
 // matched to the server's structured debug log (Config.Logger). The ID
 // travels by context through the session pool and singleflight group
 // into the engine's span hook: each evaluation phase (boundary, w3_scan,
-// w4_scan for /v1/evaluate and /v1/maxlen; mitm_store, mitm_probe for
-// the existence queries behind /v1/hd; w2..w4_count) is logged with its
-// duration and probe count and recorded in the
+// w4_scan for the boundary searches behind /v1/evaluate and /v1/maxlen
+// and for the existence queries behind /v1/hd, which run the same scans;
+// w2..w4_count for exact weights) is logged with its duration and probe
+// count and recorded in the
 // crcserve_engine_phase_seconds / crcserve_engine_phase_probes
 // histograms. A coalesced flight is attributed to the request that
 // started it.

@@ -54,7 +54,7 @@ func newServerObs(s *Server) *serverObs {
 		requests: r.NewCounterVec("crcserve_requests_total",
 			"Completed requests by endpoint and HTTP status code.", "endpoint", "code"),
 		phaseSeconds: r.NewHistogramVec("crcserve_engine_phase_seconds",
-			"Engine probe-phase wall time (boundary, w3_scan, w4_scan, mitm_store, mitm_probe, w2..w4_count).",
+			"Engine probe-phase wall time (boundary, w3_scan, w4_scan, w2..w4_count).",
 			obs.LatencyBuckets(), "phase"),
 		phaseProbes: r.NewHistogramVec("crcserve_engine_phase_probes",
 			"Engine probe-phase work operations (probes + store inserts).",
@@ -96,11 +96,16 @@ func newServerObs(s *Server) *serverObs {
 			}
 			return float64(n)
 		})
+	// A session is keyed by its polynomial, depth and limits, so the
+	// labels name all of them: two sessions that differ only in a limit
+	// are two series.
+	sessionLabels := []string{"poly", "width", "max_hd", "max_probes", "max_store_entries"}
 	sessionID := func(si sessionInfo, extra ...string) []string {
-		return append([]string{si.Poly, strconv.Itoa(si.Width), strconv.Itoa(si.MaxHD)}, extra...)
+		return append([]string{si.Poly, strconv.Itoa(si.Width), strconv.Itoa(si.MaxHD),
+			strconv.FormatInt(si.Limits.MaxProbes, 10), strconv.Itoa(si.Limits.MaxStoreEntries)}, extra...)
 	}
 	r.NewGaugeCollector("crcserve_pool_session_probes",
-		"Engine probes spent by each live session.", []string{"poly", "width", "max_hd"},
+		"Engine probes spent by each live session.", sessionLabels,
 		func(emit func([]string, float64)) {
 			for _, si := range s.pool.sessions() {
 				emit(sessionID(si), float64(si.Probes))
@@ -108,7 +113,7 @@ func newServerObs(s *Server) *serverObs {
 		})
 	r.NewGaugeCollector("crcserve_pool_session_memo_entries",
 		"Memo entries held by each live session, by kind (bound_weights, exact_boundaries, weight_entries).",
-		[]string{"poly", "width", "max_hd", "kind"}, func(emit func([]string, float64)) {
+		append(sessionLabels, "kind"), func(emit func([]string, float64)) {
 			for _, si := range s.pool.sessions() {
 				emit(sessionID(si, "bound_weights"), float64(si.BoundWeights))
 				emit(sessionID(si, "exact_boundaries"), float64(si.ExactBoundaries))
@@ -116,7 +121,7 @@ func newServerObs(s *Server) *serverObs {
 			}
 		})
 	r.NewGaugeCollector("crcserve_pool_session_restored",
-		"1 for a live session warm-started from the persistent corpus, else 0.", []string{"poly", "width", "max_hd"},
+		"1 for a live session warm-started from the persistent corpus, else 0.", sessionLabels,
 		func(emit func([]string, float64)) {
 			for _, si := range s.pool.sessions() {
 				restored := 0.0

@@ -76,9 +76,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 
 	// 32-bit 802.3 at a short length: w3/w4 scans run and find nothing
 	// within 128 bits, so the w>=5 boundary scans also run. An HD query
-	// past the evaluated range then needs existence queries, whose
-	// meet-in-the-middle store/probe phases complete the set — every
-	// span phase fires, all in milliseconds.
+	// past the evaluated range then needs existence queries, which run
+	// the same scans further — no meet-in-the-middle join on any
+	// endpoint, all in milliseconds.
 	for _, q := range []struct{ path, body string }{
 		{"/v1/evaluate", `{"poly":"0x82608edb","width":32,"max_len":128,"max_hd":6}`},
 		{"/v1/hd", `{"poly":"0x82608edb","width":32,"data_len":200,"max_hd":6}`},
@@ -114,15 +114,19 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"# TYPE crcserve_engine_phase_seconds histogram",
 		`phase="w3_scan"`,
 		`phase="boundary"`,
+		`phase="w4_scan"`,
 		"crcserve_engine_phase_probes",
-		`phase="mitm_store"`,
-		`phase="mitm_probe"`,
 		"crcserve_pool_sessions 1",
 		"crcserve_flights_total 2",
-		`crcserve_pool_session_probes{poly="0x82608edb",width="32",max_hd="6"}`,
+		`crcserve_pool_session_probes{poly="0x82608edb",width="32",max_hd="6",max_probes="0",max_store_entries="0"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, phase := range []string{`phase="mitm_store"`, `phase="mitm_probe"`} {
+		if strings.Contains(out, phase) {
+			t.Errorf("exposition has %s: an endpoint ran a meet-in-the-middle join", phase)
 		}
 	}
 
@@ -130,6 +134,38 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	req.Header.Set("Accept", "text/plain")
 	check("accept text/plain", req)
+}
+
+// TestSessionSeriesPerLimits: two sessions of one polynomial and depth
+// that differ only in their limits are two pool entries, so every
+// per-session family renders them as two distinct series and the
+// exposition stays valid.
+func TestSessionSeriesPerLimits(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	for _, limits := range []*Limits{nil, {MaxProbes: 1 << 40, MaxStoreEntries: 4096}} {
+		req := smallEval
+		req.Limits = limits
+		if code, body := postJSON(t, ts.URL+"/v1/evaluate", req, nil); code != http.StatusOK {
+			t.Fatalf("evaluate with limits %+v: %d %s", limits, code, body)
+		}
+	}
+	m := getMetrics(t, ts) // fails on a duplicate series
+	for _, name := range []string{"crcserve_pool_session_probes", "crcserve_pool_session_restored"} {
+		if got := m.series(name, `poly="0x83"`); len(got) != 2 {
+			t.Errorf("%s: %d series for two sessions: %v", name, len(got), got)
+		}
+		for _, labels := range [][]string{
+			{`max_probes="0"`, `max_store_entries="0"`},
+			{`max_probes="1099511627776"`, `max_store_entries="4096"`},
+		} {
+			if got := m.series(name, labels...); len(got) != 1 {
+				t.Errorf("%s%v: %d series, want 1", name, labels, len(got))
+			}
+		}
+	}
+	if got := m.series("crcserve_pool_session_memo_entries", `kind="bound_weights"`); len(got) != 2 {
+		t.Errorf("crcserve_pool_session_memo_entries: %d bound_weights series for two sessions", len(got))
+	}
 }
 
 // BenchmarkWarmEvaluate measures the full warm-request path — ServeHTTP

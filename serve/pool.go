@@ -202,6 +202,7 @@ type sessionInfo struct {
 	Poly            string
 	Width           int
 	MaxHD           int
+	Limits          koopmancrc.Limits // clamped engine budgets, 0 = engine default
 	BoundWeights    int
 	ExactBoundaries int
 	WeightEntries   int
@@ -224,6 +225,7 @@ func (p *pool) sessions() []sessionInfo {
 			Poly:            hexStr(e.sess.poly.In(koopmancrc.Koopman)),
 			Width:           e.key.width,
 			MaxHD:           e.key.maxHD,
+			Limits:          e.key.limits,
 			BoundWeights:    m.BoundWeights,
 			ExactBoundaries: m.ExactBoundaries,
 			WeightEntries:   m.WeightEntries,

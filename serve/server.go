@@ -324,7 +324,7 @@ func decodeStatus(err error) int {
 func (s *Server) clampLimits(l *Limits) koopmancrc.Limits {
 	var out koopmancrc.Limits
 	if l != nil {
-		out = koopmancrc.Limits{MaxProbes: l.MaxProbes, MaxStoreEntries: l.MaxStoreEntries, MaxPairBuffer: l.MaxPairBuffer}
+		out = koopmancrc.Limits{MaxProbes: l.MaxProbes, MaxStoreEntries: l.MaxStoreEntries}
 	}
 	ceil := s.cfg.Limits
 	if ceil.MaxProbes > 0 && (out.MaxProbes <= 0 || out.MaxProbes > ceil.MaxProbes) {
@@ -332,9 +332,6 @@ func (s *Server) clampLimits(l *Limits) koopmancrc.Limits {
 	}
 	if ceil.MaxStoreEntries > 0 && (out.MaxStoreEntries <= 0 || out.MaxStoreEntries > ceil.MaxStoreEntries) {
 		out.MaxStoreEntries = ceil.MaxStoreEntries
-	}
-	if ceil.MaxPairBuffer > 0 && (out.MaxPairBuffer <= 0 || out.MaxPairBuffer > ceil.MaxPairBuffer) {
-		out.MaxPairBuffer = ceil.MaxPairBuffer
 	}
 	return out
 }

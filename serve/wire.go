@@ -56,7 +56,6 @@ func (r PolyRef) Polynomial() (koopmancrc.Polynomial, error) {
 type Limits struct {
 	MaxProbes       int64 `json:"max_probes,omitempty"`
 	MaxStoreEntries int   `json:"max_store_entries,omitempty"`
-	MaxPairBuffer   int   `json:"max_pair_buffer,omitempty"`
 }
 
 // EvaluateRequest asks for the HD-vs-length profile of one polynomial —
