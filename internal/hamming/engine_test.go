@@ -478,6 +478,10 @@ func TestSmallPeriodWeight2(t *testing.T) {
 	}
 }
 
+// TestU32Map checks first-write-wins lookups over colliding random keys
+// and over the structured keys the scans see for sparse generators, and
+// probes absent keys, including ones whose presence-filter bit a stored
+// key has set: those must fall through to the slots and still read -1.
 func TestU32Map(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 9))
 	m := newU32Map(1000)
@@ -501,27 +505,107 @@ func TestU32Map(t *testing.T) {
 			t.Fatalf("get(absent %d) = %d", k, got)
 		}
 	}
+	shared, cleared := 0, 0
+	for i := 0; i < 20000; i++ {
+		k := rng.Uint32()
+		if _, ok := ref[k]; ok {
+			continue
+		}
+		if filterHit(m, k) {
+			shared++
+		} else {
+			cleared++
+		}
+		if got := m.get(k); got != -1 {
+			t.Fatalf("get(absent %#x) = %d (filter bit set: %v)", k, got, filterHit(m, k))
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no absent key shared a filter bit; the false-positive path went untested")
+	}
+	if 8*shared > cleared {
+		t.Fatalf("%d of %d absent keys passed the filter, want under 1 in 8", shared, shared+cleared)
+	}
 	// Key 0 and value 0 are representable.
 	m2 := newU32Map(4)
 	m2.put(0, 0)
 	if got := m2.get(0); got != 0 {
 		t.Fatalf("get(0) = %d, want 0", got)
 	}
+
+	// Structured keys: single-bit and two-bit words (the syndromes x^i of
+	// the low positions) and the syndromes and stored 1^syn[c] of the two
+	// sparsest Table 1 generators, put into a map that starts empty so
+	// they cross several grows. Every other key is left out and must
+	// read -1.
+	var keys []uint32
+	for i := 0; i < 32; i++ {
+		keys = append(keys, 1<<i)
+		for j := i + 1; j < 32; j++ {
+			keys = append(keys, 1<<i|1<<j)
+		}
+	}
+	for _, p := range []poly.P{poly.KoopmanSparse5, poly.KoopmanSparse6} {
+		for _, s := range New(p).syndromes(4096) {
+			keys = append(keys, s, 1^s)
+		}
+	}
+	m = newU32Map(0)
+	ref = make(map[uint32]int32)
+	for i := 0; i < len(keys); i += 2 {
+		m.put(keys[i], int32(i))
+		if _, ok := ref[keys[i]]; !ok {
+			ref[keys[i]] = int32(i)
+		}
+	}
+	for k, v := range ref {
+		if got := m.get(k); got != v {
+			t.Fatalf("get(%#x) = %d, want %d", k, got, v)
+		}
+	}
+	for i := 1; i < len(keys); i += 2 {
+		if _, ok := ref[keys[i]]; ok {
+			continue
+		}
+		if got := m.get(keys[i]); got != -1 {
+			t.Fatalf("get(absent %#x) = %d", keys[i], got)
+		}
+	}
+}
+
+// filterHit reports whether key's presence bit is set in m's filter.
+func filterHit(m *u32map, key uint32) bool {
+	f := hash(key) >> (m.shift - 3)
+	return m.filter[f>>6]&(1<<(f&63)) != 0
 }
 
 // TestU32MapGrows fills a map sized for nothing far past its initial
-// capacity: every first write survives the doublings, load stays at most
+// capacity: every first write survives the doublings (key 0 with value
+// 0, the all-zero entry, is checked after each one), load stays at most
 // 50%, and each visits every key exactly once.
 func TestU32MapGrows(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 9))
 	m := newU32Map(0)
-	ref := make(map[uint32]int32)
-	for i := 0; i < 50000; i++ {
+	m.put(0, 0)
+	ref := map[uint32]int32{0: 0}
+	grows := 0
+	for i := 1; i < 50000; i++ {
 		k := rng.Uint32()
+		sz := len(m.slots)
 		m.put(k, int32(i))
 		if _, ok := ref[k]; !ok {
 			ref[k] = int32(i)
 		}
+		if len(m.slots) != sz {
+			grows++
+			if got := m.get(0); got != 0 || !filterHit(m, 0) {
+				t.Fatalf("after grow to %d slots: get(0) = %d (filter bit set: %v), want 0",
+					len(m.slots), got, filterHit(m, 0))
+			}
+		}
+	}
+	if grows < 10 {
+		t.Fatalf("%d grows, want at least 10", grows)
 	}
 	if 2*m.n > len(m.slots) || m.n != len(ref) {
 		t.Fatalf("%d entries in %d slots, want %d at <= 50%% load", m.n, len(m.slots), len(ref))

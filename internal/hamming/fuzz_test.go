@@ -1,0 +1,58 @@
+package hamming
+
+import (
+	"encoding/binary"
+	"testing"
+)
+
+// FuzzU32Map decodes the input into a sequence of put and get operations
+// on a map that starts empty (so it grows along the way) and checks each
+// against a Go map: the first write of a key wins, and an absent key
+// reads -1. Each operation is one control byte followed by the key's
+// bytes. Bit 0 of the control byte picks put or get, bits 1-2 the key's
+// size (1, 2 or 4 bytes; 3 reuses the previous key) and bits 3-7 a left
+// shift, so short inputs reach colliding, single-bit and high-bit keys.
+func FuzzU32Map(f *testing.F) {
+	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x06, 0x07})
+	f.Add([]byte{0x02, 0x01, 0x00, 0xf8, 0x01, 0xfa, 0x01, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte("\x00abcdefghijklmnopqrstuvwxyz0123456789\x01a\x01z\x01!"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := newU32Map(0)
+		ref := make(map[uint32]int32)
+		var key uint32
+		for op := int32(0); len(data) > 0; op++ {
+			ctl := data[0]
+			data = data[1:]
+			switch size := []int{1, 2, 4, 0}[ctl>>1&3]; {
+			case size > len(data):
+				return
+			case size > 0:
+				var buf [4]byte
+				copy(buf[:], data[:size])
+				data = data[size:]
+				key = binary.LittleEndian.Uint32(buf[:]) << (ctl >> 3)
+			}
+			if ctl&1 == 0 {
+				m.put(key, op)
+				if _, ok := ref[key]; !ok {
+					ref[key] = op
+				}
+				if m.n != len(ref) || 2*m.n > len(m.slots) {
+					t.Fatalf("%d entries in %d slots, want %d at <= 50%% load", m.n, len(m.slots), len(ref))
+				}
+			}
+			want, ok := ref[key]
+			if !ok {
+				want = -1
+			}
+			if got := m.get(key); got != want {
+				t.Fatalf("op %d: get(%#x) = %d, want %d", op, key, got, want)
+			}
+		}
+		for k, v := range ref {
+			if got := m.get(k); got != v {
+				t.Fatalf("get(%#x) = %d at the end, want %d", k, got, v)
+			}
+		}
+	})
+}

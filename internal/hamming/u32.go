@@ -7,10 +7,22 @@ import "math/bits"
 // built-in map is too slow. It doubles whenever an insert would take it
 // past 50% load; values are stored +1 so the zero word means "empty"
 // even for key 0.
+//
+// Almost every lookup in a scan is a miss, so a presence filter sits in
+// front of the slots: one bit array with 8 bits per slot, one byte per
+// slot against the slot's eight, so it stays in cache while the slots do
+// not. A key's filter bit is the 3 hash bits just below its slot index.
+// get answers a key whose bit is clear with -1 without reading a slot
+// and walks the probe chain only when the bit is set. The filter has no
+// false negatives: put sets the bit of every key it inserts, and grow
+// builds a fresh filter by putting every key again. A false positive (an
+// absent key sharing a bit, at most one chance in 16 at 50% load) falls
+// through to the slots, which answer -1.
 type u32map struct {
-	slots []uint64 // key<<32 | (value+1)
-	shift uint
-	n     int // entries held
+	slots  []uint64 // key<<32 | (value+1)
+	filter []uint64 // presence bits, 8 per slot
+	shift  uint
+	n      int // entries held
 }
 
 // newU32Map creates a map able to hold n entries at ~50% load before it
@@ -24,23 +36,26 @@ func newU32Map(n int) *u32map {
 		sz = 16
 	}
 	return &u32map{
-		slots: make([]uint64, sz),
-		shift: uint(64 - bits.Len(uint(sz-1))),
+		slots:  make([]uint64, sz),
+		filter: make([]uint64, sz/8),
+		shift:  uint(64 - bits.Len(uint(sz-1))),
 	}
 }
 
-func (m *u32map) idx(key uint32) int {
-	// Fibonacci hashing spreads the syndrome bits across the table.
-	return int((uint64(key) * 0x9E3779B97F4A7C15) >> m.shift)
-}
+// hash spreads the syndrome bits across the table (Fibonacci hashing):
+// the top bits pick the slot, the next 3 its filter bit.
+func hash(key uint32) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
 
 // put inserts key->val; for a key already present the first write wins.
 func (m *u32map) put(key uint32, val int32) {
 	if 2*(m.n+1) > len(m.slots) {
 		m.grow()
 	}
+	h := hash(key)
+	f := h >> (m.shift - 3)
+	m.filter[f>>6] |= 1 << (f & 63)
 	mask := len(m.slots) - 1
-	i := m.idx(key)
+	i := int(h >> m.shift)
 	for {
 		s := m.slots[i]
 		if s == 0 {
@@ -57,8 +72,12 @@ func (m *u32map) put(key uint32, val int32) {
 
 // get returns the value for key, or -1 if absent.
 func (m *u32map) get(key uint32) int32 {
+	h := hash(key)
+	if f := h >> (m.shift - 3); m.filter[f>>6]&(1<<(f&63)) == 0 {
+		return -1
+	}
 	mask := len(m.slots) - 1
-	i := m.idx(key)
+	i := int(h >> m.shift)
 	for {
 		s := m.slots[i]
 		if s == 0 {
@@ -118,7 +137,7 @@ func newU32Count(n int) *u32count {
 }
 
 func (m *u32count) idx(key uint32) int {
-	return int((uint64(key) * 0x9E3779B97F4A7C15) >> m.shift)
+	return int(hash(key) >> m.shift)
 }
 
 // add increments the count of key.
