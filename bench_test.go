@@ -28,13 +28,25 @@ import (
 func BenchmarkTable1ProfileColumn(b *testing.B) {
 	for _, col := range poly.Table1() {
 		b.Run(col.P.String(), func(b *testing.B) {
+			var work int64
 			for i := 0; i < b.N; i++ {
 				ev := hamming.New(col.P)
 				if _, err := ev.Profile(2048, 10); err != nil {
 					b.Fatal(err)
 				}
+				work += ev.Stats.Probes + ev.Stats.StoreOps
 			}
+			reportPerProbe(b, work)
 		})
+	}
+}
+
+// reportPerProbe reports the elapsed time per engine work operation
+// (probe or store insert): the cost of one lookup or insert in the scan
+// kernels, apart from how many of them the search makes.
+func reportPerProbe(b *testing.B, work int64) {
+	if work > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(work), "ns/probe")
 	}
 }
 
@@ -93,6 +105,7 @@ func BenchmarkTable2CensusWidth12(b *testing.B) {
 // BenchmarkWeightsW4MTU computes the §3 exact weight W4 = 223059 of the
 // 802.3 polynomial at MTU length.
 func BenchmarkWeightsW4MTU(b *testing.B) {
+	var work int64
 	for i := 0; i < b.N; i++ {
 		ev := hamming.New(poly.IEEE8023)
 		w4, err := ev.Weight(4, paperdata.MTUDataBits)
@@ -102,7 +115,9 @@ func BenchmarkWeightsW4MTU(b *testing.B) {
 		if w4 != 223059 {
 			b.Fatalf("W4 = %d", w4)
 		}
+		work += ev.Stats.Probes + ev.Stats.StoreOps
 	}
+	reportPerProbe(b, work)
 }
 
 // BenchmarkWeightsW4Breakpoint computes W4(2975) = 1, the §4.1 example.

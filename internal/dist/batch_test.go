@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -78,4 +80,65 @@ func TestBatchDecodeRejectsGarbage(t *testing.T) {
 	if _, err := decodeBatch(smuggled); err == nil {
 		t.Error("smuggled non-result message should be rejected")
 	}
+}
+
+// FuzzDecodeBatch feeds decodeBatch an arbitrary claimed count and batch
+// string, as an untrusted worker could send them. It must never panic;
+// every batch it accepts must hold exactly the claimed number of
+// messages, all results, and re-encoding what it returned must decode to
+// messages with the same wire form (an empty list and an absent one
+// travel alike). The seeds are encoded by encodeBatch, and each must
+// round-trip exactly before fuzzing starts.
+func FuzzDecodeBatch(f *testing.F) {
+	for _, results := range [][]*message{
+		{{Type: msgResult, Worker: "w", JobID: 1, Canonical: 3, Survivors: []uint64{0x80, 0x83}, ElapsedNS: 12}},
+		{{Type: msgResult, JobID: 4}, {Type: msgResult, JobID: 9, Survivors: []uint64{0xff},
+			Stages: []StageStat{{Name: "hd", In: 40, Out: 3, ElapsedNS: 99}}}},
+	} {
+		b, err := encodeBatch("w", results)
+		if err != nil {
+			f.Fatal(err)
+		}
+		got, err := decodeBatch(b)
+		if err != nil || !reflect.DeepEqual(got, results) {
+			f.Fatalf("seed did not round-trip: %v, %+v", err, got)
+		}
+		f.Add(b.Count, b.Batch)
+	}
+	f.Add(1, "not base64!!")
+	f.Add(1, "aGVsbG8=")
+	f.Add(maxBatchResults+1, "")
+	f.Fuzz(func(t *testing.T, count int, batch string) {
+		got, err := decodeBatch(&message{Type: msgResultBatch, Worker: "x", Batch: batch, Count: count})
+		if err != nil {
+			return
+		}
+		if len(got) != count {
+			t.Fatalf("accepted a batch claiming %d results holding %d", count, len(got))
+		}
+		for i, r := range got {
+			if r.Type != msgResult {
+				t.Fatalf("result %d has type %q", i, r.Type)
+			}
+		}
+		b, err := encodeBatch("x", got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeBatch(b)
+		if err != nil {
+			t.Fatalf("re-encoded batch rejected: %v", err)
+		}
+		want, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wire, want) {
+			t.Fatalf("re-encoded batch decoded to %s, want %s", wire, want)
+		}
+	})
 }

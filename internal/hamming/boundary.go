@@ -96,9 +96,11 @@ func (e *Evaluator) firstLen3(maxLen int) (int, []int, bool, error) {
 }
 
 // firstLen4 is the incremental pair scan: for each new maximum position c it
-// probes every pair {b,c} against the stored {0,a} syndromes. The first hit
-// is the exact weight-4 boundary; the scan is O(c*^2) with a small
-// cache-resident hash table.
+// probes every pair {b,c} against the stored {0,a} syndromes, the whole
+// row of b at once through the store's sieve, and looks up only the few
+// pairs that pass. The first hit is the exact weight-4 boundary; the scan
+// is O(c*^2) with a small cache-resident hash table. An early exit
+// credits the b probes up to the hit, as a pair-at-a-time walk would.
 func (e *Evaluator) firstLen4(maxLen int) (int, []int, bool, error) {
 	if err := e.begin(4, maxLen); err != nil {
 		return 0, nil, false, err
@@ -107,6 +109,7 @@ func (e *Evaluator) firstLen4(maxLen int) (int, []int, bool, error) {
 	n := e.codewordLen(maxLen)
 	syn := e.syndromes(n)
 	m := newU32Map(n)
+	out := e.rowScratch(n)
 	// Probes fold into Stats row by row (not once at the end) so the
 	// counts carried by progress events stay live through what can be a
 	// multi-minute scan; start anchors this call's budget check.
@@ -116,7 +119,8 @@ func (e *Evaluator) firstLen4(maxLen int) (int, []int, bool, error) {
 			return 0, nil, false, err
 		}
 		sc := syn[c]
-		for b := 1; b < c; b++ {
+		for _, i := range m.sieve(syn[1:c], sc, out) {
+			b := 1 + int(i)
 			if a := m.get(syn[b] ^ sc); a >= 0 {
 				ia := int(a)
 				if ia == b || ia == c {

@@ -627,6 +627,92 @@ func TestU32MapGrows(t *testing.T) {
 	}
 }
 
+// TestU32MapSieve checks the row kernel against the stores' own
+// contents. Rows are random keys and structured ones (single- and
+// two-bit words and the syndromes of the two sparsest Table 1
+// generators), each XORed with x the way the scans build them. The keys
+// at even indexes are held, in a map that starts empty and grows while
+// it is filled. u32map.sieve must return, in ascending order, every held
+// key and exactly the keys whose filter bit is set; mapSet.sieve and
+// bitmapSet.sieve must return exactly the held keys. One scratch buffer
+// serves a long row, two short rows ending in a held key and a long row
+// again, so a stale index from an earlier row would show.
+func TestU32MapSieve(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	random := make([]uint32, 3001)
+	for i := range random {
+		random[i] = rng.Uint32()
+	}
+	var structured []uint32
+	for i := 0; i < 32; i++ {
+		structured = append(structured, 1<<i)
+		for j := i + 1; j < 32; j++ {
+			structured = append(structured, 1<<i|1<<j)
+		}
+	}
+	for _, p := range []poly.P{poly.KoopmanSparse5, poly.KoopmanSparse6} {
+		structured = append(structured, New(p).syndromes(2048)...)
+	}
+	const bitmapMask = 1<<20 - 1 // the bitmap covers 20-bit syndromes
+	for _, keys := range [][]uint32{random, structured} {
+		m := newU32Map(0)
+		b := bitmapSet(make([]uint64, (bitmapMask+1)/64))
+		inMap := make(map[uint32]bool)
+		inBitmap := make(map[uint32]bool)
+		for i := 0; i < len(keys); i += 2 {
+			m.put(keys[i], int32(i))
+			inMap[keys[i]] = true
+			b.add(keys[i] & bitmapMask)
+			inBitmap[keys[i]&bitmapMask] = true
+		}
+		out := make([]int32, len(keys))
+		for _, x := range []uint32{0, rng.Uint32()} {
+			for _, l := range []int{len(keys), 7, 1, len(keys)} {
+				row := make([]uint32, l)
+				bitmapRow := make([]uint32, l)
+				for i := range row {
+					row[i] = keys[i] ^ x
+					bitmapRow[i] = row[i] & bitmapMask
+				}
+				held := func(i int) bool { return inMap[keys[i]] }
+				checkSieve(t, "u32map", m.sieve(row, x, out), l, held,
+					func(i int) bool { return filterHit(m, keys[i]) })
+				checkSieve(t, "mapSet", mapSet{m}.sieve(row, x, out), l, held, held)
+				heldBitmap := func(i int) bool { return inBitmap[keys[i]&bitmapMask] }
+				checkSieve(t, "bitmapSet", b.sieve(bitmapRow, x&bitmapMask, out), l, heldBitmap, heldBitmap)
+			}
+		}
+	}
+}
+
+// checkSieve asserts that got, a sieve's output over a row of l keys,
+// holds in strictly ascending order exactly the indexes i with pass(i),
+// and that these include every i with held(i).
+func checkSieve(t *testing.T, name string, got []int32, l int, held, pass func(int) bool) {
+	t.Helper()
+	next := 0 // every index below next is accounted for
+	for _, gi := range got {
+		i := int(gi)
+		if i < next || i >= l {
+			t.Fatalf("%s: index %d out of order or outside the %d-key row (output %v)", name, i, l, got)
+		}
+		for ; next < i; next++ {
+			if held(next) || pass(next) {
+				t.Fatalf("%s: index %d missing from a %d-key row (held %v)", name, next, l, held(next))
+			}
+		}
+		if !pass(i) {
+			t.Fatalf("%s: index %d returned, but its key does not pass", name, i)
+		}
+		next = i + 1
+	}
+	for ; next < l; next++ {
+		if held(next) || pass(next) {
+			t.Fatalf("%s: index %d missing from a %d-key row (held %v)", name, next, l, held(next))
+		}
+	}
+}
+
 func TestU32Count(t *testing.T) {
 	f := func(keys []uint16) bool {
 		c := newU32Count(len(keys) + 1)

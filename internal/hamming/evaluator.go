@@ -170,6 +170,7 @@ type Evaluator struct {
 	periodSet bool
 
 	bitmap []uint64 // lazily allocated 2^width-bit scratch set
+	hits   []int32  // sieve output scratch, reused across rows and queries
 
 	bruteBudget int64 // per-call probe budget of the brute engine
 
@@ -328,4 +329,13 @@ func (e *Evaluator) bitset() []uint64 {
 	e.bitmap = e.bitmap[:words]
 	clear(e.bitmap)
 	return e.bitmap
+}
+
+// rowScratch returns the sieve output scratch, with room for a row of n
+// keys.
+func (e *Evaluator) rowScratch(n int) []int32 {
+	if cap(e.hits) < n {
+		e.hits = make([]int32, n)
+	}
+	return e.hits
 }

@@ -100,27 +100,60 @@ func (e *Evaluator) verifyWitness(w, n int, witness []int) error {
 	return nil
 }
 
-// synSet is a presence set over syndrome values.
+// synSet is a presence set over syndrome values. The probe side asks it
+// about a whole row at once: sieve returns, in ascending order, exactly
+// the indexes i whose value row[i]^x is held, so a scan makes one
+// interface call per row, not per probe. out is scratch of capacity at
+// least len(row); the result aliases it.
 type synSet interface {
 	add(uint32)
-	has(uint32) bool
+	sieve(row []uint32, x uint32, out []int32) []int32
 }
 
 // bitmapSet covers the whole 2^width syndrome space; exact and O(1), used
 // when the store side is large.
 type bitmapSet []uint64
 
-func (b bitmapSet) add(v uint32)      { b[v>>6] |= 1 << (v & 63) }
-func (b bitmapSet) has(v uint32) bool { return b[v>>6]&(1<<(v&63)) != 0 }
+func (b bitmapSet) add(v uint32) { b[v>>6] |= 1 << (v & 63) }
+
+// sieve reads each value's bit in the same branch-free loop as
+// u32map.sieve; the bitmap is exact, so no second pass follows.
+func (b bitmapSet) sieve(row []uint32, x uint32, out []int32) []int32 {
+	if len(b) == 0 {
+		return out[:0] // never true; it lets the mask below drop the bounds check
+	}
+	mask := len(b) - 1
+	out = out[:len(row)]
+	k := 0
+	for i, s := range row {
+		v := s ^ x
+		out[k] = int32(i)
+		k += int(b[int(v>>6)&mask] >> (v & 63) & 1)
+	}
+	return out[:k]
+}
 
 // mapSet is a compact open-addressed presence set for small store sides,
 // avoiding the 512 MiB bitmap for 32-bit generators on trivial queries.
 // It grows with its contents.
 type mapSet struct{ m *u32map }
 
-func newMapSet(n int) mapSet       { return mapSet{m: newU32Map(n)} }
-func (s mapSet) add(v uint32)      { s.m.put(v, 0) }
-func (s mapSet) has(v uint32) bool { return s.m.get(v) >= 0 }
+func newMapSet(n int) mapSet  { return mapSet{m: newU32Map(n)} }
+func (s mapSet) add(v uint32) { s.m.put(v, 0) }
+
+// sieve runs the row through the map's presence filter, then looks up
+// only the indexes that pass and keeps those actually held.
+func (s mapSet) sieve(row []uint32, x uint32, out []int32) []int32 {
+	hits := s.m.sieve(row, x, out)
+	k := 0
+	for _, i := range hits {
+		if s.m.get(row[i]^x) >= 0 {
+			hits[k] = i
+			k++
+		}
+	}
+	return hits[:k]
+}
 
 // enumStore inserts the syndromes of all k-subsets of positions [1, n),
 // each XORed with acc. The weight w and data length of the enclosing
@@ -162,8 +195,11 @@ func (e *Evaluator) enumStore(syn []uint32, n, k int, acc uint32, set synSet, w,
 
 // probe enumerates q-subsets of [1, n) joined with the fixed positions,
 // testing each syndrome against the store set of p-subsets of [1, n);
-// hits are resolved into explicit disjoint witnesses. The weight w and
-// data length of the enclosing query label progress events.
+// hits are resolved into explicit disjoint witnesses. The innermost
+// position runs as a row: one sieve call tests the syndromes of every
+// choice of it at once, and only the returned hits are resolved. The
+// weight w and data length of the enclosing query label progress
+// events.
 func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w, dataLen int) ([]int, bool, error) {
 	var base uint32
 	for _, f := range fixed {
@@ -172,13 +208,13 @@ func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w,
 	probeSet := func(pos ...int) []int {
 		return append(append(make([]int, 0, len(fixed)+len(pos)), fixed...), pos...)
 	}
+	out := e.rowScratch(n)
 	switch q {
 	case 1:
-		for b := 1; b < n; b++ {
-			if set.has(base ^ syn[b]) {
-				if wit, ok := e.resolve(syn, n, p, base^syn[b], probeSet(b)); ok {
-					return wit, true, nil
-				}
+		for _, i := range set.sieve(syn[1:n], base, out) {
+			b := 1 + int(i)
+			if wit, ok := e.resolve(syn, n, p, base^syn[b], probeSet(b)); ok {
+				return wit, true, nil
 			}
 		}
 		e.Stats.Probes += int64(n - 1)
@@ -188,11 +224,10 @@ func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w,
 				return nil, false, err
 			}
 			vb := base ^ syn[b]
-			for c := b + 1; c < n; c++ {
-				if set.has(vb ^ syn[c]) {
-					if wit, ok := e.resolve(syn, n, p, vb^syn[c], probeSet(b, c)); ok {
-						return wit, true, nil
-					}
+			for _, i := range set.sieve(syn[b+1:n], vb, out) {
+				c := b + 1 + int(i)
+				if wit, ok := e.resolve(syn, n, p, vb^syn[c], probeSet(b, c)); ok {
+					return wit, true, nil
 				}
 			}
 			e.Stats.Probes += int64(n - 1 - b)
@@ -205,27 +240,34 @@ func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w,
 					return nil, false, err
 				}
 				vc := vb ^ syn[c]
-				for d := c + 1; d < n; d++ {
-					if set.has(vc ^ syn[d]) {
-						if wit, ok := e.resolve(syn, n, p, vc^syn[d], probeSet(b, c, d)); ok {
-							return wit, true, nil
-						}
+				for _, i := range set.sieve(syn[c+1:n], vc, out) {
+					d := c + 1 + int(i)
+					if wit, ok := e.resolve(syn, n, p, vc^syn[d], probeSet(b, c, d)); ok {
+						return wit, true, nil
 					}
 				}
 				e.Stats.Probes += int64(n - 1 - c)
 			}
 		}
 	default:
+		// The last position's row is sieved once; probes are still
+		// counted and ticked one by one, so cancel points and counts
+		// match a probe-at-a-time walk.
 		pos := make([]int, 0, q)
 		var rec func(start, left int, acc uint32) ([]int, bool, error)
 		rec = func(start, left int, acc uint32) ([]int, bool, error) {
-			if left == 0 {
-				e.Stats.Probes++
-				if err := e.tick(w, dataLen, 1); err != nil {
-					return nil, false, err
-				}
-				if set.has(acc) {
-					if wit, ok := e.resolve(syn, n, p, acc, probeSet(pos...)); ok {
+			if left == 1 {
+				hits := set.sieve(syn[start:n], acc, out)
+				for i := start; i < n; i++ {
+					e.Stats.Probes++
+					if err := e.tick(w, dataLen, 1); err != nil {
+						return nil, false, err
+					}
+					if len(hits) == 0 || start+int(hits[0]) != i {
+						continue
+					}
+					hits = hits[1:]
+					if wit, ok := e.resolve(syn, n, p, acc^syn[i], probeSet(append(pos, i)...)); ok {
 						return wit, true, nil
 					}
 				}

@@ -12,6 +12,10 @@ import (
 // bytes. Bit 0 of the control byte picks put or get, bits 1-2 the key's
 // size (1, 2 or 4 bytes; 3 reuses the previous key) and bits 3-7 a left
 // shift, so short inputs reach colliding, single-bit and high-bit keys.
+// Every operation also sieves a small row holding the key, its
+// neighbours and the previous key, XORed with a value drawn from the
+// operation count: the output must be ascending, name every held key
+// and pass a key only if its filter bit is set.
 func FuzzU32Map(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x06, 0x07})
 	f.Add([]byte{0x02, 0x01, 0x00, 0xf8, 0x01, 0xfa, 0x01, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff})
@@ -19,7 +23,8 @@ func FuzzU32Map(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newU32Map(0)
 		ref := make(map[uint32]int32)
-		var key uint32
+		var key, prev uint32
+		out := make([]int32, 4)
 		for op := int32(0); len(data) > 0; op++ {
 			ctl := data[0]
 			data = data[1:]
@@ -48,6 +53,16 @@ func FuzzU32Map(f *testing.F) {
 			if got := m.get(key); got != want {
 				t.Fatalf("op %d: get(%#x) = %d, want %d", op, key, got, want)
 			}
+			probed := []uint32{key - 1, key, key + 1, prev}
+			x := uint32(op) * 0x9E3779B9
+			row := make([]uint32, len(probed))
+			for i, k := range probed {
+				row[i] = k ^ x
+			}
+			checkSieve(t, "u32map", m.sieve(row, x, out), len(row),
+				func(i int) bool { _, ok := ref[probed[i]]; return ok },
+				func(i int) bool { return filterHit(m, probed[i]) })
+			prev = key
 		}
 		for k, v := range ref {
 			if got := m.get(k); got != v {

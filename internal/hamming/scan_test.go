@@ -49,81 +49,96 @@ func checkBoundaryWitness(t *testing.T, e *Evaluator, w, dataLen int, wit []int)
 }
 
 // TestScanMatchesDirectAndBrute cross-checks the boundary scans against
-// the §4.1 direct search and a brute-force boundary on random 8..16-bit
-// generators, weights 2..8 — including generators with lower-weight
-// patterns inside the range, whose degenerate store hits the scan must
-// resolve away. Exists, HDAt and MeetsHD, which run on the same scans,
-// must agree with those boundaries at lengths on both sides of each.
+// the §4.1 direct search and a brute-force boundary on random generators:
+// 8..16 bits at weights 2..8, and 21..24 bits at weights 2..6, where the
+// scan and the direct search keep their store in the compact hash set
+// instead of the bitmap, so the brute force (which shares no code with
+// probe) is the only independent check of that path. The random
+// generators include ones with lower-weight patterns inside the range,
+// whose degenerate store hits the scan must resolve away. Exists, HDAt
+// and MeetsHD, which run on the same scans, must agree with those
+// boundaries at lengths on both sides of each.
 func TestScanMatchesDirectAndBrute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1313, 13))
-	const maxLen, maxHD = 40, 8
-	for trial := 0; trial < 24; trial++ {
-		p := randPoly(rng, 8+int(rng.Uint64N(9)))
-		e := New(p)
-		boundary := map[int]int{} // weight -> brute boundary, 0 if none
-		lengths := map[int]bool{1: true, maxLen: true}
-		for w := 2; w <= maxHD; w++ {
-			got, wit, found, err := e.FirstDataLen(w, maxLen)
+	for _, tc := range []struct{ minWidth, maxWidth, maxLen, maxHD, trials int }{
+		{8, 16, 40, 8, 24},
+		{21, 24, 64, 6, 6},
+	} {
+		for trial := 0; trial < tc.trials; trial++ {
+			p := randPoly(rng, tc.minWidth+int(rng.Uint64N(uint64(tc.maxWidth-tc.minWidth+1))))
+			checkScanAgainstBrute(t, p, tc.maxLen, tc.maxHD)
+		}
+	}
+}
+
+// checkScanAgainstBrute runs TestScanMatchesDirectAndBrute's checks on
+// one generator.
+func checkScanAgainstBrute(t *testing.T, p poly.P, maxLen, maxHD int) {
+	t.Helper()
+	e := New(p)
+	boundary := map[int]int{} // weight -> brute boundary, 0 if none
+	lengths := map[int]bool{1: true, maxLen: true}
+	for w := 2; w <= maxHD; w++ {
+		got, wit, found, err := e.FirstDataLen(w, maxLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, _, dfound, err := e.FirstDataLenStrategy(w, maxLen, StrategyDirect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteBoundary(t, e, w, maxLen)
+		if found != (want > 0) || (found && got != want) {
+			t.Fatalf("%v w=%d: scan=(%d,%v), brute boundary %d", p, w, got, found, want)
+		}
+		if dfound != found || direct != got {
+			t.Fatalf("%v w=%d: scan=(%d,%v), direct=(%d,%v)", p, w, got, found, direct, dfound)
+		}
+		if found {
+			checkBoundaryWitness(t, e, w, got, wit)
+			lengths[want] = true
+			if want > 1 {
+				lengths[want-1] = true
+			}
+		}
+		boundary[w] = want
+	}
+	for n := range lengths {
+		wantHD := maxHD + 1
+		for w := maxHD; w >= 2; w-- {
+			if b := boundary[w]; b > 0 && b <= n {
+				wantHD = w
+			}
+			wit, found, err := e.Exists(w, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, _, dfound, err := e.FirstDataLenStrategy(w, maxLen, StrategyDirect)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := bruteBoundary(t, e, w, maxLen)
-			if found != (want > 0) || (found && got != want) {
-				t.Fatalf("%v w=%d: scan=(%d,%v), brute boundary %d", p, w, got, found, want)
-			}
-			if dfound != found || direct != got {
-				t.Fatalf("%v w=%d: scan=(%d,%v), direct=(%d,%v)", p, w, got, found, direct, dfound)
+			if b := boundary[w]; found != (b > 0 && b <= n) {
+				t.Fatalf("%v Exists(%d, %d) = %v, brute boundary %d", p, w, n, found, b)
 			}
 			if found {
-				checkBoundaryWitness(t, e, w, got, wit)
-				lengths[want] = true
-				if want > 1 {
-					lengths[want-1] = true
-				}
-			}
-			boundary[w] = want
-		}
-		for n := range lengths {
-			wantHD := maxHD + 1
-			for w := maxHD; w >= 2; w-- {
-				if b := boundary[w]; b > 0 && b <= n {
-					wantHD = w
-				}
-				wit, found, err := e.Exists(w, n)
-				if err != nil {
+				if err := e.verifyWitness(w, e.codewordLen(n), wit); err != nil {
 					t.Fatal(err)
 				}
-				if b := boundary[w]; found != (b > 0 && b <= n) {
-					t.Fatalf("%v Exists(%d, %d) = %v, brute boundary %d", p, w, n, found, b)
-				}
-				if found {
-					if err := e.verifyWitness(w, e.codewordLen(n), wit); err != nil {
-						t.Fatal(err)
-					}
-				}
 			}
-			hd, exact, err := e.HDAt(n, maxHD)
+		}
+		hd, exact, err := e.HDAt(n, maxHD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hd != wantHD || exact != (wantHD <= maxHD) {
+			t.Fatalf("%v HDAt(%d) = %d (exact %v), brute boundaries give %d", p, n, hd, exact, wantHD)
+		}
+		for _, minHD := range []int{wantHD, wantHD + 1} {
+			if minHD > maxHD+1 {
+				break // needs weights past the brute boundaries
+			}
+			ok, err := e.MeetsHD(n, minHD)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hd != wantHD || exact != (wantHD <= maxHD) {
-				t.Fatalf("%v HDAt(%d) = %d (exact %v), brute boundaries give %d", p, n, hd, exact, wantHD)
-			}
-			for _, minHD := range []int{wantHD, wantHD + 1} {
-				if minHD > maxHD+1 {
-					break // needs weights past the brute boundaries
-				}
-				ok, err := e.MeetsHD(n, minHD)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok != (minHD <= wantHD) {
-					t.Fatalf("%v MeetsHD(%d, %d) = %v at HD %d", p, n, minHD, ok, wantHD)
-				}
+			if ok != (minHD <= wantHD) {
+				t.Fatalf("%v MeetsHD(%d, %d) = %v at HD %d", p, n, minHD, ok, wantHD)
 			}
 		}
 	}

@@ -12,12 +12,14 @@ import "math/bits"
 // front of the slots: one bit array with 8 bits per slot, one byte per
 // slot against the slot's eight, so it stays in cache while the slots do
 // not. A key's filter bit is the 3 hash bits just below its slot index.
-// get answers a key whose bit is clear with -1 without reading a slot
-// and walks the probe chain only when the bit is set. The filter has no
-// false negatives: put sets the bit of every key it inserts, and grow
-// builds a fresh filter by putting every key again. A false positive (an
-// absent key sharing a bit, at most one chance in 16 at 50% load) falls
-// through to the slots, which answer -1.
+// The scans that probe rows of keys do not look them up one at a time:
+// sieve runs a whole row through the filter in one branch-free loop and
+// returns the few keys that pass, and only those go to get, which walks
+// the probe chain. The filter has no false negatives: put sets the bit
+// of every key it inserts, and grow builds a fresh filter by putting
+// every key again. A false positive (an absent key sharing a bit, at
+// most one chance in 16 at 50% load) passes the sieve and get answers
+// it with -1.
 type u32map struct {
 	slots  []uint64 // key<<32 | (value+1)
 	filter []uint64 // presence bits, 8 per slot
@@ -88,6 +90,28 @@ func (m *u32map) get(key uint32) int32 {
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// sieve returns the indexes i, in ascending order, whose key row[i]^x
+// passes the presence filter: every key held is among them, and an
+// absent key only on a false positive. out is scratch of capacity at
+// least len(row); the result aliases it. Every index is written and the
+// count advances by the filter bit, so the loop has no data-dependent
+// branch, and the power-of-two mask drops the filter's bounds check.
+func (m *u32map) sieve(row []uint32, x uint32, out []int32) []int32 {
+	filter, shift := m.filter, m.shift-3
+	if len(filter) == 0 {
+		return out[:0] // never true; it lets the mask below drop the bounds check
+	}
+	fmask := len(filter) - 1
+	out = out[:len(row)]
+	k := 0
+	for i, key := range row {
+		f := hash(key^x) >> shift
+		out[k] = int32(i)
+		k += int(filter[int(f>>6)&fmask] >> (f & 63) & 1)
+	}
+	return out[:k]
 }
 
 // grow doubles the table and re-inserts every entry.

@@ -88,7 +88,8 @@ func (e *Evaluator) weight3(dataLen int) (uint64, error) {
 // weight4 counts weight-4 multiples of G with the firstLen4 pair scan
 // run to the end instead of stopping at the first hit: for each largest
 // position c, every pair {b,c} is probed against the stored {0,a}
-// syndromes (a < c), and each canonical pattern {0,a,b,c} — found once
+// syndromes (a < c), the row of b sieved at once and only its hits
+// looked up, and each canonical pattern {0,a,b,c} — found once
 // with a < b and once with the middle positions swapped — is credited
 // with its n-c translates, as in weight3. One pass costs C(n-1,2) probes
 // and O(n) memory. The stored syndromes are distinct only while W2 = 0
@@ -106,6 +107,7 @@ func (e *Evaluator) weight4(dataLen int) (uint64, error) {
 	defer e.spanStart(SpanW4Count, 4, dataLen)()
 	syn := e.syndromes(n)
 	m := newU32Map(n)
+	out := e.rowScratch(n)
 	var total, shapes, mirrored uint64
 	for c := 1; c < n; c++ {
 		if err := e.tick(4, dataLen, int64(c-1)); err != nil {
@@ -116,7 +118,8 @@ func (e *Evaluator) weight4(dataLen int) (uint64, error) {
 			// x^c = 1 mod G: {0, c} is a weight-2 codeword.
 			return 0, fmt.Errorf("hamming: W2 > 0 at data length %d; the weight-4 pair scan needs W2 = 0", dataLen)
 		}
-		for b := 1; b < c; b++ {
+		for _, i := range m.sieve(syn[1:c], sc, out) {
+			b := 1 + int(i)
 			if a := m.get(syn[b] ^ sc); a >= 0 {
 				if int(a) < b {
 					shapes++
