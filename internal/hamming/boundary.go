@@ -108,6 +108,7 @@ func (e *Evaluator) firstLen4(maxLen int) (int, []int, bool, error) {
 	defer e.spanStart(SpanW4Scan, 4, maxLen)()
 	n := e.codewordLen(maxLen)
 	syn := e.syndromes(n)
+	hsyn := e.hsyn[:n]
 	m := newU32Map(n)
 	out := e.rowScratch(n)
 	// Probes fold into Stats row by row (not once at the end) so the
@@ -119,7 +120,7 @@ func (e *Evaluator) firstLen4(maxLen int) (int, []int, bool, error) {
 			return 0, nil, false, err
 		}
 		sc := syn[c]
-		for _, i := range m.sieve(syn[1:c], sc, out) {
+		for _, i := range m.sieve(hsyn[1:c], hsyn[c], out) {
 			b := 1 + int(i)
 			if a := m.get(syn[b] ^ sc); a >= 0 {
 				ia := int(a)

@@ -2,6 +2,7 @@ package hamming
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -573,10 +574,121 @@ func TestU32Map(t *testing.T) {
 	}
 }
 
-// filterHit reports whether key's presence bit is set in m's filter.
+// filterHit reports whether key's presence bit is set in m's filter:
+// bit lin(key) of a filter with 8 bits per slot.
 func filterHit(m *u32map, key uint32) bool {
-	f := hash(key) >> (m.shift - 3)
+	f := lin(key) & uint32(8*len(m.slots)-1)
 	return m.filter[f>>6]&(1<<(f&63)) != 0
+}
+
+// hashRow returns lin of every key in row, the pre-hashed row a sieve
+// takes.
+func hashRow(row []uint32) []uint32 {
+	h := make([]uint32, len(row))
+	for i, k := range row {
+		h[i] = lin(k)
+	}
+	return h
+}
+
+// TestLinearFilterHash checks the presence filter's hash against its
+// contract: lin is linear over GF(2) (lin(0) = 0, lin(a^b) =
+// lin(a)^lin(b) over random pairs and every pair of single-bit words),
+// invertible (its 32 columns are independent, so every filter size's
+// index bits are independent functions of the key), and the
+// evaluator's hsyn holds lin of every syndrome after syndromes extends
+// the table in uneven steps.
+func TestLinearFilterHash(t *testing.T) {
+	if got := lin(0); got != 0 {
+		t.Fatalf("lin(0) = %#x, want 0", got)
+	}
+	rng := rand.New(rand.NewPCG(4, 9))
+	for i := 0; i < 100000; i++ {
+		a, b := rng.Uint32(), rng.Uint32()
+		if lin(a^b) != lin(a)^lin(b) {
+			t.Fatalf("lin(%#x ^ %#x) = %#x, want %#x", a, b, lin(a^b), lin(a)^lin(b))
+		}
+	}
+	var basis [32]uint32 // basis[b]: a reduced column with top bit b
+	for i := 0; i < 32; i++ {
+		for j := 0; j < 32; j++ {
+			a, b := uint32(1)<<i, uint32(1)<<j
+			if lin(a^b) != lin(a)^lin(b) {
+				t.Fatalf("lin(%#x ^ %#x) = %#x, want %#x", a, b, lin(a^b), lin(a)^lin(b))
+			}
+		}
+		r := lin(1 << i)
+		for r != 0 && basis[bits.Len32(r)-1] != 0 {
+			r ^= basis[bits.Len32(r)-1]
+		}
+		if r == 0 {
+			t.Fatalf("column %d of lin is in the span of columns 0..%d", i, i-1)
+		}
+		basis[bits.Len32(r)-1] = r
+	}
+	for _, p := range []poly.P{poly.IEEE8023, poly.KoopmanSparse5, randPoly(rng, 12)} {
+		e := New(p)
+		for _, n := range []int{1, 2, 7, 300, 301, 1000, 999, 4099} {
+			syn := e.syndromes(n)
+			if len(syn) != n || len(e.hsyn) != len(e.syn) {
+				t.Fatalf("%v: syndromes(%d) gave %d, with %d syndromes and %d hashes held",
+					p, n, len(syn), len(e.syn), len(e.hsyn))
+			}
+			for i, s := range e.syn {
+				if e.hsyn[i] != lin(s) {
+					t.Fatalf("%v: hsyn[%d] = %#x after syndromes(%d), want lin(%#x) = %#x",
+						p, i, e.hsyn[i], n, s, lin(s))
+				}
+			}
+		}
+	}
+}
+
+// TestFilterOnScanKeys bounds the presence filter's false positives on
+// the structured keys the scans make, not just random ones: for each
+// Table 1 generator (the sparsest two, KoopmanSparse5 and
+// KoopmanSparse6, among them) it builds firstLen4's store of 1^syn[a]
+// at 1056 codeword bits and sieves every row of pair keys syn[b]^syn[c]
+// as the scan does. Every held key must pass, and absent keys that pass
+// must stay under 1 in 8, the bound TestU32Map sets for random keys.
+func TestFilterOnScanKeys(t *testing.T) {
+	const n = 1056
+	for _, col := range poly.Table1() {
+		e := New(col.P)
+		syn := e.syndromes(n)
+		hsyn := e.hsyn[:n]
+		m := newU32Map(n)
+		held := make(map[uint32]bool)
+		for a := 1; a < n; a++ {
+			m.put(1^syn[a], int32(a))
+			held[1^syn[a]] = true
+		}
+		out := make([]int32, n)
+		passed, absent := 0, 0
+		for c := 2; c < n; c++ {
+			hits := m.sieve(hsyn[1:c], hsyn[c], out)
+			for b := 1; b < c; b++ {
+				pass := len(hits) > 0 && int(hits[0]) == b-1
+				if pass {
+					hits = hits[1:]
+				}
+				key := syn[b] ^ syn[c]
+				switch {
+				case held[key] && !pass:
+					t.Fatalf("%s: held key syn[%d]^syn[%d] = %#x did not pass the sieve", col.Label, b, c, key)
+				case !held[key]:
+					absent++
+					if pass {
+						passed++
+					}
+				}
+			}
+		}
+		if 8*passed >= absent {
+			t.Errorf("%s: %d of %d absent scan keys passed the filter, want under 1 in 8", col.Label, passed, absent)
+		}
+		t.Logf("%s: %d of %d absent scan keys passed (%.4f)", col.Label, passed, absent, float64(passed)/float64(absent))
+	}
 }
 
 // TestU32MapGrows fills a map sized for nothing far past its initial
@@ -628,7 +740,8 @@ func TestU32MapGrows(t *testing.T) {
 }
 
 // TestU32MapSieve checks the row kernel against the stores' own
-// contents. Rows are random keys and structured ones (single- and
+// contents. Each row is passed pre-hashed beside its keys, as the scans
+// pass hsyn beside syn. Rows are random keys and structured ones (single- and
 // two-bit words and the syndromes of the two sparsest Table 1
 // generators), each XORed with x the way the scans build them. The keys
 // at even indexes are held, in a map that starts empty and grows while
@@ -674,12 +787,13 @@ func TestU32MapSieve(t *testing.T) {
 					row[i] = keys[i] ^ x
 					bitmapRow[i] = row[i] & bitmapMask
 				}
+				hrow := hashRow(row)
 				held := func(i int) bool { return inMap[keys[i]] }
-				checkSieve(t, "u32map", m.sieve(row, x, out), l, held,
+				checkSieve(t, "u32map", m.sieve(hrow, lin(x), out), l, held,
 					func(i int) bool { return filterHit(m, keys[i]) })
-				checkSieve(t, "mapSet", mapSet{m}.sieve(row, x, out), l, held, held)
+				checkSieve(t, "mapSet", mapSet{m}.sieve(row, hrow, x, out), l, held, held)
 				heldBitmap := func(i int) bool { return inBitmap[keys[i]&bitmapMask] }
-				checkSieve(t, "bitmapSet", b.sieve(bitmapRow, x&bitmapMask, out), l, heldBitmap, heldBitmap)
+				checkSieve(t, "bitmapSet", b.sieve(bitmapRow, nil, x&bitmapMask, out), l, heldBitmap, heldBitmap)
 			}
 		}
 	}

@@ -36,6 +36,7 @@ package hamming
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"koopmancrc/internal/poly"
@@ -163,7 +164,8 @@ type Evaluator struct {
 	topBit uint32
 	parity bool // (x+1) divides G: every multiple has even weight
 
-	syn []uint32 // syn[i] = x^i mod G
+	syn  []uint32 // syn[i] = x^i mod G
+	hsyn []uint32 // hsyn[i] = lin(syn[i]), the presence-filter hash
 
 	period    uint64
 	periodErr error
@@ -256,6 +258,7 @@ func New(p poly.P, opts ...Option) *Evaluator {
 		topBit: 1 << uint(w-1),
 		parity: p.DivisibleByXPlus1(),
 		syn:    []uint32{1}, // x^0 mod G = 1 (deg G >= 1)
+		hsyn:   []uint32{lin(1)},
 		opts:   o,
 	}
 }
@@ -277,9 +280,18 @@ func (e *Evaluator) step(s uint32) uint32 {
 }
 
 // syndromes returns the syndrome table extended to at least n entries.
+// The filter hashes hsyn grow with it, so e.hsyn[:n] is valid beside
+// the result: each syndrome is hashed once, when it is first computed.
+// Both tables grow to n in one allocation each.
 func (e *Evaluator) syndromes(n int) []uint32 {
+	if more := n - len(e.syn); more > 0 {
+		e.syn = slices.Grow(e.syn, more)
+		e.hsyn = slices.Grow(e.hsyn, more)
+	}
 	for len(e.syn) < n {
-		e.syn = append(e.syn, e.step(e.syn[len(e.syn)-1]))
+		s := e.step(e.syn[len(e.syn)-1])
+		e.syn = append(e.syn, s)
+		e.hsyn = append(e.hsyn, lin(s))
 	}
 	return e.syn[:n]
 }

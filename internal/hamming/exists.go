@@ -103,11 +103,13 @@ func (e *Evaluator) verifyWitness(w, n int, witness []int) error {
 // synSet is a presence set over syndrome values. The probe side asks it
 // about a whole row at once: sieve returns, in ascending order, exactly
 // the indexes i whose value row[i]^x is held, so a scan makes one
-// interface call per row, not per probe. out is scratch of capacity at
-// least len(row); the result aliases it.
+// interface call per row, not per probe. hrow[i] = lin(row[i]) is the
+// row's presence-filter hash, sliced from the evaluator's hsyn beside
+// row. out is scratch of capacity at least len(row); the result aliases
+// it.
 type synSet interface {
 	add(uint32)
-	sieve(row []uint32, x uint32, out []int32) []int32
+	sieve(row, hrow []uint32, x uint32, out []int32) []int32
 }
 
 // bitmapSet covers the whole 2^width syndrome space; exact and O(1), used
@@ -117,8 +119,9 @@ type bitmapSet []uint64
 func (b bitmapSet) add(v uint32) { b[v>>6] |= 1 << (v & 63) }
 
 // sieve reads each value's bit in the same branch-free loop as
-// u32map.sieve; the bitmap is exact, so no second pass follows.
-func (b bitmapSet) sieve(row []uint32, x uint32, out []int32) []int32 {
+// u32map.sieve; the bitmap is exact and indexed by the value itself, so
+// it ignores hrow and no second pass follows.
+func (b bitmapSet) sieve(row, _ []uint32, x uint32, out []int32) []int32 {
 	if len(b) == 0 {
 		return out[:0] // never true; it lets the mask below drop the bounds check
 	}
@@ -128,7 +131,11 @@ func (b bitmapSet) sieve(row []uint32, x uint32, out []int32) []int32 {
 	for i, s := range row {
 		v := s ^ x
 		out[k] = int32(i)
-		k += int(b[int(v>>6)&mask] >> (v & 63) & 1)
+		bit := 0
+		if b[int(v>>6)&mask]&(1<<(v&63)) != 0 {
+			bit = 1
+		}
+		k += bit
 	}
 	return out[:k]
 }
@@ -141,10 +148,10 @@ type mapSet struct{ m *u32map }
 func newMapSet(n int) mapSet  { return mapSet{m: newU32Map(n)} }
 func (s mapSet) add(v uint32) { s.m.put(v, 0) }
 
-// sieve runs the row through the map's presence filter, then looks up
-// only the indexes that pass and keeps those actually held.
-func (s mapSet) sieve(row []uint32, x uint32, out []int32) []int32 {
-	hits := s.m.sieve(row, x, out)
+// sieve runs the pre-hashed row through the map's presence filter, then
+// looks up only the indexes that pass and keeps those actually held.
+func (s mapSet) sieve(row, hrow []uint32, x uint32, out []int32) []int32 {
+	hits := s.m.sieve(hrow, lin(x), out)
 	k := 0
 	for _, i := range hits {
 		if s.m.get(row[i]^x) >= 0 {
@@ -201,6 +208,7 @@ func (e *Evaluator) enumStore(syn []uint32, n, k int, acc uint32, set synSet, w,
 // weight w and data length of the enclosing query label progress
 // events.
 func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w, dataLen int) ([]int, bool, error) {
+	hsyn := e.hsyn[:n]
 	var base uint32
 	for _, f := range fixed {
 		base ^= syn[f]
@@ -211,7 +219,7 @@ func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w,
 	out := e.rowScratch(n)
 	switch q {
 	case 1:
-		for _, i := range set.sieve(syn[1:n], base, out) {
+		for _, i := range set.sieve(syn[1:n], hsyn[1:n], base, out) {
 			b := 1 + int(i)
 			if wit, ok := e.resolve(syn, n, p, base^syn[b], probeSet(b)); ok {
 				return wit, true, nil
@@ -224,7 +232,7 @@ func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w,
 				return nil, false, err
 			}
 			vb := base ^ syn[b]
-			for _, i := range set.sieve(syn[b+1:n], vb, out) {
+			for _, i := range set.sieve(syn[b+1:n], hsyn[b+1:n], vb, out) {
 				c := b + 1 + int(i)
 				if wit, ok := e.resolve(syn, n, p, vb^syn[c], probeSet(b, c)); ok {
 					return wit, true, nil
@@ -240,7 +248,7 @@ func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w,
 					return nil, false, err
 				}
 				vc := vb ^ syn[c]
-				for _, i := range set.sieve(syn[c+1:n], vc, out) {
+				for _, i := range set.sieve(syn[c+1:n], hsyn[c+1:n], vc, out) {
 					d := c + 1 + int(i)
 					if wit, ok := e.resolve(syn, n, p, vc^syn[d], probeSet(b, c, d)); ok {
 						return wit, true, nil
@@ -257,7 +265,7 @@ func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w,
 		var rec func(start, left int, acc uint32) ([]int, bool, error)
 		rec = func(start, left int, acc uint32) ([]int, bool, error) {
 			if left == 1 {
-				hits := set.sieve(syn[start:n], acc, out)
+				hits := set.sieve(syn[start:n], hsyn[start:n], acc, out)
 				for i := start; i < n; i++ {
 					e.Stats.Probes++
 					if err := e.tick(w, dataLen, 1); err != nil {

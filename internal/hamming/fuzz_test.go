@@ -14,8 +14,8 @@ import (
 // shift, so short inputs reach colliding, single-bit and high-bit keys.
 // Every operation also sieves a small row holding the key, its
 // neighbours and the previous key, XORed with a value drawn from the
-// operation count: the output must be ascending, name every held key
-// and pass a key only if its filter bit is set.
+// operation count and passed pre-hashed: the output must be ascending,
+// name every held key and pass a key only if its filter bit is set.
 func FuzzU32Map(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x06, 0x07})
 	f.Add([]byte{0x02, 0x01, 0x00, 0xf8, 0x01, 0xfa, 0x01, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff})
@@ -59,7 +59,7 @@ func FuzzU32Map(f *testing.F) {
 			for i, k := range probed {
 				row[i] = k ^ x
 			}
-			checkSieve(t, "u32map", m.sieve(row, x, out), len(row),
+			checkSieve(t, "u32map", m.sieve(hashRow(row), lin(x), out), len(row),
 				func(i int) bool { _, ok := ref[probed[i]]; return ok },
 				func(i int) bool { return filterHit(m, probed[i]) })
 			prev = key

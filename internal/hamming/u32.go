@@ -1,6 +1,9 @@
 package hamming
 
-import "math/bits"
+import (
+	"math/bits"
+	"math/rand/v2"
+)
 
 // u32map is a minimal open-addressed hash map from uint32 keys to int32
 // values, tuned for the inner loops of the boundary scans where Go's
@@ -11,20 +14,56 @@ import "math/bits"
 // Almost every lookup in a scan is a miss, so a presence filter sits in
 // front of the slots: one bit array with 8 bits per slot, one byte per
 // slot against the slot's eight, so it stays in cache while the slots do
-// not. A key's filter bit is the 3 hash bits just below its slot index.
-// The scans that probe rows of keys do not look them up one at a time:
-// sieve runs a whole row through the filter in one branch-free loop and
-// returns the few keys that pass, and only those go to get, which walks
-// the probe chain. The filter has no false negatives: put sets the bit
-// of every key it inserts, and grow builds a fresh filter by putting
-// every key again. A false positive (an absent key sharing a bit, at
-// most one chance in 16 at 50% load) passes the sieve and get answers
-// it with -1.
+// not. A key's filter bit is lin(key) & (8*len(slots)-1), independent
+// of its slot, which the multiplicative hash picks. Every key a scan
+// probes is an XOR of syndromes and lin is linear, so the filter index
+// of row[i]^x is hrow[i]^lin(x) with hrow[i] = lin(row[i]) computed once
+// per syndrome: sieve takes the pre-hashed row and runs it through the
+// filter in one branch-free loop of an XOR and a mask per key, and
+// returns the few keys that pass; only those go to get, which walks the
+// probe chain. The filter has no false negatives: put sets the bit of
+// every key it inserts, and grow builds a fresh filter by putting every
+// key again. A false positive (an absent key sharing a bit, at most one
+// chance in 16 at 50% load) passes the sieve and get answers it with -1.
 type u32map struct {
 	slots  []uint64 // key<<32 | (value+1)
 	filter []uint64 // presence bits, 8 per slot
 	shift  uint
 	n      int // entries held
+}
+
+// linTab holds the presence filter's hash, a fixed invertible 32x32
+// matrix over GF(2), as one 256-entry table per key byte: lin(k) XORs
+// the matrix columns of k's set bits, so lin(a^b) = lin(a)^lin(b) and
+// lin(0) = 0. The columns come from a fixed seed, are drawn again
+// whenever one falls in the span of those before it, and are tabulated
+// at package init.
+var linTab = func() (t [4][256]uint32) {
+	rng := rand.New(rand.NewPCG(0x6c696e, 0x66696c746572))
+	var basis [32]uint32 // basis[b]: a reduced column with top bit b
+	for j := 0; j < 32; {
+		col := rng.Uint32()
+		r := col
+		for r != 0 && basis[bits.Len32(r)-1] != 0 {
+			r ^= basis[bits.Len32(r)-1]
+		}
+		if r == 0 {
+			continue // dependent on the columns drawn so far
+		}
+		basis[bits.Len32(r)-1] = r
+		byteTab := &t[j/8]
+		for v := 1 << (j % 8); v < 1<<(j%8+1); v++ {
+			byteTab[v] = byteTab[v-1<<(j%8)] ^ col
+		}
+		j++
+	}
+	return t
+}()
+
+// lin is the presence filter's linear hash of a key.
+func lin(key uint32) uint32 {
+	return linTab[0][uint8(key)] ^ linTab[1][uint8(key>>8)] ^
+		linTab[2][uint8(key>>16)] ^ linTab[3][key>>24]
 }
 
 // newU32Map creates a map able to hold n entries at ~50% load before it
@@ -45,7 +84,7 @@ func newU32Map(n int) *u32map {
 }
 
 // hash spreads the syndrome bits across the table (Fibonacci hashing):
-// the top bits pick the slot, the next 3 its filter bit.
+// its top bits pick the slot.
 func hash(key uint32) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
 
 // put inserts key->val; for a key already present the first write wins.
@@ -53,11 +92,10 @@ func (m *u32map) put(key uint32, val int32) {
 	if 2*(m.n+1) > len(m.slots) {
 		m.grow()
 	}
-	h := hash(key)
-	f := h >> (m.shift - 3)
+	f := m.filterBit(key)
 	m.filter[f>>6] |= 1 << (f & 63)
 	mask := len(m.slots) - 1
-	i := int(h >> m.shift)
+	i := int(hash(key) >> m.shift)
 	for {
 		s := m.slots[i]
 		if s == 0 {
@@ -74,12 +112,11 @@ func (m *u32map) put(key uint32, val int32) {
 
 // get returns the value for key, or -1 if absent.
 func (m *u32map) get(key uint32) int32 {
-	h := hash(key)
-	if f := h >> (m.shift - 3); m.filter[f>>6]&(1<<(f&63)) == 0 {
+	if f := m.filterBit(key); m.filter[f>>6]&(1<<(f&63)) == 0 {
 		return -1
 	}
 	mask := len(m.slots) - 1
-	i := int(h >> m.shift)
+	i := int(hash(key) >> m.shift)
 	for {
 		s := m.slots[i]
 		if s == 0 {
@@ -92,24 +129,36 @@ func (m *u32map) get(key uint32) int32 {
 	}
 }
 
-// sieve returns the indexes i, in ascending order, whose key row[i]^x
-// passes the presence filter: every key held is among them, and an
-// absent key only on a false positive. out is scratch of capacity at
-// least len(row); the result aliases it. Every index is written and the
-// count advances by the filter bit, so the loop has no data-dependent
-// branch, and the power-of-two mask drops the filter's bounds check.
-func (m *u32map) sieve(row []uint32, x uint32, out []int32) []int32 {
-	filter, shift := m.filter, m.shift-3
+// filterBit is key's bit in the presence filter.
+func (m *u32map) filterBit(key uint32) uint32 {
+	return lin(key) & uint32(8*len(m.slots)-1)
+}
+
+// sieve returns the indexes i, in ascending order, whose key k with
+// lin(k) = hrow[i]^hx passes the presence filter: every key held is
+// among them, and an absent key only on a false positive. For a row of
+// keys row[i]^x the caller passes hrow[i] = lin(row[i]) and hx =
+// lin(x). out is scratch of capacity at least len(hrow); the result
+// aliases it. Every index is written and the count advances by the
+// filter bit, so the loop has no data-dependent branch, and masking the
+// word index with the filter's power-of-two length (the same bits
+// filterBit keeps) drops its bounds check.
+func (m *u32map) sieve(hrow []uint32, hx uint32, out []int32) []int32 {
+	filter := m.filter
 	if len(filter) == 0 {
 		return out[:0] // never true; it lets the mask below drop the bounds check
 	}
-	fmask := len(filter) - 1
-	out = out[:len(row)]
+	wmask := len(filter) - 1
+	out = out[:len(hrow)]
 	k := 0
-	for i, key := range row {
-		f := hash(key^x) >> shift
+	for i, h := range hrow {
+		f := h ^ hx
 		out[k] = int32(i)
-		k += int(filter[int(f>>6)&fmask] >> (f & 63) & 1)
+		bit := 0
+		if filter[int(f>>6)&wmask]&(1<<(f&63)) != 0 {
+			bit = 1 // a bit test and a set, not a branch
+		}
+		k += bit
 	}
 	return out[:k]
 }

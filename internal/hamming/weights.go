@@ -106,6 +106,7 @@ func (e *Evaluator) weight4(dataLen int) (uint64, error) {
 	}
 	defer e.spanStart(SpanW4Count, 4, dataLen)()
 	syn := e.syndromes(n)
+	hsyn := e.hsyn[:n]
 	m := newU32Map(n)
 	out := e.rowScratch(n)
 	var total, shapes, mirrored uint64
@@ -118,7 +119,7 @@ func (e *Evaluator) weight4(dataLen int) (uint64, error) {
 			// x^c = 1 mod G: {0, c} is a weight-2 codeword.
 			return 0, fmt.Errorf("hamming: W2 > 0 at data length %d; the weight-4 pair scan needs W2 = 0", dataLen)
 		}
-		for _, i := range m.sieve(syn[1:c], sc, out) {
+		for _, i := range m.sieve(hsyn[1:c], hsyn[c], out) {
 			b := 1 + int(i)
 			if a := m.get(syn[b] ^ sc); a >= 0 {
 				if int(a) < b {
