@@ -33,6 +33,45 @@ func BenchmarkMeetsHDAtLengths32(b *testing.B) {
 			work += e.Stats.Probes + e.Stats.StoreOps
 		}
 	}
+	reportPerProbe(b, work)
+}
+
+// BenchmarkBoundaryStore is the kernel of a Table 1 column's boundary
+// searches, the w >= 5 scan, at its two extremes. store-bound is the
+// weight-5 scan of 0xD419CC15 to 512 data bits, which finds no pattern:
+// its time is the store growing to C(542, 2) entries and the probes
+// against it. early-exit is the weight-6 scan of 0x90022004 to 512 bits,
+// which stops at its boundary of 1 data bit, so its time is the setup
+// and the first rows: a store sized for the whole scan would show here.
+// Each iteration runs in a fresh Evaluator, syndrome table included.
+func BenchmarkBoundaryStore(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		p         poly.P
+		w, maxLen int
+		found     bool
+	}{
+		{"store-bound", poly.CastagnoliHD5, 5, 512, false},
+		{"early-exit", poly.KoopmanSparse6, 6, 512, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var work int64
+			for i := 0; i < b.N; i++ {
+				e := New(bc.p)
+				if _, _, found, err := e.FirstDataLen(bc.w, bc.maxLen); err != nil || found != bc.found {
+					b.Fatalf("FirstDataLen(%d, %d): found = %v, err = %v", bc.w, bc.maxLen, found, err)
+				}
+				work += e.Stats.Probes + e.Stats.StoreOps
+			}
+			reportPerProbe(b, work)
+		})
+	}
+}
+
+// reportPerProbe reports the elapsed time per engine work operation
+// (probe or store insert): the cost of one lookup or insert in the scan
+// kernels, apart from how many of them the search makes.
+func reportPerProbe(b *testing.B, work int64) {
 	if work > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(work), "ns/probe")
 	}

@@ -122,7 +122,7 @@ func (e *Evaluator) firstLen4(maxLen int) (int, []int, bool, error) {
 		sc := syn[c]
 		for _, i := range m.sieve(hsyn[1:c], hsyn[c], out) {
 			b := 1 + int(i)
-			if a := m.get(syn[b] ^ sc); a >= 0 {
+			if a := m.find(syn[b] ^ sc); a >= 0 {
 				ia := int(a)
 				if ia == b || ia == c {
 					continue // degenerate: implies a lower-weight pattern
@@ -168,9 +168,9 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 	syn := e.syndromes(n)
 	p := (w - 1) / 2
 	q := w - 2 - p
-	// The store starts as a compact set that grows with it and moves
-	// into the whole-space bitmap once it passes MaxStoreEntries, so a
-	// boundary at a few hundred bits never allocates 2^width bits.
+	// The store starts as a compact set, sized ahead of each row, and
+	// moves into the whole-space bitmap once it passes MaxStoreEntries,
+	// so a boundary at a few hundred bits never allocates 2^width bits.
 	var set synSet
 	if e.width <= 20 {
 		set = bitmapSet(e.bitset())
@@ -188,10 +188,14 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 			return 0, nil, false, err
 		}
 		// After this row the store holds all C(c-1, p) subsets of [1, c).
-		if m, ok := set.(mapSet); ok && binomAtMost(c-1, p, 1<<62) > int64(e.opts.MaxStoreEntries) {
-			b := bitmapSet(e.bitset())
-			m.m.each(b.add)
-			set = b
+		if m, ok := set.(mapSet); ok {
+			if binomAtMost(c-1, p, 1<<62) > int64(e.opts.MaxStoreEntries) {
+				b := bitmapSet(e.bitset())
+				m.m.each(b.add)
+				set = b
+			} else {
+				reserveRow(m.m, c, n, p, e.opts.MaxStoreEntries)
+			}
 		}
 		if err := e.enumStore(syn, c-1, p-1, syn[c-1], set, w, maxLen); err != nil {
 			return 0, nil, false, err
@@ -210,6 +214,21 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 		}
 	}
 	return 0, nil, false, nil
+}
+
+// reserveRow sizes the w >= 5 scan's compact store before the inserts of
+// row c, in a scan of n codeword positions that stores p-subsets. After
+// row c the store holds C(c-1, p) entries; if that would take the table
+// past 50% load, it is reserved for the store at row min(2c, n),
+// C(min(2c, n)-1, p), capped at limit, past which the scan moves to the
+// bitmap. Looking one doubling of c ahead, not to the end of the scan,
+// rebuilds the table a few times instead of at every doubling of its
+// entries, while an early exit still pays only for the rows it ran.
+func reserveRow(m *u32map, c, n, p, limit int) {
+	if binomAtMost(c-1, p, 1<<62) <= int64(len(m.keys)/2) {
+		return
+	}
+	m.reserve(int(min(binomAtMost(min(2*c, n)-1, p, 1<<62), int64(limit))))
 }
 
 // firstLenSearch locates a w>=5 boundary with the §4.1 existence

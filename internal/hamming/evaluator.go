@@ -47,10 +47,10 @@ const (
 	// DefaultMaxStoreEntries bounds the number of subset syndromes
 	// materialised on the store side of a boundary scan (or a reference
 	// meet-in-the-middle join) before switching to the whole-space bitmap.
-	// The hash store runs at 25-50% load with 8 bytes per slot plus 1
-	// byte of presence filter, so an entry costs 18 to 36 bytes: 2^20
-	// entries take 18 MiB (2^21 slots), against the 512 MiB bitmap of a
-	// 32-bit generator.
+	// The hash store is a keys-only set, never sized past this limit at
+	// 50% load, with 4 bytes per slot plus 1 byte of presence filter:
+	// 2^20 entries take about 10 MiB (2^21 slots), against the 512 MiB
+	// bitmap of a 32-bit generator.
 	DefaultMaxStoreEntries = 1 << 20
 	// DefaultMaxProbes bounds the total probe work of a single query (a
 	// boundary scan, which also answers existence queries, or an exact

@@ -142,19 +142,22 @@ func (b bitmapSet) sieve(row, _ []uint32, x uint32, out []int32) []int32 {
 
 // mapSet is a compact open-addressed presence set for small store sides,
 // avoiding the 512 MiB bitmap for 32-bit generators on trivial queries.
-// It grows with its contents.
+// It is the keys-only form of u32map: no caller reads a value back, so
+// a slot holds its key alone. It doubles as it fills, and the w >= 5
+// scan sizes it ahead of its known growth (reserveRow).
 type mapSet struct{ m *u32map }
 
-func newMapSet(n int) mapSet  { return mapSet{m: newU32Map(n)} }
+func newMapSet(n int) mapSet  { return mapSet{m: newTable(n, false)} }
 func (s mapSet) add(v uint32) { s.m.put(v, 0) }
 
 // sieve runs the pre-hashed row through the map's presence filter, then
-// looks up only the indexes that pass and keeps those actually held.
+// looks up only the indexes that pass, in the key slots alone, and keeps
+// those actually held.
 func (s mapSet) sieve(row, hrow []uint32, x uint32, out []int32) []int32 {
 	hits := s.m.sieve(hrow, lin(x), out)
 	k := 0
 	for _, i := range hits {
-		if s.m.get(row[i]^x) >= 0 {
+		if s.m.find(row[i]^x) >= 0 {
 			hits[k] = i
 			k++
 		}

@@ -15,13 +15,16 @@ import (
 // Every operation also sieves a small row holding the key, its
 // neighbours and the previous key, XORed with a value drawn from the
 // operation count and passed pre-hashed: the output must be ascending,
-// name every held key and pass a key only if its filter bit is set.
+// name every held key and pass a key only if its filter bit is set. A
+// keys-only set takes the same puts and must answer every get, find and
+// row sieve with exactly the map's presence.
 func FuzzU32Map(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x06, 0x07})
 	f.Add([]byte{0x02, 0x01, 0x00, 0xf8, 0x01, 0xfa, 0x01, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte("\x00abcdefghijklmnopqrstuvwxyz0123456789\x01a\x01z\x01!"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newU32Map(0)
+		set := newMapSet(0)
 		ref := make(map[uint32]int32)
 		var key, prev uint32
 		out := make([]int32, 4)
@@ -39,11 +42,13 @@ func FuzzU32Map(f *testing.F) {
 			}
 			if ctl&1 == 0 {
 				m.put(key, op)
+				set.add(key)
 				if _, ok := ref[key]; !ok {
 					ref[key] = op
 				}
-				if m.n != len(ref) || 2*m.n > len(m.slots) {
-					t.Fatalf("%d entries in %d slots, want %d at <= 50%% load", m.n, len(m.slots), len(ref))
+				if m.n != len(ref) || 2*m.n > len(m.keys) || set.m.n != m.n || len(set.m.keys) != len(m.keys) {
+					t.Fatalf("%d entries in %d slots (set: %d in %d), want %d at <= 50%% load",
+						m.n, len(m.keys), set.m.n, len(set.m.keys), len(ref))
 				}
 			}
 			want, ok := ref[key]
@@ -53,15 +58,17 @@ func FuzzU32Map(f *testing.F) {
 			if got := m.get(key); got != want {
 				t.Fatalf("op %d: get(%#x) = %d, want %d", op, key, got, want)
 			}
+			checkSetMatchesMap(t, set, m, key, key^1, prev)
 			probed := []uint32{key - 1, key, key + 1, prev}
 			x := uint32(op) * 0x9E3779B9
 			row := make([]uint32, len(probed))
 			for i, k := range probed {
 				row[i] = k ^ x
 			}
+			held := func(i int) bool { _, ok := ref[probed[i]]; return ok }
 			checkSieve(t, "u32map", m.sieve(hashRow(row), lin(x), out), len(row),
-				func(i int) bool { _, ok := ref[probed[i]]; return ok },
-				func(i int) bool { return filterHit(m, probed[i]) })
+				held, func(i int) bool { return filterHit(m, probed[i]) })
+			checkSieve(t, "mapSet", set.sieve(row, hashRow(row), x, out), len(row), held, held)
 			prev = key
 		}
 		for k, v := range ref {

@@ -215,6 +215,73 @@ func TestScanStoreMigration(t *testing.T) {
 	}
 }
 
+// TestReserveRow drives the w >= 5 scan's store sizing through every
+// row c of a w=5, a w=6 and a w=7 scan to 544 data bits (p = 2, 2 and
+// 3 stored positions), with the default store
+// limit and with one the store passes midway (the scan moves to the
+// bitmap there, so the rows after it are not sized). Each row then puts
+// its C(c-2, p-1) new entries as distinct keys. Before a row's inserts
+// the table must hold the C(c-1, p) entries it has after them at <= 50%
+// load, so no insert grows it; a table that was rebuilt must hold the
+// store at row min(2c, n), capped at the limit; and it is never sized
+// beyond that store, nor past the limit.
+func TestReserveRow(t *testing.T) {
+	slotsFor := func(entries int64) int {
+		sz := 16
+		for int64(sz) < 2*entries {
+			sz <<= 1
+		}
+		return sz
+	}
+	for _, w := range []int{5, 6, 7} {
+		p := (w - 1) / 2
+		n := 544 + 32
+		for _, limit := range []int{DefaultMaxStoreEntries, 40000} {
+			s := newMapSet(0)
+			key := uint32(1)
+			rows, rebuilds := 0, 0
+			for c := 2; c < n; c++ {
+				held := binomAtMost(c-1, p, 1<<62)
+				if held > int64(limit) {
+					break
+				}
+				before := len(s.m.keys)
+				reserveRow(s.m, c, n, p, limit)
+				sz := len(s.m.keys)
+				ahead := min(binomAtMost(min(2*c, n)-1, p, 1<<62), int64(limit))
+				switch {
+				case 2*held > int64(sz):
+					t.Fatalf("w=%d limit=%d row %d: %d slots for the %d entries after the row", w, limit, c, sz, held)
+				case sz > slotsFor(ahead):
+					t.Fatalf("w=%d limit=%d row %d: %d slots, past the %d of the store at row %d (%d entries)",
+						w, limit, c, sz, slotsFor(ahead), min(2*c, n), ahead)
+				case sz > slotsFor(int64(limit)):
+					t.Fatalf("w=%d limit=%d row %d: %d slots, past the limit's %d", w, limit, c, sz, slotsFor(int64(limit)))
+				case sz != before && 2*ahead > int64(sz):
+					t.Fatalf("w=%d limit=%d row %d: rebuilt to %d slots, short of the %d entries at row %d",
+						w, limit, c, sz, ahead, min(2*c, n))
+				}
+				if sz != before {
+					rebuilds++
+				}
+				for i := binomAtMost(c-2, p-1, 1<<62); i > 0; i-- {
+					s.add(key)
+					key++
+				}
+				if len(s.m.keys) != sz || int64(s.m.n) != held {
+					t.Fatalf("w=%d limit=%d row %d: inserts took %d slots to %d; %d entries, want %d",
+						w, limit, c, sz, len(s.m.keys), s.m.n, held)
+				}
+				rows++
+			}
+			if rows < 50 || rebuilds < 3 {
+				t.Fatalf("w=%d limit=%d: %d rows and %d rebuilds checked", w, limit, rows, rebuilds)
+			}
+			t.Logf("w=%d limit=%d: %d rows, %d rebuilds, %d slots at the end", w, limit, rows, rebuilds, len(s.m.keys))
+		}
+	}
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

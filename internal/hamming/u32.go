@@ -5,31 +5,40 @@ import (
 	"math/rand/v2"
 )
 
-// u32map is a minimal open-addressed hash map from uint32 keys to int32
-// values, tuned for the inner loops of the boundary scans where Go's
-// built-in map is too slow. It doubles whenever an insert would take it
-// past 50% load; values are stored +1 so the zero word means "empty"
-// even for key 0.
+// u32map is a minimal open-addressed hash table over uint32 keys, tuned
+// for the inner loops of the boundary scans where Go's built-in map is
+// too slow. It comes in two forms: newU32Map builds a map from keys to
+// int32 values, and newMapSet a keys-only presence set whose slots carry
+// no values at all (vals is nil), 4 bytes a slot against the map's 8. A
+// zero key word marks an empty slot, so key 0 is held beside the slots
+// in hasZero and zeroVal. The table is rebuilt by reserve: put doubles
+// it whenever an insert would take it past 50% load, and a scan that
+// knows its growth ahead reserves for it before the inserts.
 //
 // Almost every lookup in a scan is a miss, so a presence filter sits in
 // front of the slots: one bit array with 8 bits per slot, one byte per
-// slot against the slot's eight, so it stays in cache while the slots do
-// not. A key's filter bit is lin(key) & (8*len(slots)-1), independent
-// of its slot, which the multiplicative hash picks. Every key a scan
-// probes is an XOR of syndromes and lin is linear, so the filter index
-// of row[i]^x is hrow[i]^lin(x) with hrow[i] = lin(row[i]) computed once
-// per syndrome: sieve takes the pre-hashed row and runs it through the
-// filter in one branch-free loop of an XOR and a mask per key, and
-// returns the few keys that pass; only those go to get, which walks the
-// probe chain. The filter has no false negatives: put sets the bit of
-// every key it inserts, and grow builds a fresh filter by putting every
-// key again. A false positive (an absent key sharing a bit, at most one
-// chance in 16 at 50% load) passes the sieve and get answers it with -1.
+// slot against the slot's four or eight, so it stays in cache while the
+// slots do not. A key's filter bit is lin(key) & (8*len(keys)-1),
+// independent of its slot, which the multiplicative hash picks. Every
+// key a scan probes is an XOR of syndromes and lin is linear, so the
+// filter index of row[i]^x is hrow[i]^lin(x) with hrow[i] =
+// lin(row[i]) computed once per syndrome: sieve takes the pre-hashed row
+// and runs it through the filter in one branch-free loop of an XOR and a
+// mask per key, and returns the few keys that pass; only those go to
+// find, which walks the probe chain without testing the filter again.
+// The filter has no false negatives: put sets the bit of every key it
+// inserts, key 0 included, and reserve builds a fresh filter by putting
+// every key again. A false positive (an absent key sharing a bit, at most
+// one chance in 16 at 50% load) passes the sieve and find answers it
+// with -1.
 type u32map struct {
-	slots  []uint64 // key<<32 | (value+1)
-	filter []uint64 // presence bits, 8 per slot
-	shift  uint
-	n      int // entries held
+	keys    []uint32 // 0 marks an empty slot
+	vals    []int32  // the value of keys[i]; nil for a keys-only set
+	filter  []uint64 // presence bits, 8 per slot
+	shift   uint
+	n       int // entries held, key 0 included
+	hasZero bool
+	zeroVal int32
 }
 
 // linTab holds the presence filter's hash, a fixed invertible 32x32
@@ -66,21 +75,26 @@ func lin(key uint32) uint32 {
 		linTab[2][uint8(key>>16)] ^ linTab[3][key>>24]
 }
 
-// newU32Map creates a map able to hold n entries at ~50% load before it
-// first grows.
-func newU32Map(n int) *u32map {
-	sz := 1
+// newU32Map creates a map from keys to values able to hold n entries
+// at <= 50% load before it first grows.
+func newU32Map(n int) *u32map { return newTable(n, true) }
+
+// newTable allocates an empty table for n entries at <= 50% load, with
+// a value per slot when valued.
+func newTable(n int, valued bool) *u32map {
+	sz := 16
 	for sz < 2*n {
 		sz <<= 1
 	}
-	if sz < 16 {
-		sz = 16
-	}
-	return &u32map{
-		slots:  make([]uint64, sz),
+	m := &u32map{
+		keys:   make([]uint32, sz),
 		filter: make([]uint64, sz/8),
 		shift:  uint(64 - bits.Len(uint(sz-1))),
 	}
+	if valued {
+		m.vals = make([]int32, sz)
+	}
+	return m
 }
 
 // hash spreads the syndrome bits across the table (Fibonacci hashing):
@@ -88,42 +102,70 @@ func newU32Map(n int) *u32map {
 func hash(key uint32) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
 
 // put inserts key->val; for a key already present the first write wins.
+// A keys-only set drops val. A table that is full at 50% load is
+// doubled first.
 func (m *u32map) put(key uint32, val int32) {
-	if 2*(m.n+1) > len(m.slots) {
-		m.grow()
+	if 2*(m.n+1) > len(m.keys) {
+		m.reserve(m.n + 1)
 	}
 	f := m.filterBit(key)
 	m.filter[f>>6] |= 1 << (f & 63)
-	mask := len(m.slots) - 1
+	if key == 0 {
+		if !m.hasZero {
+			m.hasZero, m.zeroVal = true, val
+			m.n++
+		}
+		return
+	}
+	mask := len(m.keys) - 1
 	i := int(hash(key) >> m.shift)
 	for {
-		s := m.slots[i]
-		if s == 0 {
-			m.slots[i] = uint64(key)<<32 | uint64(uint32(val+1))
+		k := m.keys[i]
+		if k == 0 {
+			m.keys[i] = key
+			if m.vals != nil {
+				m.vals[i] = val
+			}
 			m.n++
 			return
 		}
-		if uint32(s>>32) == key {
+		if k == key {
 			return // keep the first (smallest-position) entry
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// get returns the value for key, or -1 if absent.
+// get returns the value for key, or -1 if absent; a keys-only set
+// answers 0 for a key it holds. It tests the presence filter first.
 func (m *u32map) get(key uint32) int32 {
 	if f := m.filterBit(key); m.filter[f>>6]&(1<<(f&63)) == 0 {
 		return -1
 	}
-	mask := len(m.slots) - 1
-	i := int(hash(key) >> m.shift)
-	for {
-		s := m.slots[i]
-		if s == 0 {
+	return m.find(key)
+}
+
+// find is get without the filter test, for a key that has already
+// passed the sieve: it walks the key's probe chain.
+func (m *u32map) find(key uint32) int32 {
+	if key == 0 {
+		if !m.hasZero {
 			return -1
 		}
-		if uint32(s>>32) == key {
-			return int32(uint32(s)) - 1
+		return m.zeroVal
+	}
+	mask := len(m.keys) - 1
+	i := int(hash(key) >> m.shift)
+	for {
+		k := m.keys[i]
+		if k == key {
+			if m.vals == nil {
+				return 0
+			}
+			return m.vals[i]
+		}
+		if k == 0 {
+			return -1
 		}
 		i = (i + 1) & mask
 	}
@@ -131,7 +173,7 @@ func (m *u32map) get(key uint32) int32 {
 
 // filterBit is key's bit in the presence filter.
 func (m *u32map) filterBit(key uint32) uint32 {
-	return lin(key) & uint32(8*len(m.slots)-1)
+	return lin(key) & uint32(8*len(m.keys)-1)
 }
 
 // sieve returns the indexes i, in ascending order, whose key k with
@@ -163,22 +205,38 @@ func (m *u32map) sieve(hrow []uint32, hx uint32, out []int32) []int32 {
 	return out[:k]
 }
 
-// grow doubles the table and re-inserts every entry.
-func (m *u32map) grow() {
-	old := m.slots
-	*m = *newU32Map(len(old))
-	for _, s := range old {
-		if s != 0 {
-			m.put(uint32(s>>32), int32(uint32(s))-1)
+// reserve readies the table to hold n entries at <= 50% load: a table
+// too small is rebuilt at that size, in the same form, and every key is
+// put again with its value. A table already large enough is kept.
+func (m *u32map) reserve(n int) {
+	if 2*n <= len(m.keys) {
+		return
+	}
+	old := *m
+	*m = *newTable(n, old.vals != nil)
+	if old.hasZero {
+		m.put(0, old.zeroVal)
+	}
+	for i, k := range old.keys {
+		if k == 0 {
+			continue
 		}
+		var v int32
+		if old.vals != nil {
+			v = old.vals[i]
+		}
+		m.put(k, v)
 	}
 }
 
 // each calls fn with every key held.
 func (m *u32map) each(fn func(key uint32)) {
-	for _, s := range m.slots {
-		if s != 0 {
-			fn(uint32(s >> 32))
+	if m.hasZero {
+		fn(0)
+	}
+	for _, k := range m.keys {
+		if k != 0 {
+			fn(k)
 		}
 	}
 }

@@ -121,7 +121,7 @@ func (e *Evaluator) weight4(dataLen int) (uint64, error) {
 		}
 		for _, i := range m.sieve(hsyn[1:c], hsyn[c], out) {
 			b := 1 + int(i)
-			if a := m.get(syn[b] ^ sc); a >= 0 {
+			if a := m.find(syn[b] ^ sc); a >= 0 {
 				if int(a) < b {
 					shapes++
 					total += uint64(n - c)
