@@ -130,39 +130,15 @@ func BenchmarkWeightsW4Breakpoint(b *testing.B) {
 	}
 }
 
-// The §4.1 worked example: locating the 802.3 HD=5-to-4 breakpoint. The
-// paper compares a binary subdivision anchored at the far end against
-// filtering with increasing lengths; the same comparison for the weight-5
-// boundary (269 bits) searched inside [1, 16384].
-func BenchmarkBreakpointIncreasingLengths(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ev := hamming.New(poly.IEEE8023)
-		n, _, found, err := ev.FirstDataLenStrategy(5, 16384, hamming.StrategyIncreasing)
-		if err != nil || !found || n != 269 {
-			b.Fatalf("boundary %d %v %v", n, found, err)
-		}
-	}
-}
-
-// BenchmarkBreakpointScan locates the same boundary with the engine's
-// default one-pass scan, which grows the length a bit at a time and so
-// pays for one meet-in-the-middle join at the boundary length.
+// BenchmarkBreakpointScan is the §4.1 worked example, locating the
+// 802.3 HD=5-to-4 breakpoint, on the weight-5 boundary (269 bits) inside
+// [1, 16384]: the engine's one-pass scan grows the length a bit at a time
+// and stops at the boundary, where the paper bisected with existence
+// queries.
 func BenchmarkBreakpointScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev := hamming.New(poly.IEEE8023)
 		n, _, found, err := ev.FirstDataLen(5, 16384)
-		if err != nil || !found || n != 269 {
-			b.Fatalf("boundary %d %v %v", n, found, err)
-		}
-	}
-}
-
-// BenchmarkBreakpointDirect is the baseline: evaluate the full length
-// first, then subdivide.
-func BenchmarkBreakpointDirect(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ev := hamming.New(poly.IEEE8023)
-		n, _, found, err := ev.FirstDataLenStrategy(5, 16384, hamming.StrategyDirect)
 		if err != nil || !found || n != 269 {
 			b.Fatalf("boundary %d %v %v", n, found, err)
 		}
@@ -251,7 +227,6 @@ func BenchmarkPipelineShardFanout(b *testing.B) {
 	filters := []core.Filter{core.HDFilter{
 		Lengths: []int{24, 64},
 		MinHD:   5,
-		Engine:  core.EngineFast,
 	}}
 	const start, end = 1024, 1024 + 4096
 	b.Run("sequential", func(b *testing.B) {
@@ -292,7 +267,6 @@ func BenchmarkFilterThroughput32(b *testing.B) {
 		Filters: []core.Filter{core.HDFilter{
 			Lengths: []int{64, 256, 1024, paperdata.MTUDataBits},
 			MinHD:   5,
-			Engine:  core.EngineFast,
 		}},
 	}
 	rng := rand.New(rand.NewPCG(7, 11))
@@ -309,6 +283,21 @@ func BenchmarkFilterThroughput32(b *testing.B) {
 	b.ReportMetric(float64(count)/b.Elapsed().Seconds(), "polys/s")
 }
 
+// bruteFCSFirstFilter is core.HDFilter on the paper-faithful enumeration
+// engine with FCS-first ordering.
+type bruteFCSFirstFilter struct{ core.HDFilter }
+
+// Keep implements core.Filter.
+func (f bruteFCSFirstFilter) Keep(ev *hamming.Evaluator) (bool, error) {
+	for _, l := range f.Lengths {
+		ok, err := ev.MeetsHDBrute(l, f.MinHD, hamming.OrderFCSFirst)
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 // BenchmarkFilterThroughputBrute32 is the same filter run on the
 // paper-faithful enumeration engine with FCS-first ordering — the closest
 // analog of the paper's actual inner loop (short lengths only; the fast
@@ -320,11 +309,10 @@ func BenchmarkFilterThroughputBrute32(b *testing.B) {
 	}
 	pl := &core.Pipeline{
 		Space: space,
-		Filters: []core.Filter{core.HDFilter{
+		Filters: []core.Filter{bruteFCSFirstFilter{core.HDFilter{
 			Lengths: []int{64, 256},
 			MinHD:   5,
-			Engine:  core.EngineBruteFCSFirst,
-		}},
+		}}},
 	}
 	rng := rand.New(rand.NewPCG(13, 17))
 	b.ResetTimer()

@@ -111,25 +111,42 @@ func TestSmallWidthCanonicalCountByHand(t *testing.T) {
 	}
 }
 
+// bruteHDFilter is HDFilter on the paper-faithful enumeration engine in
+// the given order: the reference the fast engine's survivors are checked
+// against.
+type bruteHDFilter struct {
+	HDFilter
+	order hamming.Order
+}
+
+// Keep implements Filter.
+func (f bruteHDFilter) Keep(ev *hamming.Evaluator) (bool, error) {
+	for _, l := range f.Lengths {
+		ok, err := ev.MeetsHDBrute(l, f.MinHD, f.order)
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 func TestPipelineEnginesAgree(t *testing.T) {
 	// The fast and paper-faithful engines must select identical survivor
 	// sets — the paper's "comparing answers obtained with simple code to
 	// optimized code" validation (§4.5).
 	s, _ := NewSpace(8)
-	run := func(kind EngineKind) []poly.P {
-		pl := &Pipeline{
-			Space:   s,
-			Filters: []Filter{HDFilter{Lengths: []int{8, 19}, MinHD: 4, Engine: kind}},
-		}
+	run := func(f Filter) []poly.P {
+		pl := &Pipeline{Space: s, Filters: []Filter{f}}
 		res, err := pl.Run(context.Background(), 0, s.TotalPolynomials())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Survivors
 	}
-	fast := run(EngineFast)
-	bruteLex := run(EngineBruteLex)
-	bruteFCS := run(EngineBruteFCSFirst)
+	hd := HDFilter{Lengths: []int{8, 19}, MinHD: 4}
+	fast := run(hd)
+	bruteLex := run(bruteHDFilter{hd, hamming.OrderLex})
+	bruteFCS := run(bruteHDFilter{hd, hamming.OrderFCSFirst})
 	if len(fast) == 0 {
 		t.Fatal("expected some width-8 polynomials with HD>=4 at 19 bits")
 	}
@@ -151,7 +168,7 @@ func TestPipelineStageStats(t *testing.T) {
 		Space: s,
 		Filters: []Filter{
 			ParityFilter{RequireDivisible: true},
-			HDFilter{Lengths: []int{16}, MinHD: 4, Engine: EngineFast},
+			HDFilter{Lengths: []int{16}, MinHD: 4},
 		},
 	}
 	res, err := pl.Run(context.Background(), 0, s.TotalPolynomials())
@@ -190,7 +207,7 @@ func TestRunShardsMergeEqualsWholeRun(t *testing.T) {
 	s, _ := NewSpace(8)
 	pl := &Pipeline{
 		Space:   s,
-		Filters: []Filter{HDFilter{Lengths: []int{9, 19}, MinHD: 4, Engine: EngineFast}},
+		Filters: []Filter{HDFilter{Lengths: []int{9, 19}, MinHD: 4}},
 	}
 	whole, err := pl.RunShard(context.Background(), 0, s.TotalPolynomials())
 	if err != nil {
@@ -248,7 +265,7 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 	s, _ := NewSpace(10)
 	seq := &Pipeline{
 		Space:   s,
-		Filters: []Filter{HDFilter{Lengths: []int{11, 25}, MinHD: 4, Engine: EngineFast}},
+		Filters: []Filter{HDFilter{Lengths: []int{11, 25}, MinHD: 4}},
 		Workers: 1,
 	}
 	want, err := seq.Run(context.Background(), 0, s.TotalPolynomials())
@@ -285,7 +302,7 @@ func TestParallelRunPartialRange(t *testing.T) {
 	s, _ := NewSpace(10)
 	pl := &Pipeline{
 		Space:   s,
-		Filters: []Filter{HDFilter{Lengths: []int{11}, MinHD: 4, Engine: EngineFast}},
+		Filters: []Filter{HDFilter{Lengths: []int{11}, MinHD: 4}},
 		Workers: 4,
 	}
 	want, err := pl.RunShard(context.Background(), 100, 400)
@@ -309,7 +326,7 @@ func TestPipelineContextCancellation(t *testing.T) {
 	s, _ := NewSpace(16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pl := &Pipeline{Space: s, Filters: []Filter{HDFilter{Lengths: []int{64}, MinHD: 4, Engine: EngineFast}}}
+	pl := &Pipeline{Space: s, Filters: []Filter{HDFilter{Lengths: []int{64}, MinHD: 4}}}
 	if _, err := pl.Run(ctx, 0, s.TotalPolynomials()); err == nil {
 		t.Fatal("cancelled run should return an error")
 	}
@@ -340,50 +357,5 @@ func TestCensus(t *testing.T) {
 	}
 	if AllDivisibleByXPlus1([]poly.P{poly.IEEE8023}) != false {
 		t.Error("802.3 is not divisible by x+1")
-	}
-}
-
-func TestInverseFilterAnchors(t *testing.T) {
-	// §4.1: inverse filtering established maximum lengths; for the 802.3
-	// polynomial HD=5 holds through exactly 2974 bits, and for the iSCSI
-	// polynomial HD=6 through 5243 bits.
-	res, err := InverseFilter([]poly.P{poly.IEEE8023}, 5, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxLen != 2974 {
-		t.Errorf("802.3 max length at HD=5 = %d, want 2974", res.MaxLen)
-	}
-	res, err = InverseFilter([]poly.P{poly.IEEE8023, poly.CastagnoliISCSI}, 6, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxLen != 1024 || res.Best != poly.CastagnoliISCSI {
-		t.Errorf("best at HD=6 = %v len %d, want iSCSI poly at cap 1024", res.Best, res.MaxLen)
-	}
-	if res.PerPoly[poly.IEEE8023.String()] != 268 {
-		t.Errorf("802.3 max at HD=6 = %d, want 268", res.PerPoly[poly.IEEE8023.String()])
-	}
-}
-
-func TestImplicitConfirmHeuristic(t *testing.T) {
-	// CCITT-16 at 32751 bits: the brute-force weight-3 pass needs ~5*10^8
-	// combinations, far beyond the budget, so the timeout heuristic fires
-	// and exact verification agrees (HD>=4 holds).
-	ok, implicit, agreed, err := ImplicitConfirm(poly.CCITT16, 32751, 4, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok || !implicit || !agreed {
-		t.Errorf("ImplicitConfirm(32751) = ok=%v implicit=%v agreed=%v", ok, implicit, agreed)
-	}
-	// At 32752 the weight-2 failure {0, 32767} is found within budget:
-	// quick rejection, no heuristic needed.
-	ok, implicit, _, err = ImplicitConfirm(poly.CCITT16, 32752, 4, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok || implicit {
-		t.Errorf("ImplicitConfirm(32752) = ok=%v implicit=%v, want quick rejection", ok, implicit)
 	}
 }

@@ -3,10 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"testing"
 
 	"koopmancrc/internal/hamming"
 	"koopmancrc/internal/poly"
 )
+
+// The paper's §4.1 inverse filtering and its timeout heuristic, kept
+// beside the two tests that reproduce them: no search path runs either.
 
 // InverseResult reports an inverse-filtering run.
 type InverseResult struct {
@@ -18,10 +22,6 @@ type InverseResult struct {
 	// PerPoly maps each polynomial (Koopman form string) to its own
 	// maximum length at the target HD.
 	PerPoly map[string]int
-	// ImplicitConfirmations counts evaluations decided by the budget
-	// heuristic before exact confirmation — the §4.1 "long execution time
-	// is implicit confirmation" trick.
-	ImplicitConfirmations int
 }
 
 // InverseFilter determines the maximum data-word length at which each of
@@ -90,4 +90,49 @@ func ImplicitConfirm(p poly.P, dataLen, minHD int, probeBudget int64) (ok, impli
 		return false, true, false, err
 	}
 	return ok, true, ok, nil
+}
+
+func TestInverseFilterAnchors(t *testing.T) {
+	// §4.1: inverse filtering established maximum lengths; for the 802.3
+	// polynomial HD=5 holds through exactly 2974 bits, and for the iSCSI
+	// polynomial HD=6 through 5243 bits.
+	res, err := InverseFilter([]poly.P{poly.IEEE8023}, 5, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MaxLen != 2974 {
+		t.Errorf("802.3 max length at HD=5 = %d, want 2974", res.MaxLen)
+	}
+	res, err = InverseFilter([]poly.P{poly.IEEE8023, poly.CastagnoliISCSI}, 6, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MaxLen != 1024 || res.Best != poly.CastagnoliISCSI {
+		t.Errorf("best at HD=6 = %v len %d, want iSCSI poly at cap 1024", res.Best, res.MaxLen)
+	}
+	if res.PerPoly[poly.IEEE8023.String()] != 268 {
+		t.Errorf("802.3 max at HD=6 = %d, want 268", res.PerPoly[poly.IEEE8023.String()])
+	}
+}
+
+func TestImplicitConfirmHeuristic(t *testing.T) {
+	// CCITT-16 at 32751 bits: the brute-force weight-3 pass needs ~5*10^8
+	// combinations, far beyond the budget, so the timeout heuristic fires
+	// and exact verification agrees (HD>=4 holds).
+	ok, implicit, agreed, err := ImplicitConfirm(poly.CCITT16, 32751, 4, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || !implicit || !agreed {
+		t.Errorf("ImplicitConfirm(32751) = ok=%v implicit=%v agreed=%v", ok, implicit, agreed)
+	}
+	// At 32752 the weight-2 failure {0, 32767} is found within budget:
+	// quick rejection, no heuristic needed.
+	ok, implicit, _, err = ImplicitConfirm(poly.CCITT16, 32752, 4, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok || implicit {
+		t.Errorf("ImplicitConfirm(32752) = ok=%v implicit=%v, want quick rejection", ok, implicit)
+	}
 }

@@ -14,19 +14,6 @@ import (
 	"koopmancrc/internal/poly"
 )
 
-// EngineKind selects which evaluation engine a filter stage uses.
-type EngineKind int
-
-// Engine kinds.
-const (
-	// EngineFast is the syndrome engine: one boundary scan per weight.
-	EngineFast EngineKind = iota + 1
-	// EngineBruteLex is the paper's enumeration engine in plain order.
-	EngineBruteLex
-	// EngineBruteFCSFirst adds the paper's FCS-bits-first ordering.
-	EngineBruteFCSFirst
-)
-
 // Filter is one stage of the polynomial filtering pipeline. Stages must be
 // ordered cheapest-first; a candidate is dropped at the first stage that
 // rejects it (the paper's early-bailout principle applied at pipeline
@@ -82,7 +69,6 @@ func (f ShapeFilter) Keep(ev *hamming.Evaluator) (bool, error) {
 type HDFilter struct {
 	Lengths []int
 	MinHD   int
-	Engine  EngineKind
 }
 
 // Name implements Filter.
@@ -92,26 +78,7 @@ func (f HDFilter) Name() string {
 
 // Keep implements Filter.
 func (f HDFilter) Keep(ev *hamming.Evaluator) (bool, error) {
-	switch f.Engine {
-	case EngineBruteLex:
-		for _, l := range f.Lengths {
-			ok, err := ev.MeetsHDBrute(l, f.MinHD, hamming.OrderLex)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	case EngineBruteFCSFirst:
-		for _, l := range f.Lengths {
-			ok, err := ev.MeetsHDBrute(l, f.MinHD, hamming.OrderFCSFirst)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	default:
-		return ev.MeetsHDAtLengths(f.Lengths, f.MinHD)
-	}
+	return ev.MeetsHDAtLengths(f.Lengths, f.MinHD)
 }
 
 // StageStats records per-stage pipeline statistics.

@@ -222,7 +222,7 @@ func (w *Worker) runJob(ctx context.Context, wr *wire, m *message, alsoRenew []u
 	var progress atomic.Uint64
 	pl := &core.Pipeline{
 		Space:    space,
-		Filters:  []core.Filter{core.HDFilter{Lengths: m.Spec.Lengths, MinHD: m.Spec.MinHD, Engine: core.EngineFast}},
+		Filters:  []core.Filter{core.HDFilter{Lengths: m.Spec.Lengths, MinHD: m.Spec.MinHD}},
 		Workers:  w.cfg.Parallelism,
 		Progress: &progress,
 	}

@@ -122,7 +122,7 @@ func TestAnchorBA0DC66BShortBands(t *testing.T) {
 func TestAnchorCastagnoliErratum(t *testing.T) {
 	// §3: the misprinted Castagnoli polynomial 1F6ACFB13 "has HD=6 up to a
 	// length of only 382 bits and so should not be used". Both of our
-	// engines (meet-in-the-middle and paper-faithful brute force)
+	// engines (the boundary scan and paper-faithful brute force)
 	// independently find the first weight-5 pattern at 384 bits — HD=6
 	// through 383, one bit past the paper's prose. EXPERIMENTS.md records
 	// the deviation; the paper's point (HD=6 collapses around ~0.4 Kbit

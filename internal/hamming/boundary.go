@@ -2,43 +2,13 @@ package hamming
 
 import "fmt"
 
-// Strategy selects how FirstDataLen locates a weight boundary for w >= 5.
-type Strategy int
-
-// Available strategies.
-const (
-	// StrategyIncreasing is the paper's §4.1 method: filter at
-	// geometrically increasing lengths until the breakpoint is straddled,
-	// then binary-subdivide the final interval. Cheap evaluations at short
-	// lengths reject quickly; only the last interval pays full cost.
-	StrategyIncreasing Strategy = iota + 1
-	// StrategyDirect evaluates the full length first and only then binary
-	// searches. It is the baseline the paper's method is compared against.
-	StrategyDirect
-)
-
 // FirstDataLen returns the smallest data-word length (up to maxLen) at
 // which some undetectable error pattern of exactly w bits fits, together
 // with a witness pattern. found is false if no such length exists within
-// maxLen. Weights of 5 and above are located by one incremental scan
-// (firstLenScan); FirstDataLenStrategy keeps the paper's §4.1 searches.
+// maxLen. Weight 2 comes from the period, weights 3 and 4 from dedicated
+// scans and weights of 5 and above from one incremental scan
+// (firstLenScan).
 func (e *Evaluator) FirstDataLen(w, maxLen int) (int, []int, bool, error) {
-	return e.firstDataLen(w, maxLen, e.firstLenScan)
-}
-
-// FirstDataLenStrategy is FirstDataLen with the w >= 5 boundary located by
-// one of the paper's §4.1 existence-query searches instead of the
-// incremental scan: the ablation and the reference the scan is checked
-// against.
-func (e *Evaluator) FirstDataLenStrategy(w, maxLen int, s Strategy) (int, []int, bool, error) {
-	return e.firstDataLen(w, maxLen, func(w, maxLen int) (int, []int, bool, error) {
-		return e.firstLenSearch(w, maxLen, s)
-	})
-}
-
-// firstDataLen answers the weights with dedicated machinery and hands
-// w >= 5 to high.
-func (e *Evaluator) firstDataLen(w, maxLen int, high func(w, maxLen int) (int, []int, bool, error)) (int, []int, bool, error) {
 	if w < 2 {
 		return 0, nil, false, fmt.Errorf("hamming: invalid weight %d", w)
 	}
@@ -62,7 +32,7 @@ func (e *Evaluator) firstDataLen(w, maxLen int, high func(w, maxLen int) (int, [
 	case 4:
 		return e.firstLen4(maxLen)
 	default:
-		return high(w, maxLen)
+		return e.firstLenScan(w, maxLen)
 	}
 }
 
@@ -156,9 +126,9 @@ func (e *Evaluator) firstLen4(maxLen int) (int, []int, bool, error) {
 // probed. For each c the store first gains every p-subset of [1, c)
 // whose largest member is c-1, then every q-subset of [1, c) joined with
 // {0, c} is probed against it. The first hit that resolves into a
-// disjoint pattern is the exact boundary, so the whole search costs one
-// meet-in-the-middle join at the boundary length. It is one query
-// against MaxProbes.
+// disjoint pattern is the exact boundary, so the whole search costs what
+// one meet-in-the-middle join over the boundary length would. It is one
+// query against MaxProbes.
 func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 	if err := e.begin(w, maxLen); err != nil {
 		return 0, nil, false, err
@@ -175,7 +145,7 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 	if e.width <= 20 {
 		set = bitmapSet(e.bitset())
 	} else {
-		set = newMapSet(0)
+		set = newMapSet()
 	}
 	var work int64
 	for c := 2; c < n; c++ {
@@ -201,7 +171,7 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 			return 0, nil, false, err
 		}
 		e.Stats.StoreOps += row
-		wit, found, err := e.probe(syn, c, p, q, []int{0, c}, set, w, maxLen)
+		wit, found, err := e.probe(syn, c, p, q, set, w, maxLen)
 		if err != nil {
 			return 0, nil, false, err
 		}
@@ -229,63 +199,6 @@ func reserveRow(m *u32map, c, n, p, limit int) {
 		return
 	}
 	m.reserve(int(min(binomAtMost(min(2*c, n)-1, p, 1<<62), int64(limit))))
-}
-
-// firstLenSearch locates a w>=5 boundary with the §4.1 existence
-// queries, one meet-in-the-middle join per length tried. It calls the
-// join directly, not Exists (which is the scan), so the reference never
-// checks the scan against itself.
-func (e *Evaluator) firstLenSearch(w, maxLen int, s Strategy) (int, []int, bool, error) {
-	defer e.spanStart(SpanBoundary, w, maxLen)()
-	exists := func(l int) ([]int, bool, error) { return e.meetInMiddle(w, e.codewordLen(l)) }
-	// lo is the largest length known to have no weight-w pattern; hi the
-	// smallest known to have one.
-	lo, hi := 0, 0
-	var hiWitness []int
-	switch s {
-	case StrategyDirect:
-		wit, found, err := exists(maxLen)
-		if err != nil {
-			return 0, nil, false, err
-		}
-		if !found {
-			return 0, nil, false, nil
-		}
-		hi, hiWitness = maxLen, wit
-	default: // StrategyIncreasing
-		prev := 0
-		for l := 8; ; l *= 2 {
-			if l > maxLen {
-				l = maxLen
-			}
-			wit, found, err := exists(l)
-			if err != nil {
-				return 0, nil, false, err
-			}
-			if found {
-				lo, hi, hiWitness = prev, l, wit
-				break
-			}
-			prev = l
-			if l == maxLen {
-				return 0, nil, false, nil
-			}
-		}
-		lo = prev
-	}
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		wit, found, err := exists(mid)
-		if err != nil {
-			return 0, nil, false, err
-		}
-		if found {
-			hi, hiWitness = mid, wit
-		} else {
-			lo = mid
-		}
-	}
-	return hi, hiWitness, true, nil
 }
 
 // HDAt returns the exact Hamming distance at the given data-word length,

@@ -207,27 +207,6 @@ func TestFirstDataLenMatchesBruteScan(t *testing.T) {
 	}
 }
 
-func TestStrategiesAgree(t *testing.T) {
-	rng := rand.New(rand.NewPCG(606, 6))
-	for trial := 0; trial < 10; trial++ {
-		p := randPoly(rng, 10)
-		e := New(p)
-		for w := 5; w <= 6; w++ {
-			n1, _, f1, err := e.FirstDataLenStrategy(w, 80, StrategyIncreasing)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n2, _, f2, err := e.FirstDataLenStrategy(w, 80, StrategyDirect)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f1 != f2 || n1 != n2 {
-				t.Fatalf("%v w=%d: increasing=(%d,%v) direct=(%d,%v)", p, w, n1, f1, n2, f2)
-			}
-		}
-	}
-}
-
 func TestOddWeightsZeroForParityPolynomials(t *testing.T) {
 	// Polynomials divisible by (x+1) detect all odd numbers of bit errors
 	// (paper §3) — the first invariant of the paper's validation (§4.5).
@@ -488,7 +467,7 @@ func TestSmallPeriodWeight2(t *testing.T) {
 func TestU32Map(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 9))
 	m := newU32Map(1000)
-	set := newMapSet(1000)
+	set := newMapSet()
 	ref := make(map[uint32]int32)
 	for i := 0; i < 1000; i++ {
 		k := uint32(rng.Uint64N(2000)) // force collisions
@@ -564,7 +543,7 @@ func TestU32Map(t *testing.T) {
 		}
 	}
 	m = newU32Map(0)
-	set = newMapSet(0)
+	set = newMapSet()
 	ref = make(map[uint32]int32)
 	for i := 0; i < len(keys); i += 2 {
 		m.put(keys[i], int32(i))
@@ -837,7 +816,7 @@ func TestU32MapSieve(t *testing.T) {
 	const bitmapMask = 1<<20 - 1 // the bitmap covers 20-bit syndromes
 	for _, keys := range [][]uint32{random, structured} {
 		m := newU32Map(0)
-		set := newMapSet(0)
+		set := newMapSet()
 		b := bitmapSet(make([]uint64, (bitmapMask+1)/64))
 		inMap := make(map[uint32]bool)
 		inBitmap := make(map[uint32]bool)
@@ -897,20 +876,23 @@ func checkSieve(t *testing.T, name string, got []int32, l int, held, pass func(i
 	}
 }
 
+// TestU32Count checks the valued map as weight3's multiset: after inc
+// over keys with repeats, key 0 among them, each key's value is its
+// multiplicity and an absent key reads -1.
 func TestU32Count(t *testing.T) {
 	f := func(keys []uint16) bool {
-		c := newU32Count(len(keys) + 1)
-		ref := make(map[uint32]uint32)
+		c := newU32Map(len(keys) + 1)
+		ref := make(map[uint32]int32)
 		for _, k := range keys {
-			c.add(uint32(k))
+			c.inc(uint32(k))
 			ref[uint32(k)]++
 		}
 		for k, want := range ref {
-			if c.count(k) != want {
+			if c.get(k) != want {
 				return false
 			}
 		}
-		return c.count(1<<20) == 0
+		return c.get(1<<20) == -1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -955,11 +937,12 @@ func TestMeetsHDAtLengthsShortCircuit(t *testing.T) {
 	}
 }
 
+// TestExistsMatchesBruteForceHighWeights checks Exists against brute
+// force at weights 7 to 10, where the boundary scan behind it stores rows
+// of p-1 = 2 (w = 7, 8) and 3 (w = 9, 10) positions, the latter through
+// the store's general recursion, and probes q = 2 to 4 positions, q = 4
+// (w = 10) through the probe's general recursion.
 func TestExistsMatchesBruteForceHighWeights(t *testing.T) {
-	// Weights 7 and 8 exercise the store-side recursion (p=3) and the
-	// probe-side q=4 recursion of the §4.1 reference join; weights 9 and
-	// 10 exercise the same recursions in the boundary scan behind Exists
-	// (store rows of p-1=3, probes of q=4).
 	rng := rand.New(rand.NewPCG(111, 12))
 	for trial := 0; trial < 12; trial++ {
 		p := randPoly(rng, 8)
@@ -979,13 +962,6 @@ func TestExistsMatchesBruteForceHighWeights(t *testing.T) {
 				}
 				if found && len(wit) != w {
 					t.Fatalf("witness %v", wit)
-				}
-				first, _, dfound, err := e.FirstDataLenStrategy(w, n, StrategyDirect)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dfound != found || (found && first > n) {
-					t.Fatalf("%v w=%d n=%d: Exists=%v, direct=(%d,%v)", p, w, n, found, first, dfound)
 				}
 			}
 		}

@@ -25,12 +25,13 @@
 // length n, so each scan grows the length a bit at a time, stops at the
 // first undetectable pattern (the exact boundary, which answers every
 // existence query up to it), or runs to the end to count W3 and W4. The
-// per-length meet-in-the-middle join survives only as the paper's §4.1
-// reference search behind FirstDataLenStrategy. The brute-force engine
-// (ExistsBrute, WeightBrute) enumerates bit patterns exactly as the paper's
-// software did — including the FCS-bits-first ordering and early-bailout
-// optimisations of §4.1 — and serves as the reference implementation the
-// fast engine is validated against.
+// brute-force engine (ExistsBrute, WeightBrute) enumerates bit patterns
+// exactly as the paper's software did — including the FCS-bits-first
+// ordering and early-bailout optimisations of §4.1 — and is one of the
+// two references the fast engine is tested against. The other, in the
+// tests only, counts every weight exactly from the code's 2^width-word
+// dual through the MacWilliams identity, sharing no code with the scans,
+// at lengths and widths where enumeration is out of reach.
 package hamming
 
 import (
@@ -45,8 +46,8 @@ import (
 // Default resource limits.
 const (
 	// DefaultMaxStoreEntries bounds the number of subset syndromes
-	// materialised on the store side of a boundary scan (or a reference
-	// meet-in-the-middle join) before switching to the whole-space bitmap.
+	// materialised on the store side of the w >= 5 boundary scan before
+	// it switches to the whole-space bitmap.
 	// The hash store is a keys-only set, never sized past this limit at
 	// 50% load, with 4 bytes per slot plus 1 byte of presence filter:
 	// 2^20 entries take about 10 MiB (2^21 slots), against the 512 MiB
@@ -78,18 +79,15 @@ type Event struct {
 
 // Span phases emitted by the evaluator's span hook, one per distinct
 // search machinery: the w >= 5 boundary scan, the dedicated weight-3/4
-// boundary scans (every existence query is one of these three), the two
-// halves of a meet-in-the-middle join (only the §4.1 reference searches
-// of FirstDataLenStrategy run one), and the exact weight-counting passes.
+// boundary scans (every existence query is one of these three), and the
+// exact weight-counting passes.
 const (
-	SpanBoundary  = "boundary"
-	SpanW3Scan    = "w3_scan"
-	SpanW4Scan    = "w4_scan"
-	SpanMITMStore = "mitm_store"
-	SpanMITMProbe = "mitm_probe"
-	SpanW2Count   = "w2_count"
-	SpanW3Count   = "w3_count"
-	SpanW4Count   = "w4_count"
+	SpanBoundary = "boundary"
+	SpanW3Scan   = "w3_scan"
+	SpanW4Scan   = "w4_scan"
+	SpanW2Count  = "w2_count"
+	SpanW3Count  = "w3_count"
+	SpanW4Count  = "w4_count"
 )
 
 // SpanEvent describes one completed engine phase: which machinery ran
@@ -148,9 +146,8 @@ func WithCancel(fn func() bool) Option { return func(o *Options) { o.Cancel = fn
 // engine phase.
 func WithSpanHook(fn func(SpanEvent)) Option { return func(o *Options) { o.Span = fn } }
 
-// WithMaxStoreEntries sets the threshold above which boundary scans (and
-// the reference meet-in-the-middle joins) switch from a compact map to
-// the whole-space bitmap.
+// WithMaxStoreEntries sets the threshold above which the w >= 5 boundary
+// scan switches from a compact map to the whole-space bitmap.
 func WithMaxStoreEntries(n int) Option { return func(o *Options) { o.MaxStoreEntries = n } }
 
 // Evaluator computes error-detection properties of one generator

@@ -29,58 +29,6 @@ func (e *Evaluator) Exists(w, dataLen int) ([]int, bool, error) {
 	return wit, found, err
 }
 
-// meetInMiddle searches for a weight-w multiple of G within n codeword
-// bits by one join: a canonical pattern contains position 0, its
-// remaining w-1 positions are split into a stored p-subset side and a
-// probed q-subset side, and a probe hitting a stored syndrome value is
-// exactly an undetectable pattern (up to position overlap, which is
-// re-verified before reporting). It backs only the §4.1 reference
-// searches of FirstDataLenStrategy.
-func (e *Evaluator) meetInMiddle(w, n int) ([]int, bool, error) {
-	if err := e.begin(w, n-e.width); err != nil {
-		return nil, false, err
-	}
-	rem := w - 1
-	p := rem / 2
-	q := rem - p // p <= q; the smaller side is materialised
-	storeCount := binomAtMost(n-1, p, 1<<62)
-	probeCount := binomAtMost(n-1, q, 1<<62)
-	if storeCount+probeCount > e.opts.MaxProbes {
-		return nil, false, fmt.Errorf("%w: weight %d at %d codeword bits needs %d operations",
-			ErrBudgetExceeded, w, n, storeCount+probeCount)
-	}
-	syn := e.syndromes(n)
-
-	var set synSet
-	if storeCount <= int64(e.opts.MaxStoreEntries) && e.width > 20 {
-		set = newMapSet(int(storeCount))
-	} else {
-		set = bitmapSet(e.bitset())
-	}
-	endStore := e.spanStart(SpanMITMStore, w, n-e.width)
-	if err := e.enumStore(syn, n, p, 0, set, w, n-e.width); err != nil {
-		endStore()
-		return nil, false, err
-	}
-	e.Stats.StoreOps += storeCount
-	endStore()
-
-	endProbe := e.spanStart(SpanMITMProbe, w, n-e.width)
-	witness, found, err := e.probe(syn, n, p, q, []int{0}, set, w, n-e.width)
-	endProbe()
-	if err != nil {
-		return nil, false, err
-	}
-	if found {
-		e.Stats.EarlyExits++
-		if err := e.verifyWitness(w, n, witness); err != nil {
-			return nil, false, err
-		}
-		return witness, true, nil
-	}
-	return nil, false, nil
-}
-
 // verifyWitness defensively re-checks a reported pattern: correct weight,
 // in-range sorted distinct positions, zero syndrome.
 func (e *Evaluator) verifyWitness(w, n int, witness []int) error {
@@ -143,11 +91,11 @@ func (b bitmapSet) sieve(row, _ []uint32, x uint32, out []int32) []int32 {
 // mapSet is a compact open-addressed presence set for small store sides,
 // avoiding the 512 MiB bitmap for 32-bit generators on trivial queries.
 // It is the keys-only form of u32map: no caller reads a value back, so
-// a slot holds its key alone. It doubles as it fills, and the w >= 5
-// scan sizes it ahead of its known growth (reserveRow).
+// a slot holds its key alone. It starts empty and doubles as it fills,
+// and the w >= 5 scan sizes it ahead of its known growth (reserveRow).
 type mapSet struct{ m *u32map }
 
-func newMapSet(n int) mapSet  { return mapSet{m: newTable(n, false)} }
+func newMapSet() mapSet       { return mapSet{m: newTable(0, false)} }
 func (s mapSet) add(v uint32) { s.m.put(v, 0) }
 
 // sieve runs the pre-hashed row through the map's presence filter, then
@@ -203,21 +151,18 @@ func (e *Evaluator) enumStore(syn []uint32, n, k int, acc uint32, set synSet, w,
 	return nil
 }
 
-// probe enumerates q-subsets of [1, n) joined with the fixed positions,
+// probe enumerates q-subsets of [1, n) joined with the positions {0, n},
 // testing each syndrome against the store set of p-subsets of [1, n);
 // hits are resolved into explicit disjoint witnesses. The innermost
 // position runs as a row: one sieve call tests the syndromes of every
 // choice of it at once, and only the returned hits are resolved. The
 // weight w and data length of the enclosing query label progress
 // events.
-func (e *Evaluator) probe(syn []uint32, n, p, q int, fixed []int, set synSet, w, dataLen int) ([]int, bool, error) {
+func (e *Evaluator) probe(syn []uint32, n, p, q int, set synSet, w, dataLen int) ([]int, bool, error) {
 	hsyn := e.hsyn[:n]
-	var base uint32
-	for _, f := range fixed {
-		base ^= syn[f]
-	}
+	base := syn[0] ^ syn[n]
 	probeSet := func(pos ...int) []int {
-		return append(append(make([]int, 0, len(fixed)+len(pos)), fixed...), pos...)
+		return append([]int{0, n}, pos...)
 	}
 	out := e.rowScratch(n)
 	switch q {
@@ -322,12 +267,6 @@ func (e *Evaluator) resolve(syn []uint32, n, p int, target uint32, probeSet []in
 		return out
 	}
 	switch p {
-	case 1:
-		for i := 1; i < n; i++ {
-			if syn[i] == target && !inProbe(i) {
-				return emit([]int{i}), true
-			}
-		}
 	case 2:
 		for i := 1; i < n; i++ {
 			if inProbe(i) {

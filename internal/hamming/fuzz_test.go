@@ -17,15 +17,19 @@ import (
 // operation count and passed pre-hashed: the output must be ascending,
 // name every held key and pass a key only if its filter bit is set. A
 // keys-only set takes the same puts and must answer every get, find and
-// row sieve with exactly the map's presence.
+// row sieve with exactly the map's presence. A third table counts the
+// puts with inc, as weight3's multiset does, and must read each key's
+// count as a Go map[uint32]uint32 does, -1 for a key never put.
 func FuzzU32Map(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x06, 0x07})
 	f.Add([]byte{0x02, 0x01, 0x00, 0xf8, 0x01, 0xfa, 0x01, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte("\x00abcdefghijklmnopqrstuvwxyz0123456789\x01a\x01z\x01!"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newU32Map(0)
-		set := newMapSet(0)
+		set := newMapSet()
+		counts := newU32Map(0)
 		ref := make(map[uint32]int32)
+		refCount := make(map[uint32]uint32)
 		var key, prev uint32
 		out := make([]int32, 4)
 		for op := int32(0); len(data) > 0; op++ {
@@ -43,13 +47,22 @@ func FuzzU32Map(f *testing.F) {
 			if ctl&1 == 0 {
 				m.put(key, op)
 				set.add(key)
+				counts.inc(key)
 				if _, ok := ref[key]; !ok {
 					ref[key] = op
 				}
-				if m.n != len(ref) || 2*m.n > len(m.keys) || set.m.n != m.n || len(set.m.keys) != len(m.keys) {
-					t.Fatalf("%d entries in %d slots (set: %d in %d), want %d at <= 50%% load",
-						m.n, len(m.keys), set.m.n, len(set.m.keys), len(ref))
+				refCount[key]++
+				if m.n != len(ref) || 2*m.n > len(m.keys) || set.m.n != m.n || len(set.m.keys) != len(m.keys) || counts.n != m.n {
+					t.Fatalf("%d entries in %d slots (set: %d in %d, counts: %d), want %d at <= 50%% load",
+						m.n, len(m.keys), set.m.n, len(set.m.keys), counts.n, len(ref))
 				}
+			}
+			wantCount := int32(-1)
+			if c, ok := refCount[key]; ok {
+				wantCount = int32(c)
+			}
+			if got := counts.get(key); got != wantCount {
+				t.Fatalf("op %d: count of %#x = %d, want %d", op, key, got, wantCount)
 			}
 			want, ok := ref[key]
 			if !ok {
@@ -74,6 +87,9 @@ func FuzzU32Map(f *testing.F) {
 		for k, v := range ref {
 			if got := m.get(k); got != v {
 				t.Fatalf("get(%#x) = %d at the end, want %d", k, got, v)
+			}
+			if got := counts.get(k); got != int32(refCount[k]) {
+				t.Fatalf("count of %#x = %d at the end, want %d", k, got, refCount[k])
 			}
 		}
 	})

@@ -40,6 +40,7 @@ func bruteBoundary(t *testing.T, e *Evaluator, w, maxLen int) int {
 func checkBoundaryWitness(t *testing.T, e *Evaluator, w, dataLen int, wit []int) {
 	t.Helper()
 	n := e.codewordLen(dataLen)
+	e.syndromes(n) // the weight-2 boundary comes from the period, not a scan
 	if err := e.verifyWitness(w, n, wit); err != nil {
 		t.Fatal(err)
 	}
@@ -48,17 +49,20 @@ func checkBoundaryWitness(t *testing.T, e *Evaluator, w, dataLen int, wit []int)
 	}
 }
 
-// TestScanMatchesDirectAndBrute cross-checks the boundary scans against
-// the §4.1 direct search and a brute-force boundary on random generators:
-// 8..16 bits at weights 2..8, and 21..24 bits at weights 2..6, where the
-// scan and the direct search keep their store in the compact hash set
-// instead of the bitmap, so the brute force (which shares no code with
-// probe) is the only independent check of that path. The random
-// generators include ones with lower-weight patterns inside the range,
-// whose degenerate store hits the scan must resolve away. Exists, HDAt
-// and MeetsHD, which run on the same scans, must agree with those
-// boundaries at lengths on both sides of each.
-func TestScanMatchesDirectAndBrute(t *testing.T) {
+// TestScanMatchesBruteAndDual cross-checks the boundary scans against
+// the two references, neither of which shares code with probe. Brute
+// force checks boundaries on random generators of 8..16 bits to 40 data
+// bits at weights 2..8, and of 21..24 bits to 64 bits at weights 2..6,
+// where the scan keeps its store in the compact hash set instead of the
+// bitmap. The random generators include ones with lower-weight patterns
+// inside the range, whose degenerate store hits the scan must resolve
+// away. Exists, HDAt and MeetsHD, which run on the same scans, must agree
+// with those boundaries at lengths on both sides of each. The dual-code
+// oracle then checks every boundary at weights 2..8, and the exact
+// counts of Weight, on random 8..24-bit generators, half of them
+// divisible by (x+1), to 4000 data bits, far past what enumeration
+// reaches.
+func TestScanMatchesBruteAndDual(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1313, 13))
 	for _, tc := range []struct{ minWidth, maxWidth, maxLen, maxHD, trials int }{
 		{8, 16, 40, 8, 24},
@@ -69,10 +73,17 @@ func TestScanMatchesDirectAndBrute(t *testing.T) {
 			checkScanAgainstBrute(t, p, tc.maxLen, tc.maxHD)
 		}
 	}
+	for i, width := range []int{8, 9, 11, 13, 16, 17, 19, 21, 22, 23, 24, 24} {
+		p := randPoly(rng, width)
+		for p.DivisibleByXPlus1() != (i%2 == 1) {
+			p = randPoly(rng, width)
+		}
+		checkScanAgainstDual(t, p, 4000)
+	}
 }
 
-// checkScanAgainstBrute runs TestScanMatchesDirectAndBrute's checks on
-// one generator.
+// checkScanAgainstBrute runs TestScanMatchesBruteAndDual's brute-force
+// checks on one generator.
 func checkScanAgainstBrute(t *testing.T, p poly.P, maxLen, maxHD int) {
 	t.Helper()
 	e := New(p)
@@ -83,16 +94,9 @@ func checkScanAgainstBrute(t *testing.T, p poly.P, maxLen, maxHD int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, _, dfound, err := e.FirstDataLenStrategy(w, maxLen, StrategyDirect)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want := bruteBoundary(t, e, w, maxLen)
 		if found != (want > 0) || (found && got != want) {
 			t.Fatalf("%v w=%d: scan=(%d,%v), brute boundary %d", p, w, got, found, want)
-		}
-		if dfound != found || direct != got {
-			t.Fatalf("%v w=%d: scan=(%d,%v), direct=(%d,%v)", p, w, got, found, direct, dfound)
 		}
 		if found {
 			checkBoundaryWitness(t, e, w, got, wit)
@@ -139,31 +143,6 @@ func checkScanAgainstBrute(t *testing.T, p poly.P, maxLen, maxHD int) {
 			}
 			if ok != (minHD <= wantHD) {
 				t.Fatalf("%v MeetsHD(%d, %d) = %v at HD %d", p, n, minHD, ok, wantHD)
-			}
-		}
-	}
-}
-
-// TestScanTable1Polynomials checks the scan against the paper's
-// increasing-lengths search for every Table 1 generator to 512 bits,
-// HD <= 6.
-func TestScanTable1Polynomials(t *testing.T) {
-	for _, col := range poly.Table1() {
-		e := New(col.P)
-		for w := 5; w <= 6; w++ {
-			got, wit, found, err := e.FirstDataLen(w, 512)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _, wfound, err := e.FirstDataLenStrategy(w, 512, StrategyIncreasing)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if found != wfound || got != want {
-				t.Fatalf("%v w=%d: scan=(%d,%v), increasing=(%d,%v)", col.P, w, got, found, want, wfound)
-			}
-			if found {
-				checkBoundaryWitness(t, e, w, got, wit)
 			}
 		}
 	}
@@ -237,7 +216,7 @@ func TestReserveRow(t *testing.T) {
 		p := (w - 1) / 2
 		n := 544 + 32
 		for _, limit := range []int{DefaultMaxStoreEntries, 40000} {
-			s := newMapSet(0)
+			s := newMapSet()
 			key := uint32(1)
 			rows, rebuilds := 0, 0
 			for c := 2; c < n; c++ {

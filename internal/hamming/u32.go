@@ -9,7 +9,9 @@ import (
 // for the inner loops of the boundary scans where Go's built-in map is
 // too slow. It comes in two forms: newU32Map builds a map from keys to
 // int32 values, and newMapSet a keys-only presence set whose slots carry
-// no values at all (vals is nil), 4 bytes a slot against the map's 8. A
+// no values at all (vals is nil), 4 bytes a slot against the map's 8.
+// The map also serves as a multiset: inc counts a key's occurrences in
+// its value (weight3's W3 count, exact when keys repeat). A
 // zero key word marks an empty slot, so key 0 is held beside the slots
 // in hasZero and zeroVal. The table is rebuilt by reserve: put doubles
 // it whenever an insert would take it past 50% load, and a scan that
@@ -102,18 +104,29 @@ func newTable(n int, valued bool) *u32map {
 func hash(key uint32) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
 
 // put inserts key->val; for a key already present the first write wins.
-// A keys-only set drops val. A table that is full at 50% load is
-// doubled first.
-func (m *u32map) put(key uint32, val int32) {
+// A keys-only set drops val.
+func (m *u32map) put(key uint32, val int32) { m.insert(key, val, false) }
+
+// inc adds one to the value of key, counting a key not yet held from 0:
+// the valued form as a multiset.
+func (m *u32map) inc(key uint32) { m.insert(key, 1, true) }
+
+// insert puts key->val for a key not yet held. A key already present
+// keeps its value, or gains val when add is set. A table that is full
+// at 50% load is doubled first.
+func (m *u32map) insert(key uint32, val int32, add bool) {
 	if 2*(m.n+1) > len(m.keys) {
 		m.reserve(m.n + 1)
 	}
 	f := m.filterBit(key)
 	m.filter[f>>6] |= 1 << (f & 63)
 	if key == 0 {
-		if !m.hasZero {
+		switch {
+		case !m.hasZero:
 			m.hasZero, m.zeroVal = true, val
 			m.n++
+		case add:
+			m.zeroVal += val
 		}
 		return
 	}
@@ -130,7 +143,10 @@ func (m *u32map) put(key uint32, val int32) {
 			return
 		}
 		if k == key {
-			return // keep the first (smallest-position) entry
+			if add {
+				m.vals[i] += val
+			}
+			return // otherwise keep the first (smallest-position) entry
 		}
 		i = (i + 1) & mask
 	}
@@ -238,67 +254,5 @@ func (m *u32map) each(fn func(key uint32)) {
 		if k != 0 {
 			fn(k)
 		}
-	}
-}
-
-// u32count is an open-addressed multiset counter over uint32 keys.
-type u32count struct {
-	keys   []uint32
-	counts []uint32
-	used   []bool
-	mask   int
-	shift  uint
-}
-
-func newU32Count(n int) *u32count {
-	sz := 1
-	for sz < 2*n {
-		sz <<= 1
-	}
-	if sz < 16 {
-		sz = 16
-	}
-	return &u32count{
-		keys:   make([]uint32, sz),
-		counts: make([]uint32, sz),
-		used:   make([]bool, sz),
-		mask:   sz - 1,
-		shift:  uint(64 - bits.Len(uint(sz-1))),
-	}
-}
-
-func (m *u32count) idx(key uint32) int {
-	return int(hash(key) >> m.shift)
-}
-
-// add increments the count of key.
-func (m *u32count) add(key uint32) {
-	i := m.idx(key)
-	for {
-		if !m.used[i] {
-			m.used[i] = true
-			m.keys[i] = key
-			m.counts[i] = 1
-			return
-		}
-		if m.keys[i] == key {
-			m.counts[i]++
-			return
-		}
-		i = (i + 1) & m.mask
-	}
-}
-
-// count returns the multiplicity of key.
-func (m *u32count) count(key uint32) uint32 {
-	i := m.idx(key)
-	for {
-		if !m.used[i] {
-			return 0
-		}
-		if m.keys[i] == key {
-			return m.counts[i]
-		}
-		i = (i + 1) & m.mask
 	}
 }

@@ -69,17 +69,17 @@ func (e *Evaluator) weight3(dataLen int) (uint64, error) {
 	}
 	defer e.spanStart(SpanW3Count, 3, dataLen)()
 	syn := e.syndromes(n)
-	counts := newU32Count(n)
+	counts := newU32Map(n)
 	var total uint64
 	for c := 1; c < n; c++ {
 		e.Stats.Probes++
 		if err := e.tick(3, dataLen, 1); err != nil {
 			return 0, err
 		}
-		if m := counts.count(syn[c]); m > 0 {
+		if m := counts.get(syn[c]); m > 0 {
 			total += uint64(m) * uint64(n-c)
 		}
-		counts.add(1 ^ syn[c])
+		counts.inc(1 ^ syn[c])
 	}
 	e.Stats.StoreOps += int64(n - 1)
 	return total, nil

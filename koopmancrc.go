@@ -185,7 +185,7 @@ func Search(ctx context.Context, cfg SearchConfig) (*SearchResult, error) {
 	}
 	pl := &core.Pipeline{
 		Space:   space,
-		Filters: []core.Filter{core.HDFilter{Lengths: cfg.Lengths, MinHD: cfg.MinHD, Engine: core.EngineFast}},
+		Filters: []core.Filter{core.HDFilter{Lengths: cfg.Lengths, MinHD: cfg.MinHD}},
 		Workers: cfg.Parallelism,
 	}
 	res, err := pl.Run(ctx, cfg.StartIdx, end)

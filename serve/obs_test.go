@@ -124,11 +124,6 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	for _, phase := range []string{`phase="mitm_store"`, `phase="mitm_probe"`} {
-		if strings.Contains(out, phase) {
-			t.Errorf("exposition has %s: an endpoint ran a meet-in-the-middle join", phase)
-		}
-	}
 
 	// Accept negotiation selects the same exposition.
 	req := httptest.NewRequest("GET", "/metrics", nil)
