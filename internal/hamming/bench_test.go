@@ -1,6 +1,7 @@
 package hamming
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -74,5 +75,57 @@ func BenchmarkBoundaryStore(b *testing.B) {
 func reportPerProbe(b *testing.B, work int64) {
 	if work > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(work), "ns/probe")
+	}
+}
+
+// BenchmarkWeight4MTU is the kernel of the weights workload: 802.3's
+// exact W4 = 223059 at the MTU length, 12112 data bits, in a fresh
+// Evaluator. Its time is the weight-4 count's rows of pair keys, up to
+// 12142 keys each, sieved against a store of up to 12143 keys.
+func BenchmarkWeight4MTU(b *testing.B) {
+	var work int64
+	for i := 0; i < b.N; i++ {
+		e := New(poly.IEEE8023)
+		if w4, err := e.Weight(4, 12112); err != nil || w4 != 223059 {
+			b.Fatalf("Weight(4, 12112) = %d, %v; want 223059", w4, err)
+		}
+		work += e.Stats.Probes + e.Stats.StoreOps
+	}
+	reportPerProbe(b, work)
+}
+
+// BenchmarkSieve times the row sieve alone, sieveBits against its
+// portable loop sieveBitsGo, over a 32 KiB presence filter (the W4
+// count's filter at the MTU length) with one bit in 16 set, as at 50%
+// load. The rows are about as long as the longest of the §4.2 filter's
+// 1024-bit stage (1055 keys) and of the W4 count at the MTU length
+// (12143 keys). ns/key is the cost of testing one key.
+func BenchmarkSieve(b *testing.B) {
+	rng := rand.New(rand.NewPCG(22, 32))
+	bits := make([]uint64, 32<<10/8)
+	for i := range bits {
+		bits[i] = rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+	}
+	for _, l := range []int{1055, 12143} {
+		keys := make([]uint32, l)
+		for i := range keys {
+			keys[i] = rng.Uint32()
+		}
+		out := make([]int32, l)
+		for _, s := range []struct {
+			name  string
+			sieve func([]uint64, []uint32, uint32, []int32) []int32
+		}{{"sieveBits", sieveBits}, {"sieveBitsGo", sieveBitsGo}} {
+			b.Run(fmt.Sprintf("%s/%d", s.name, l), func(b *testing.B) {
+				hits := 0
+				for i := 0; i < b.N; i++ {
+					hits += len(s.sieve(bits, keys, uint32(i), out))
+				}
+				if hits == 0 {
+					b.Fatal("no key passed")
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*l), "ns/key")
+			})
+		}
 	}
 }

@@ -66,26 +66,11 @@ type bitmapSet []uint64
 
 func (b bitmapSet) add(v uint32) { b[v>>6] |= 1 << (v & 63) }
 
-// sieve reads each value's bit in the same branch-free loop as
-// u32map.sieve; the bitmap is exact and indexed by the value itself, so
-// it ignores hrow and no second pass follows.
+// sieve tests each value's bit with sieveBits, the kernel behind
+// u32map.sieve too; the bitmap is exact and indexed by the value
+// itself, so it ignores hrow and no second pass follows.
 func (b bitmapSet) sieve(row, _ []uint32, x uint32, out []int32) []int32 {
-	if len(b) == 0 {
-		return out[:0] // never true; it lets the mask below drop the bounds check
-	}
-	mask := len(b) - 1
-	out = out[:len(row)]
-	k := 0
-	for i, s := range row {
-		v := s ^ x
-		out[k] = int32(i)
-		bit := 0
-		if b[int(v>>6)&mask]&(1<<(v&63)) != 0 {
-			bit = 1
-		}
-		k += bit
-	}
-	return out[:k]
+	return sieveBits(b, row, x, out)
 }
 
 // mapSet is a compact open-addressed presence set for small store sides,

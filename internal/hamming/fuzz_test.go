@@ -2,8 +2,13 @@ package hamming
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 )
+
+// fuzzRow is the length of FuzzU32Map's sieved rows: two of the vector
+// sieve's 16-key blocks and a tail.
+const fuzzRow = 2*16 + 5
 
 // FuzzU32Map decodes the input into a sequence of put and get operations
 // on a map that starts empty (so it grows along the way) and checks each
@@ -12,14 +17,18 @@ import (
 // bytes. Bit 0 of the control byte picks put or get, bits 1-2 the key's
 // size (1, 2 or 4 bytes; 3 reuses the previous key) and bits 3-7 a left
 // shift, so short inputs reach colliding, single-bit and high-bit keys.
-// Every operation also sieves a small row holding the key, its
-// neighbours and the previous key, XORed with a value drawn from the
-// operation count and passed pre-hashed: the output must be ascending,
-// name every held key and pass a key only if its filter bit is set. A
-// keys-only set takes the same puts and must answer every get, find and
-// row sieve with exactly the map's presence. A third table counts the
-// puts with inc, as weight3's multiset does, and must read each key's
-// count as a Go map[uint32]uint32 does, -1 for a key never put.
+// Every operation also sieves a row of fuzzRow keys: the key, key-1,
+// key+1 and the previous key, then neighbours key^j<<s with s the
+// operation's shift, all XORed with a value drawn from the operation
+// count and passed pre-hashed. The output must be ascending, name every held key and
+// pass a key only if its filter bit is set. A keys-only set takes the
+// same puts and must answer every get, find and row sieve with exactly
+// the map's presence, and a 4096-bit bitmapSet takes the puts' low 12
+// bits and must sieve the row's low 12 bits exactly. On each row,
+// sieveBits must return sieveBitsGo's slice, over the map's filter and
+// over the bitmap. A third table counts the puts with inc, as weight3's
+// multiset does, and must read each key's count as a Go
+// map[uint32]uint32 does, -1 for a key never put.
 func FuzzU32Map(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x06, 0x07})
 	f.Add([]byte{0x02, 0x01, 0x00, 0xf8, 0x01, 0xfa, 0x01, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff})
@@ -30,8 +39,11 @@ func FuzzU32Map(f *testing.F) {
 		counts := newU32Map(0)
 		ref := make(map[uint32]int32)
 		refCount := make(map[uint32]uint32)
+		const bitmapMask = 1<<12 - 1
+		bitmap := bitmapSet(make([]uint64, (bitmapMask+1)/64))
+		inBitmap := make(map[uint32]bool)
 		var key, prev uint32
-		out := make([]int32, 4)
+		out := make([]int32, fuzzRow)
 		for op := int32(0); len(data) > 0; op++ {
 			ctl := data[0]
 			data = data[1:]
@@ -47,6 +59,8 @@ func FuzzU32Map(f *testing.F) {
 			if ctl&1 == 0 {
 				m.put(key, op)
 				set.add(key)
+				bitmap.add(key & bitmapMask)
+				inBitmap[key&bitmapMask] = true
 				counts.inc(key)
 				if _, ok := ref[key]; !ok {
 					ref[key] = op
@@ -73,15 +87,25 @@ func FuzzU32Map(f *testing.F) {
 			}
 			checkSetMatchesMap(t, set, m, key, key^1, prev)
 			probed := []uint32{key - 1, key, key + 1, prev}
+			for j := uint32(len(probed)) - 2; len(probed) < fuzzRow; j++ {
+				probed = append(probed, key^j<<(ctl>>3))
+			}
 			x := uint32(op) * 0x9E3779B9
 			row := make([]uint32, len(probed))
+			bitmapRow := make([]uint32, len(probed))
 			for i, k := range probed {
 				row[i] = k ^ x
+				bitmapRow[i] = row[i] & bitmapMask
 			}
+			hrow := hashRow(row)
 			held := func(i int) bool { _, ok := ref[probed[i]]; return ok }
-			checkSieve(t, "u32map", m.sieve(hashRow(row), lin(x), out), len(row),
+			checkSieve(t, "u32map", m.sieve(hrow, lin(x), out), len(row),
 				held, func(i int) bool { return filterHit(m, probed[i]) })
-			checkSieve(t, "mapSet", set.sieve(row, hashRow(row), x, out), len(row), held, held)
+			checkSieve(t, "mapSet", set.sieve(row, hrow, x, out), len(row), held, held)
+			heldBitmap := func(i int) bool { return inBitmap[probed[i]&bitmapMask] }
+			checkSieve(t, "bitmapSet", bitmap.sieve(bitmapRow, nil, x&bitmapMask, out), len(row), heldBitmap, heldBitmap)
+			checkSieveBits(t, m.filter, hrow, lin(x))
+			checkSieveBits(t, bitmap, bitmapRow, x&bitmapMask)
 			prev = key
 		}
 		for k, v := range ref {
@@ -93,4 +117,14 @@ func FuzzU32Map(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkSieveBits asserts that sieveBits returns exactly sieveBitsGo's
+// slice on one row.
+func checkSieveBits(t *testing.T, bits []uint64, keys []uint32, x uint32) {
+	t.Helper()
+	want := slices.Clone(sieveBitsGo(bits, keys, x, make([]int32, len(keys))))
+	if got := sieveBits(bits, keys, x, make([]int32, len(keys))); !slices.Equal(got, want) {
+		t.Fatalf("sieveBits over %d words, x = %#x: %v, want sieveBitsGo's %v", len(bits), x, got, want)
+	}
 }

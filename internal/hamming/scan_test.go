@@ -2,6 +2,7 @@ package hamming
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -344,5 +345,66 @@ func TestParityShortcutMatchesBrute(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScanProbeCounts pins the exact Stats of the scans the benchmark's
+// workloads and the package's benchmarks run, so a change that makes a
+// scan probe or store a different set of keys fails here, not only in
+// a benchmark's probe count. The weights case is 802.3's W2..W4 at the
+// MTU length in one Evaluator, as the weights workload runs it: its
+// Probes + StoreOps, 73,756,582, is that workload's engine_probes. The
+// boundary cases are BenchmarkBoundaryStore's two scans, and the filter
+// cases two 32-bit candidates of the §4.2 increasing-length check, one
+// rejected at its first weight-4 pattern and one that passes all three
+// lengths.
+func TestScanProbeCounts(t *testing.T) {
+	check := func(name string, e *Evaluator, want Stats) {
+		t.Helper()
+		if e.Stats != want {
+			t.Errorf("%s: Stats = %+v, want %+v", name, e.Stats, want)
+		}
+	}
+	e := New(poly.IEEE8023)
+	for _, c := range []struct {
+		w    int
+		want uint64
+	}{{2, 0}, {3, 0}, {4, 223059}} {
+		if got, err := e.Weight(c.w, 12112); err != nil || got != c.want {
+			t.Fatalf("802.3 W%d(12112) = %d, %v; want %d", c.w, got, err, c.want)
+		}
+	}
+	check("802.3 Weight(2..4, 12112)", e, Stats{Probes: 73732296, StoreOps: 24286})
+
+	for _, bc := range []struct {
+		name      string
+		p         poly.P
+		w, maxLen int
+		found     bool
+		want      Stats
+	}{
+		{"store-bound", poly.CastagnoliHD5, 5, 512, false, Stats{Probes: 147153, StoreOps: 146611}},
+		{"early-exit", poly.KoopmanSparse6, 6, 512, true, Stats{Probes: 4554, StoreOps: 465, EarlyExits: 1, Resolutions: 1}},
+	} {
+		e := New(bc.p)
+		if _, _, found, err := e.FirstDataLen(bc.w, bc.maxLen); err != nil || found != bc.found {
+			t.Fatalf("%s: FirstDataLen(%d, %d): found = %v, err = %v", bc.name, bc.w, bc.maxLen, found, err)
+		}
+		check(bc.name, e, bc.want)
+	}
+
+	for _, bc := range []struct {
+		koopman uint64
+		meets   bool
+		want    Stats
+	}{
+		{0xEE3544BF, false, Stats{Probes: 115682, EarlyExits: 1}},
+		{0xBCAFF2C9, true, Stats{Probes: 602931}},
+	} {
+		e := New(poly.MustKoopman(32, bc.koopman))
+		if ok, err := e.MeetsHDAtLengths([]int{64, 256, 1024}, 5); err != nil || ok != bc.meets {
+			t.Fatalf("%#x: MeetsHDAtLengths = %v, %v; want %v", bc.koopman, ok, err, bc.meets)
+		}
+		check(fmt.Sprintf("%#x MeetsHDAtLengths({64, 256, 1024}, 5)", bc.koopman), e, bc.want)
 	}
 }

@@ -25,9 +25,10 @@ import (
 // key a scan probes is an XOR of syndromes and lin is linear, so the
 // filter index of row[i]^x is hrow[i]^lin(x) with hrow[i] =
 // lin(row[i]) computed once per syndrome: sieve takes the pre-hashed row
-// and runs it through the filter in one branch-free loop of an XOR and a
-// mask per key, and returns the few keys that pass; only those go to
-// find, which walks the probe chain without testing the filter again.
+// and runs it through the filter with sieveBits, an XOR and a bit test
+// per key (16 keys a gather in the AVX-512 kernel), and returns the few
+// keys that pass; only those go to find, which walks the probe chain
+// without testing the filter again.
 // The filter has no false negatives: put sets the bit of every key it
 // inserts, key 0 included, and reserve builds a fresh filter by putting
 // every key again. A false positive (an absent key sharing a bit, at most
@@ -197,28 +198,11 @@ func (m *u32map) filterBit(key uint32) uint32 {
 // among them, and an absent key only on a false positive. For a row of
 // keys row[i]^x the caller passes hrow[i] = lin(row[i]) and hx =
 // lin(x). out is scratch of capacity at least len(hrow); the result
-// aliases it. Every index is written and the count advances by the
-// filter bit, so the loop has no data-dependent branch, and masking the
-// word index with the filter's power-of-two length (the same bits
-// filterBit keeps) drops its bounds check.
+// aliases it. The filter is a bit array indexed by the key's filter
+// bit, so the row goes through sieveBits: the AVX-512 kernel where the
+// CPU has it, the branch-free Go loop elsewhere.
 func (m *u32map) sieve(hrow []uint32, hx uint32, out []int32) []int32 {
-	filter := m.filter
-	if len(filter) == 0 {
-		return out[:0] // never true; it lets the mask below drop the bounds check
-	}
-	wmask := len(filter) - 1
-	out = out[:len(hrow)]
-	k := 0
-	for i, h := range hrow {
-		f := h ^ hx
-		out[k] = int32(i)
-		bit := 0
-		if filter[int(f>>6)&wmask]&(1<<(f&63)) != 0 {
-			bit = 1 // a bit test and a set, not a branch
-		}
-		k += bit
-	}
-	return out[:k]
+	return sieveBits(m.filter, hrow, hx, out)
 }
 
 // reserve readies the table to hold n entries at <= 50% load: a table
