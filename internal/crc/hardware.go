@@ -15,6 +15,7 @@ import (
 type Hardware struct {
 	params Params
 	tab    *crc32.Table
+	init   uint32 // the reflected initial state Init returns
 	accel  bool
 }
 
@@ -31,6 +32,7 @@ func NewHardware(p Params) (*Hardware, error) {
 	return &Hardware{
 		params: p,
 		tab:    crc32.MakeTable(uint32(p.Poly.Reversed())),
+		init:   reverseBits(p.Init, 32),
 		accel:  accelerated(p),
 	}, nil
 }
@@ -51,8 +53,11 @@ func (e *Hardware) Accelerated() bool { return e.accel }
 func (e *Hardware) Params() Params { return e.params }
 
 // Init implements Engine. The state is held in reflected form like
-// every reflected engine in this package.
-func (e *Hardware) Init() uint32 { return reverseBits(e.params.Init, 32) }
+// every reflected engine in this package; NewHardware reflects the
+// initial value once. (Reflecting it here, inlined into Checksum beside
+// crc32.Update's complements, sends go1.24.0's arm64 compiler into an
+// endless prove pass.)
+func (e *Hardware) Init() uint32 { return e.init }
 
 // Finalize implements Engine.
 func (e *Hardware) Finalize(state uint32) uint32 { return state ^ e.params.XorOut }

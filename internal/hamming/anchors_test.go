@@ -135,13 +135,6 @@ func TestAnchorCastagnoliErratum(t *testing.T) {
 	if l, ok := prof.MaxLenAtHD(6); !ok || l != 383 {
 		t.Fatalf("misprint MaxLenAtHD(6) = %d,%v, want 383 (paper prose: 382)", l, ok)
 	}
-	// Cross-check with the paper-faithful engine at the boundary.
-	if _, found, err := e.ExistsBrute(5, 383, OrderLex); err != nil || found {
-		t.Fatalf("brute Exists(5, 383) = %v, %v; want none", found, err)
-	}
-	if _, found, err := e.ExistsBrute(5, 384, OrderFCSFirst); err != nil || !found {
-		t.Fatalf("brute Exists(5, 384) = %v, %v; want found", found, err)
-	}
 	// The corrected polynomial keeps HD=6 well past that.
 	e2 := New(poly.Castagnoli1131515)
 	ok, err := e2.MeetsHD(1024, 6)
@@ -151,6 +144,21 @@ func TestAnchorCastagnoliErratum(t *testing.T) {
 	if !ok {
 		t.Error("corrected 0xFA567D89 should have HD>=6 at 1024 bits")
 	}
+	// Cross-check with the paper-faithful engine at the boundary. The two
+	// enumerations take about 11 s each, so they run in parallel, each in
+	// its own Evaluator: one is not safe for concurrent use.
+	t.Run("brute383", func(t *testing.T) {
+		t.Parallel()
+		if _, found, err := New(poly.CastagnoliMisprint).ExistsBrute(5, 383, OrderLex); err != nil || found {
+			t.Fatalf("brute Exists(5, 383) = %v, %v; want none", found, err)
+		}
+	})
+	t.Run("brute384", func(t *testing.T) {
+		t.Parallel()
+		if _, found, err := New(poly.CastagnoliMisprint).ExistsBrute(5, 384, OrderFCSFirst); err != nil || !found {
+			t.Fatalf("brute Exists(5, 384) = %v, %v; want found", found, err)
+		}
+	})
 }
 
 func TestAnchorCCITT16(t *testing.T) {

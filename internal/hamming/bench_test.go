@@ -96,16 +96,18 @@ func BenchmarkWeight4MTU(b *testing.B) {
 
 // BenchmarkSieve times the row sieve alone, sieveBits against its
 // portable loop sieveBitsGo, over a 32 KiB presence filter (the W4
-// count's filter at the MTU length) with one bit in 16 set, as at 50%
-// load. The rows are about as long as the longest of the §4.2 filter's
-// 1024-bit stage (1055 keys) and of the W4 count at the MTU length
-// (12143 keys). ns/key is the cost of testing one key.
+// count's filter at the MTU length) filled as at 50% load: a map of
+// 32768 slots holding 16384 random keys, two bits each. The rows are
+// about as long as the longest of the §4.2 filter's 1024-bit stage
+// (1055 keys) and of the W4 count at the MTU length (12143 keys).
+// ns/key is the cost of testing one key.
 func BenchmarkSieve(b *testing.B) {
 	rng := rand.New(rand.NewPCG(22, 32))
-	bits := make([]uint64, 32<<10/8)
-	for i := range bits {
-		bits[i] = rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+	m := newU32Map(1 << 14)
+	for m.n < 1<<14 {
+		m.put(rng.Uint32(), 0)
 	}
+	bits := m.filter
 	for _, l := range []int{1055, 12143} {
 		keys := make([]uint32, l)
 		for i := range keys {
@@ -114,12 +116,12 @@ func BenchmarkSieve(b *testing.B) {
 		out := make([]int32, l)
 		for _, s := range []struct {
 			name  string
-			sieve func([]uint64, []uint32, uint32, []int32) []int32
+			sieve func([]uint64, []uint32, uint32, uint32, []int32) []int32
 		}{{"sieveBits", sieveBits}, {"sieveBitsGo", sieveBitsGo}} {
 			b.Run(fmt.Sprintf("%s/%d", s.name, l), func(b *testing.B) {
 				hits := 0
 				for i := 0; i < b.N; i++ {
-					hits += len(s.sieve(bits, keys, uint32(i), out))
+					hits += len(s.sieve(bits, keys, uint32(i), filterShift2, out))
 				}
 				if hits == 0 {
 					b.Fatal("no key passed")

@@ -67,10 +67,11 @@ type bitmapSet []uint64
 func (b bitmapSet) add(v uint32) { b[v>>6] |= 1 << (v & 63) }
 
 // sieve tests each value's bit with sieveBits, the kernel behind
-// u32map.sieve too; the bitmap is exact and indexed by the value
-// itself, so it ignores hrow and no second pass follows.
+// u32map.sieve too. The bitmap is exact and indexed by the value
+// itself, so it ignores hrow, passes a second-bit shift of 0 (the same
+// bit tested twice) and no second pass follows.
 func (b bitmapSet) sieve(row, _ []uint32, x uint32, out []int32) []int32 {
-	return sieveBits(b, row, x, out)
+	return sieveBits(b, row, x, 0, out)
 }
 
 // mapSet is a compact open-addressed presence set for small store sides,

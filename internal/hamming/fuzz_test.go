@@ -25,10 +25,11 @@ const fuzzRow = 2*16 + 5
 // same puts and must answer every get, find and row sieve with exactly
 // the map's presence, and a 4096-bit bitmapSet takes the puts' low 12
 // bits and must sieve the row's low 12 bits exactly. On each row,
-// sieveBits must return sieveBitsGo's slice, over the map's filter and
-// over the bitmap. A third table counts the puts with inc, as weight3's
-// multiset does, and must read each key's count as a Go
-// map[uint32]uint32 does, -1 for a key never put.
+// sieveBits must return sieveBitsGo's slice, over the map's filter with
+// its second-bit shift filterShift2 and over the bitmap with 0. A third
+// table counts the puts with inc, as weight3's multiset does, and must
+// read each key's count as a Go map[uint32]uint32 does, -1 for a key
+// never put.
 func FuzzU32Map(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x06, 0x07})
 	f.Add([]byte{0x02, 0x01, 0x00, 0xf8, 0x01, 0xfa, 0x01, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff})
@@ -104,8 +105,8 @@ func FuzzU32Map(f *testing.F) {
 			checkSieve(t, "mapSet", set.sieve(row, hrow, x, out), len(row), held, held)
 			heldBitmap := func(i int) bool { return inBitmap[probed[i]&bitmapMask] }
 			checkSieve(t, "bitmapSet", bitmap.sieve(bitmapRow, nil, x&bitmapMask, out), len(row), heldBitmap, heldBitmap)
-			checkSieveBits(t, m.filter, hrow, lin(x))
-			checkSieveBits(t, bitmap, bitmapRow, x&bitmapMask)
+			checkSieveBits(t, m.filter, hrow, lin(x), filterShift2)
+			checkSieveBits(t, bitmap, bitmapRow, x&bitmapMask, 0)
 			prev = key
 		}
 		for k, v := range ref {
@@ -121,10 +122,10 @@ func FuzzU32Map(f *testing.F) {
 
 // checkSieveBits asserts that sieveBits returns exactly sieveBitsGo's
 // slice on one row.
-func checkSieveBits(t *testing.T, bits []uint64, keys []uint32, x uint32) {
+func checkSieveBits(t *testing.T, bits []uint64, keys []uint32, x, s2 uint32) {
 	t.Helper()
-	want := slices.Clone(sieveBitsGo(bits, keys, x, make([]int32, len(keys))))
-	if got := sieveBits(bits, keys, x, make([]int32, len(keys))); !slices.Equal(got, want) {
-		t.Fatalf("sieveBits over %d words, x = %#x: %v, want sieveBitsGo's %v", len(bits), x, got, want)
+	want := slices.Clone(sieveBitsGo(bits, keys, x, s2, make([]int32, len(keys))))
+	if got := sieveBits(bits, keys, x, s2, make([]int32, len(keys))); !slices.Equal(got, want) {
+		t.Fatalf("sieveBits over %d words, x = %#x, s2 = %d: %v, want sieveBitsGo's %v", len(bits), x, s2, got, want)
 	}
 }

@@ -20,24 +20,29 @@ import (
 // Almost every lookup in a scan is a miss, so a presence filter sits in
 // front of the slots: one bit array with 8 bits per slot, one byte per
 // slot against the slot's four or eight, so it stays in cache while the
-// slots do not. A key's filter bit is lin(key) & (8*len(keys)-1),
-// independent of its slot, which the multiplicative hash picks. Every
+// slots do not. It is a blocked Bloom filter with two bits per key in
+// one 32-bit word: with f = lin(key) & (8*len(keys)-1), bit f and bit
+// (f &^ 31) | lin(key)>>filterShift2, so one gathered word tests both.
+// Both are independent of the key's slot, which the multiplicative hash
+// picks, and lin is invertible, so hash bits 27 to 31 are independent
+// of the word index up to 2^24 slots; past that the two bits may
+// coincide, which weakens the filter but never makes it wrong. Every
 // key a scan probes is an XOR of syndromes and lin is linear, so the
-// filter index of row[i]^x is hrow[i]^lin(x) with hrow[i] =
-// lin(row[i]) computed once per syndrome: sieve takes the pre-hashed row
-// and runs it through the filter with sieveBits, an XOR and a bit test
-// per key (16 keys a gather in the AVX-512 kernel), and returns the few
+// filter hash of row[i]^x is hrow[i]^lin(x) with hrow[i] = lin(row[i])
+// computed once per syndrome: sieve takes the pre-hashed row and runs
+// it through the filter with sieveBits, an XOR and a two-bit test per
+// key (16 keys a gather in the AVX-512 kernel), and returns the few
 // keys that pass; only those go to find, which walks the probe chain
 // without testing the filter again.
-// The filter has no false negatives: put sets the bit of every key it
+// The filter has no false negatives: put sets both bits of every key it
 // inserts, key 0 included, and reserve builds a fresh filter by putting
-// every key again. A false positive (an absent key sharing a bit, at most
-// one chance in 16 at 50% load) passes the sieve and find answers it
-// with -1.
+// every key again. A false positive (an absent key whose two bits are
+// both set, about one chance in 50 at 50% load against one in 16 for a
+// single bit) passes the sieve and find answers it with -1.
 type u32map struct {
 	keys    []uint32 // 0 marks an empty slot
 	vals    []int32  // the value of keys[i]; nil for a keys-only set
-	filter  []uint64 // presence bits, 8 per slot
+	filter  []uint64 // presence bits, 8 per slot, 2 per key
 	shift   uint
 	n       int // entries held, key 0 included
 	hasZero bool
@@ -71,6 +76,11 @@ var linTab = func() (t [4][256]uint32) {
 	}
 	return t
 }()
+
+// filterShift2 is the shift of the presence filter's second bit: a
+// key's second bit is lin(key)>>filterShift2 within the 32-bit word of
+// its first.
+const filterShift2 = 27
 
 // lin is the presence filter's linear hash of a key.
 func lin(key uint32) uint32 {
@@ -119,8 +129,8 @@ func (m *u32map) insert(key uint32, val int32, add bool) {
 	if 2*(m.n+1) > len(m.keys) {
 		m.reserve(m.n + 1)
 	}
-	f := m.filterBit(key)
-	m.filter[f>>6] |= 1 << (f & 63)
+	w, bits := m.filterBits(key)
+	m.filter[w] |= bits
 	if key == 0 {
 		switch {
 		case !m.hasZero:
@@ -156,7 +166,7 @@ func (m *u32map) insert(key uint32, val int32, add bool) {
 // get returns the value for key, or -1 if absent; a keys-only set
 // answers 0 for a key it holds. It tests the presence filter first.
 func (m *u32map) get(key uint32) int32 {
-	if f := m.filterBit(key); m.filter[f>>6]&(1<<(f&63)) == 0 {
+	if w, bits := m.filterBits(key); m.filter[w]&bits != bits {
 		return -1
 	}
 	return m.find(key)
@@ -188,9 +198,12 @@ func (m *u32map) find(key uint32) int32 {
 	}
 }
 
-// filterBit is key's bit in the presence filter.
-func (m *u32map) filterBit(key uint32) uint32 {
-	return lin(key) & uint32(8*len(m.keys)-1)
+// filterBits returns key's word in the presence filter and the mask of
+// its two bits in that word.
+func (m *u32map) filterBits(key uint32) (int, uint64) {
+	h := lin(key)
+	f := h & uint32(8*len(m.keys)-1)
+	return int(f >> 6), 1<<(f&63) | 1<<(f&32|h>>filterShift2)
 }
 
 // sieve returns the indexes i, in ascending order, whose key k with
@@ -198,11 +211,12 @@ func (m *u32map) filterBit(key uint32) uint32 {
 // among them, and an absent key only on a false positive. For a row of
 // keys row[i]^x the caller passes hrow[i] = lin(row[i]) and hx =
 // lin(x). out is scratch of capacity at least len(hrow); the result
-// aliases it. The filter is a bit array indexed by the key's filter
-// bit, so the row goes through sieveBits: the AVX-512 kernel where the
-// CPU has it, the branch-free Go loop elsewhere.
+// aliases it. A key's two filter bits come from its hash alone, the
+// second from the hash's bits filterShift2 and up, so the row goes
+// through sieveBits: the AVX-512 kernel where the CPU has it, the
+// branch-free Go loop elsewhere.
 func (m *u32map) sieve(hrow []uint32, hx uint32, out []int32) []int32 {
-	return sieveBits(m.filter, hrow, hx, out)
+	return sieveBits(m.filter, hrow, hx, filterShift2, out)
 }
 
 // reserve readies the table to hold n entries at <= 50% load: a table
