@@ -223,7 +223,11 @@ func bakeOne(ctx context.Context, spec BakeSpec, sink BakeSink, cfg BakeConfig, 
 		for w := 2; w <= maxW; w++ {
 			if w == 4 && w2 > 0 {
 				// The engine's W4 pair scan requires W2 == 0 at the
-				// length; past that point W4 is simply not baked.
+				// length; past that point W4 is simply not baked. A
+				// long W4 count splits its rows over GOMAXPROCS
+				// goroutines of its own, so beside the bake's workers
+				// it may briefly oversubscribe the CPUs; that costs
+				// some scheduling and changes no answer.
 				continue
 			}
 			n, err := a.Weight(ctx, w, l)

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math/bits"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"koopmancrc/internal/gf2"
 	"koopmancrc/internal/poly"
@@ -408,18 +410,36 @@ func TestWeightScanCancelAndBudget(t *testing.T) {
 			t.Errorf("Weight(%d, 12) with 1-probe budget: %v, want ErrBudgetExceeded", w, err)
 		}
 	}
-	// W4 of 802.3 at the MTU length is a 73M-probe pair scan: let it
-	// start and stop it at the first in-scan poll.
+	// W4 of 802.3 at the MTU length is a 73M-probe pair scan, its rows
+	// split over GOMAXPROCS goroutines: let it start and stop it at the
+	// first in-scan poll. The hooks run on the calling goroutine alone
+	// (the race detector sees the unsynchronized counters), the progress
+	// events count probes up, and every worker is gone once the count
+	// returns.
+	goroutines := runtime.NumGoroutine()
 	polls := 0
+	lastProbes := int64(-1)
 	midCount := New(poly.IEEE8023, WithCancel(func() bool {
 		polls++
 		return polls > 1
+	}), WithProgress(func(ev Event) {
+		if ev.Probes < lastProbes {
+			t.Errorf("progress went back from %d to %d probes", lastProbes, ev.Probes)
+		}
+		lastProbes = ev.Probes
 	}))
 	if _, err := midCount.Weight(4, 12112); !errors.Is(err, ErrCanceled) {
 		t.Errorf("Weight(4, 12112) canceled mid-count: %v, want ErrCanceled", err)
 	}
-	if midCount.Stats.Probes == 0 {
-		t.Error("cancel fired before the W4 count probed anything")
+	full := binomAtMost(midCount.codewordLen(12112)-1, 2, 1<<62)
+	if p := midCount.Stats.Probes; p <= 0 || p >= full {
+		t.Errorf("W4 count canceled after %d of its %d probes, want some and not all", p, full)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the canceled W4 count, %d before", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond) // a joined worker may not have exited yet
 	}
 }
 

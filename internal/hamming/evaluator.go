@@ -152,7 +152,9 @@ func WithMaxStoreEntries(n int) Option { return func(o *Options) { o.MaxStoreEnt
 
 // Evaluator computes error-detection properties of one generator
 // polynomial. It caches the syndrome table and period across queries and is
-// not safe for concurrent use; create one evaluator per goroutine.
+// not safe for concurrent use; create one evaluator per goroutine. A large
+// exact count, Weight(4, ...), may still run on up to GOMAXPROCS goroutines
+// inside the call; its hooks run on the caller's goroutine alone.
 type Evaluator struct {
 	p      poly.P
 	width  int

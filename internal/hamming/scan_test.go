@@ -64,6 +64,27 @@ func checkBoundaryWitness(t *testing.T, e *Evaluator, w, dataLen int, wit []int)
 // divisible by (x+1), to 4000 data bits, far past what enumeration
 // reaches.
 func TestScanMatchesBruteAndDual(t *testing.T) {
+	brute, dual := scanCheckPolys()
+	for _, c := range brute {
+		checkScanAgainstBrute(t, c.p, c.maxLen, c.maxHD)
+	}
+	for _, p := range dual {
+		checkScanAgainstDual(t, p, 4000)
+	}
+}
+
+// bruteCheck is one generator of TestScanMatchesBruteAndDual's
+// brute-force checks, with the data length and weight they reach.
+type bruteCheck struct {
+	p             poly.P
+	maxLen, maxHD int
+}
+
+// scanCheckPolys draws TestScanMatchesBruteAndDual's generators from its
+// fixed seed: those checked by brute force, and the 8..24-bit ones
+// checked against the dual-code oracle, every other one divisible by
+// (x+1).
+func scanCheckPolys() (brute []bruteCheck, dual []poly.P) {
 	rng := rand.New(rand.NewPCG(1313, 13))
 	for _, tc := range []struct{ minWidth, maxWidth, maxLen, maxHD, trials int }{
 		{8, 16, 40, 8, 24},
@@ -71,7 +92,7 @@ func TestScanMatchesBruteAndDual(t *testing.T) {
 	} {
 		for trial := 0; trial < tc.trials; trial++ {
 			p := randPoly(rng, tc.minWidth+int(rng.Uint64N(uint64(tc.maxWidth-tc.minWidth+1))))
-			checkScanAgainstBrute(t, p, tc.maxLen, tc.maxHD)
+			brute = append(brute, bruteCheck{p, tc.maxLen, tc.maxHD})
 		}
 	}
 	for i, width := range []int{8, 9, 11, 13, 16, 17, 19, 21, 22, 23, 24, 24} {
@@ -79,8 +100,9 @@ func TestScanMatchesBruteAndDual(t *testing.T) {
 		for p.DivisibleByXPlus1() != (i%2 == 1) {
 			p = randPoly(rng, width)
 		}
-		checkScanAgainstDual(t, p, 4000)
+		dual = append(dual, p)
 	}
+	return brute, dual
 }
 
 // checkScanAgainstBrute runs TestScanMatchesBruteAndDual's brute-force
