@@ -1,73 +1,68 @@
-// Command crcbench sweeps every checksum kernel over a range of payload
-// sizes and writes the throughput trajectory as JSON — the benchmark
-// artifact tracked in BENCH_PR6.json.
+// Command crcbench measures the request-tracing tax of the serving
+// layer and validates the crcbench reports kept at the repository root.
 //
 // Usage:
 //
-//	crcbench [-o BENCH_PR6.json] [-quick] [-algorithm CRC-32C/iSCSI]
-//	         [-kinds bitwise,table,slicing16,hardware]
-//	         [-sizes 64,4096,1048576] [-budget 50ms] [-serve] [-corpus]
-//	         [-tracing]
-//	crcbench -validate BENCH_PR6.json
+//	crcbench [-o FILE]
+//	crcbench -validate FILE
 //
-// The default sweep runs every concrete kernel kind the algorithm
-// admits across payload sizes from 64 B to 16 MiB. -quick shrinks the
-// sweep (four sizes up to 1 MiB, small time budget) for CI smoke runs.
-// -validate checks an existing report against the schema the sweep
-// writes — kernels present, sizes covered, throughput positive — and
-// exits non-zero on a malformed file, so CI can gate on artifact shape
-// without re-measuring.
+// A plain run drives warm /v1/checksum requests through two in-process
+// servers, tracing off and tracing on, and writes a
+// koopmancrc/crcbench/v2 report: generated_at, host and the tracing
+// section. -validate checks a report and exits non-zero on a malformed
+// file or a tracing overhead over 2%, so CI can gate on it without
+// re-measuring. It accepts both schemas: v2 reports from this command,
+// and the v1 reports BENCH_PR6–10, written by the retired kernel-sweep,
+// -serve and -corpus modes and kept as history. Kernel throughput is
+// measured by BenchmarkCRCThroughput and paperbench's checksum workload.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"koopmancrc"
 	"koopmancrc/crchash"
-	"koopmancrc/internal/corpus"
-	"koopmancrc/internal/dist"
 	"koopmancrc/internal/obs"
 	"koopmancrc/serve"
-	"koopmancrc/serve/client"
 )
 
-// Report is the artifact schema: host identification, the kernel Auto
-// picks, and one row per kernel × payload size.
+// Report is the artifact schema. A v2 report carries the header, the
+// host and Tracing. A v1 report, recorded by the retired kernel-sweep
+// mode and validated as history, also carries Algorithm, AutoKernel and
+// one row per kernel × payload size, and may carry Serve, Corpus or
+// Tracing.
 type Report struct {
 	// Schema names the artifact format; bump on incompatible change.
 	Schema string `json:"schema"`
 	// GeneratedAt is RFC 3339 UTC.
 	GeneratedAt string `json:"generated_at"`
 	Host        Host   `json:"host"`
-	// Algorithm is the catalogued algorithm swept.
-	Algorithm string `json:"algorithm"`
-	// AutoKernel is the kernel Kind Auto builds for the algorithm.
-	AutoKernel string   `json:"auto_kernel"`
-	Results    []Result `json:"results"`
-	// Serve, when present (-serve), measures the serving layer's batch
-	// amortization: many small checksums in one /v1/checksum/batch round
-	// trip versus the same checksums as sequential /v1/checksum calls.
+	// Algorithm is the catalogued algorithm swept (v1).
+	Algorithm string `json:"algorithm,omitempty"`
+	// AutoKernel is the kernel Kind Auto built for the algorithm (v1).
+	AutoKernel string   `json:"auto_kernel,omitempty"`
+	Results    []Result `json:"results,omitempty"`
+	// Serve, when present (v1 -serve), measured the serving layer's
+	// batch amortization: many small checksums in one
+	// /v1/checksum/batch round trip versus the same checksums as
+	// sequential /v1/checksum calls.
 	Serve *ServeBench `json:"serve,omitempty"`
-	// Corpus, when present (-corpus), measures the persistent-corpus
+	// Corpus, when present (v1 -corpus), measured the persistent-corpus
 	// warm start: the first /v1/evaluate on a cold server versus one
 	// warm-started from a corpus baked offline with the same sweep.
 	Corpus *CorpusBench `json:"corpus,omitempty"`
-	// Tracing, when present (-tracing), measures the request-tracing
-	// tax: warm request cost with the flight recorder on versus off,
-	// plus raw recorder admission throughput.
+	// Tracing measures the request-tracing tax: warm request cost with
+	// the flight recorder on versus off, plus raw recorder admission
+	// throughput. Required in v2, optional in v1.
 	Tracing *TracingBench `json:"tracing,omitempty"`
 }
 
@@ -97,8 +92,9 @@ type TracingBench struct {
 	RecorderOpsPerSec float64 `json:"recorder_ops_per_sec"`
 }
 
-// CorpusBench is the warm-start measurement: one polynomial baked into
-// a throwaway corpus, then the same first-evaluation timed against an
+// CorpusBench is the warm-start measurement recorded by the retired
+// -corpus mode and validated as history: one polynomial baked into a
+// throwaway corpus, then the same first evaluation timed against an
 // in-process crcserve without and with -corpus.
 type CorpusBench struct {
 	Poly   string `json:"poly"` // Koopman notation
@@ -118,7 +114,8 @@ type CorpusBench struct {
 	WarmProbes int64 `json:"warm_probes"`
 }
 
-// ServeBench is the serve-level amortization measurement: Items small
+// ServeBench is the serve-level amortization measurement recorded by
+// the retired -serve mode and validated as history: Items small
 // payloads of PayloadBytes each, pushed through an in-process crcserve
 // over a loopback TCP listener.
 type ServeBench struct {
@@ -136,7 +133,7 @@ type ServeBench struct {
 }
 
 // Host identifies the measuring machine well enough to compare
-// trajectories across checkins.
+// reports across checkins.
 type Host struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
@@ -144,7 +141,7 @@ type Host struct {
 	NumCPU    int    `json:"num_cpu"`
 }
 
-// Result is one kernel × payload-size measurement.
+// Result is one kernel × payload-size measurement (v1).
 type Result struct {
 	Kernel string `json:"kernel"`
 	// Size is the payload length in bytes.
@@ -153,10 +150,10 @@ type Result struct {
 	GBps float64 `json:"gbps"`
 }
 
-const schemaName = "koopmancrc/crcbench/v1"
-
-var fullSizes = []int{64, 256, 1024, 4096, 16384, 65536, 262144, 1 << 20, 4 << 20, 16 << 20}
-var quickSizes = []int{64, 4096, 65536, 1 << 20}
+const (
+	schemaV1 = "koopmancrc/crcbench/v1"
+	schemaV2 = "koopmancrc/crcbench/v2"
+)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -168,14 +165,6 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("crcbench", flag.ContinueOnError)
 	outPath := fs.String("o", "", "write the JSON report here instead of stdout")
-	quick := fs.Bool("quick", false, "small sweep with a short budget (CI smoke)")
-	algorithm := fs.String("algorithm", "CRC-32C/iSCSI", "catalogued algorithm to sweep")
-	kindList := fs.String("kinds", "", "comma-separated kernel kinds (default: every admissible concrete kind)")
-	sizeList := fs.String("sizes", "", "comma-separated payload sizes in bytes (default: 64B..16MiB sweep)")
-	budget := fs.Duration("budget", 50*time.Millisecond, "time budget per kernel+size measurement")
-	serveBench := fs.Bool("serve", false, "also measure serve-level batch amortization (64 small payloads batched vs sequential)")
-	corpusBench := fs.Bool("corpus", false, "also measure corpus warm-start: first /v1/evaluate cold vs restored from a baked corpus")
-	tracingBench := fs.Bool("tracing", false, "also measure request-tracing overhead: warm requests with the flight recorder on vs off, plus recorder ops/sec")
 	validate := fs.String("validate", "", "validate an existing report file and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -184,36 +173,14 @@ func run(args []string, out io.Writer) error {
 		return validateReport(*validate, out)
 	}
 
-	params, err := crchash.Lookup(*algorithm)
+	tb, err := measureTracing()
 	if err != nil {
-		return err
+		return fmt.Errorf("tracing bench: %w", err)
 	}
-
-	kinds, err := pickKinds(*kindList, params)
-	if err != nil {
-		return err
-	}
-	sizes := fullSizes
-	if *quick {
-		sizes = quickSizes
-		if *budget == 50*time.Millisecond {
-			*budget = 10 * time.Millisecond
-		}
-	}
-	if *sizeList != "" {
-		sizes = nil
-		for _, f := range strings.Split(*sizeList, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n <= 0 {
-				return fmt.Errorf("bad -sizes entry %q", f)
-			}
-			sizes = append(sizes, n)
-		}
-		sort.Ints(sizes)
-	}
-
+	fmt.Fprintf(out, "tracing    %6d reqs  off %7.2fus  on %7.2fus  overhead %+5.2f%% of %gus  recorder %9.0f ops/s\n",
+		tb.Requests, tb.BaselineUS, tb.InstrumentedUS, tb.OverheadPct, tb.ReferenceUS, tb.RecorderOpsPerSec)
 	rep := Report{
-		Schema:      schemaName,
+		Schema:      schemaV2,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Host: Host{
 			GoVersion: runtime.Version(),
@@ -221,59 +188,7 @@ func run(args []string, out io.Writer) error {
 			GOARCH:    runtime.GOARCH,
 			NumCPU:    runtime.NumCPU(),
 		},
-		Algorithm:  *algorithm,
-		AutoKernel: crchash.KindOf(crchash.New(params)).String(),
-	}
-
-	payload := make([]byte, sizes[len(sizes)-1])
-	seed := uint64(0x9E3779B97F4A7C15)
-	for i := range payload {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		payload[i] = byte(seed >> 56)
-	}
-
-	for _, k := range kinds {
-		e, err := crchash.NewEngine(params, k)
-		if err != nil {
-			return fmt.Errorf("%v: %w", k, err)
-		}
-		for _, size := range sizes {
-			bps := measure(e, payload[:size], *budget)
-			rep.Results = append(rep.Results, Result{
-				Kernel: k.String(), Size: size, GBps: bps / 1e9,
-			})
-			fmt.Fprintf(out, "%-10s %9dB %8.3f GB/s\n", k, size, bps/1e9)
-		}
-	}
-
-	if *serveBench {
-		sb, err := measureServe(*algorithm, *quick)
-		if err != nil {
-			return fmt.Errorf("serve bench: %w", err)
-		}
-		rep.Serve = sb
-		fmt.Fprintf(out, "serve      %3d x %4dB  sequential %9.0f items/s  batch %9.0f items/s  amortization %.1fx\n",
-			sb.Items, sb.PayloadBytes, sb.SequentialIPS, sb.BatchIPS, sb.Amortization)
-	}
-
-	if *corpusBench {
-		cb, err := measureCorpus(*quick)
-		if err != nil {
-			return fmt.Errorf("corpus bench: %w", err)
-		}
-		rep.Corpus = cb
-		fmt.Fprintf(out, "corpus     %s/%d maxlen %d hd %d  cold %7.3fs  warm %7.3fs  speedup %6.1fx  warm probes %d\n",
-			cb.Poly, cb.Width, cb.MaxLen, cb.MaxHD, cb.ColdSeconds, cb.WarmSeconds, cb.Speedup, cb.WarmProbes)
-	}
-
-	if *tracingBench {
-		tb, err := measureTracing(*quick)
-		if err != nil {
-			return fmt.Errorf("tracing bench: %w", err)
-		}
-		rep.Tracing = tb
-		fmt.Fprintf(out, "tracing    %6d reqs  off %7.2fus  on %7.2fus  overhead %+5.2f%% of %gus  recorder %9.0f ops/s\n",
-			tb.Requests, tb.BaselineUS, tb.InstrumentedUS, tb.OverheadPct, tb.ReferenceUS, tb.RecorderOpsPerSec)
+		Tracing: tb,
 	}
 
 	enc, err := json.MarshalIndent(&rep, "", "  ")
@@ -288,208 +203,6 @@ func run(args []string, out io.Writer) error {
 	return os.WriteFile(*outPath, enc, 0o644)
 }
 
-// pickKinds resolves -kinds, defaulting to every concrete kind the
-// algorithm admits (Bitwise included: the trajectory tracks the floor
-// too).
-func pickKinds(list string, p crchash.Params) ([]crchash.Kind, error) {
-	if list == "" {
-		var out []crchash.Kind
-		for _, k := range crchash.Kinds() {
-			if k.Admits(p) {
-				out = append(out, k)
-			}
-		}
-		return out, nil
-	}
-	var out []crchash.Kind
-	for _, f := range strings.Split(list, ",") {
-		k, err := crchash.ParseKind(f)
-		if err != nil {
-			return nil, err
-		}
-		if k == crchash.Auto {
-			return nil, fmt.Errorf("-kinds wants concrete kinds; auto is a selection policy")
-		}
-		if !k.Admits(p) {
-			return nil, fmt.Errorf("kind %v does not admit %s", k, p.Name)
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-// measure times one engine on one payload for the budget and returns
-// bytes/second.
-func measure(e crchash.Engine, data []byte, budget time.Duration) float64 {
-	e.Checksum(data) // warm tables and the stdlib's lazy table init
-	var done int64
-	start := time.Now()
-	for time.Since(start) < budget {
-		e.Checksum(data)
-		done += int64(len(data))
-	}
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(done) / elapsed.Seconds()
-}
-
-// measureServe stands up an in-process crcserve on a loopback listener
-// and measures the batch amortization the serving layer delivers: 64
-// distinct 64-byte payloads as sequential /v1/checksum calls versus the
-// same payloads in single /v1/checksum/batch round trips. Loopback
-// keeps the network out of the picture, so the ratio isolates exactly
-// the per-request HTTP + JSON overhead that batching amortizes.
-func measureServe(algorithm string, quick bool) (*ServeBench, error) {
-	const items, payloadBytes = 64, 64
-	budget := time.Second
-	if quick {
-		budget = 200 * time.Millisecond
-	}
-
-	srv, err := serve.New(serve.Config{})
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-	c := client.New("http://" + ln.Addr().String())
-
-	req := serve.ChecksumBatchRequest{Items: make([]serve.ChecksumRequest, items)}
-	for i := range req.Items {
-		payload := make([]byte, payloadBytes)
-		for j := range payload {
-			payload[j] = byte(i + j)
-		}
-		req.Items[i] = serve.ChecksumRequest{Algorithm: algorithm, Data: payload}
-	}
-	ctx := context.Background()
-
-	// Warm both paths: connection establishment, engine build.
-	if _, err := c.Checksum(ctx, algorithm, req.Items[0].Data); err != nil {
-		return nil, err
-	}
-	if _, err := c.ChecksumBatch(ctx, req); err != nil {
-		return nil, err
-	}
-
-	var seqDone int
-	start := time.Now()
-	for time.Since(start) < budget {
-		for _, item := range req.Items {
-			if _, err := c.Checksum(ctx, item.Algorithm, item.Data); err != nil {
-				return nil, err
-			}
-		}
-		seqDone += items
-	}
-	seqIPS := float64(seqDone) / time.Since(start).Seconds()
-
-	var batchDone int
-	start = time.Now()
-	for time.Since(start) < budget {
-		resp, err := c.ChecksumBatch(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Failed != 0 {
-			return nil, fmt.Errorf("%d batch items failed", resp.Failed)
-		}
-		batchDone += items
-	}
-	batchIPS := float64(batchDone) / time.Since(start).Seconds()
-
-	if seqIPS <= 0 || batchIPS <= 0 {
-		return nil, fmt.Errorf("degenerate measurement: sequential %f, batch %f items/s", seqIPS, batchIPS)
-	}
-	return &ServeBench{
-		Items:         items,
-		PayloadBytes:  payloadBytes,
-		SequentialIPS: seqIPS,
-		BatchIPS:      batchIPS,
-		Amortization:  batchIPS / seqIPS,
-	}, nil
-}
-
-// measureCorpus bakes one real 32-bit polynomial (CRC-32 IEEE 802.3)
-// into a throwaway corpus, then times the first /v1/evaluate against an
-// in-process crcserve twice: once cold, once warm-started from the
-// corpus. The delta is exactly the engine work the corpus replaces; the
-// warm session's live probe count pins the "zero probes when covered"
-// serving guarantee in the artifact.
-func measureCorpus(quick bool) (*CorpusBench, error) {
-	const polyHex, width = "0x82608edb", 32 // CRC-32 IEEE 802.3, Koopman notation
-	maxLen, maxHD := 4096, 5
-	if quick {
-		maxLen = 1024
-	}
-	p, err := koopmancrc.ParsePolynomial(width, koopmancrc.Koopman, polyHex)
-	if err != nil {
-		return nil, err
-	}
-
-	dir, err := os.MkdirTemp("", "crcbench-corpus-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	store, err := corpus.Open(dir, corpus.Config{})
-	if err != nil {
-		return nil, err
-	}
-	sum, err := dist.Bake(context.Background(), dist.BakeSpec{
-		Width: width, Polys: []uint64{p.Koopman()}, MaxLen: maxLen, MaxHD: maxHD,
-	}, store, dist.BakeConfig{})
-	if err != nil {
-		return nil, err
-	}
-	if len(sum.Failed) != 0 {
-		return nil, fmt.Errorf("bake failed: %v", sum.Failed[0].Err)
-	}
-	if err := store.Close(); err != nil {
-		return nil, err
-	}
-
-	req := serve.EvaluateRequest{
-		PolyRef: serve.PolyRef{Poly: polyHex, Width: width},
-		MaxLen:  maxLen,
-		MaxHD:   maxHD,
-	}
-	cold, coldProbes, err := timeFirstEvaluate(serve.Config{}, req)
-	if err != nil {
-		return nil, fmt.Errorf("cold: %w", err)
-	}
-	if coldProbes == 0 {
-		// A cold session must probe the engine; reading zero means the
-		// probe scrape is broken and a zero warm count would prove nothing.
-		return nil, fmt.Errorf("cold: evaluation reported no live engine probes")
-	}
-	warm, warmProbes, err := timeFirstEvaluate(serve.Config{CorpusDir: dir}, req)
-	if err != nil {
-		return nil, fmt.Errorf("warm: %w", err)
-	}
-	if warm <= 0 {
-		return nil, fmt.Errorf("degenerate warm measurement: %v", warm)
-	}
-	return &CorpusBench{
-		Poly:        polyHex,
-		Width:       width,
-		MaxLen:      maxLen,
-		MaxHD:       maxHD,
-		ColdSeconds: cold.Seconds(),
-		WarmSeconds: warm.Seconds(),
-		Speedup:     cold.Seconds() / warm.Seconds(),
-		WarmProbes:  warmProbes,
-	}, nil
-}
-
 // measureTracing drives warm /v1/checksum requests straight through
 // the handler — no listener, no network — against two servers that
 // differ only in tracing: recorder off versus on at the defaults
@@ -498,12 +211,9 @@ func measureCorpus(quick bool) (*CorpusBench, error) {
 // shaving scheduler noise off a hot-loop timing. The recorder's raw
 // admission rate is measured separately over pre-built span trees with
 // distinct IDs, so sampling decisions vary the way live traffic's do.
-func measureTracing(quick bool) (*TracingBench, error) {
+func measureTracing() (*TracingBench, error) {
 	const refUS = 50.0
-	rounds, blocks := 20000, 10
-	if quick {
-		rounds = 4000
-	}
+	const rounds, blocks = 20000, 10
 	perBlock := rounds / blocks
 
 	mkArm := func(cfg serve.Config) (func() (float64, error), func(), error) {
@@ -577,10 +287,7 @@ func measureTracing(quick bool) (*TracingBench, error) {
 		tds[i] = tr.Data()
 	}
 	rec := obs.NewFlightRecorder(256, 0.1)
-	budget := 500 * time.Millisecond
-	if quick {
-		budget = 100 * time.Millisecond
-	}
+	const budget = 500 * time.Millisecond
 	var ops int64
 	start := time.Now()
 	for time.Since(start) < budget {
@@ -602,59 +309,6 @@ func measureTracing(quick bool) (*TracingBench, error) {
 	}, nil
 }
 
-// timeFirstEvaluate stands up an in-process crcserve with the config,
-// times one /v1/evaluate round trip, and returns it with the pool's
-// live engine probe total afterwards, read from the /metrics exposition.
-func timeFirstEvaluate(cfg serve.Config, req serve.EvaluateRequest) (time.Duration, int64, error) {
-	srv, err := serve.New(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, 0, err
-	}
-	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
-	c := client.New(base)
-	ctx := context.Background()
-
-	if err := c.Healthz(ctx); err != nil { // connection up before the clock starts
-		return 0, 0, err
-	}
-	start := time.Now()
-	if _, err := c.Evaluate(ctx, req); err != nil {
-		return 0, 0, err
-	}
-	elapsed := time.Since(start)
-
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, 0, err
-	}
-	// The pool's live probe total is the sum of its per-session series.
-	var probes int64
-	for _, line := range strings.Split(string(body), "\n") {
-		if !strings.HasPrefix(line, "crcserve_pool_session_probes{") {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("metrics line %q: %w", line, err)
-		}
-		probes += int64(v)
-	}
-	return elapsed, probes, nil
-}
-
 // retiredKernels are kernel names older reports carry for engines
 // since removed; the validator still accepts them so the checked-in
 // trajectory stays readable.
@@ -669,10 +323,12 @@ func checkKernel(name string) error {
 	return err
 }
 
-// validateReport checks a report file against the schema the sweep
-// writes: schema tag, host fields, a known auto kernel, at least one
-// kernel measured over at least four sizes, and every throughput
-// positive. It is the CI gate on the checked-in artifact.
+// validateReport checks a report file: schema tag, generated_at and
+// host fields for both schemas, then a tracing section for v2. A v1
+// report additionally needs its algorithm, a known auto kernel, at
+// least one kernel measured over at least four sizes with every
+// throughput positive, and consistent serve, corpus and tracing
+// sections where present. It is the CI gate on the checked-in reports.
 func validateReport(path string, out io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -682,8 +338,8 @@ func validateReport(path string, out io.Writer) error {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if rep.Schema != schemaName {
-		return fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, schemaName)
+	if rep.Schema != schemaV1 && rep.Schema != schemaV2 {
+		return fmt.Errorf("%s: schema %q, want %q or %q", path, rep.Schema, schemaV2, schemaV1)
 	}
 	if rep.GeneratedAt == "" {
 		return fmt.Errorf("%s: missing generated_at", path)
@@ -694,6 +350,17 @@ func validateReport(path string, out io.Writer) error {
 	if rep.Host.GoVersion == "" || rep.Host.GOARCH == "" || rep.Host.GOOS == "" {
 		return fmt.Errorf("%s: incomplete host identification %+v", path, rep.Host)
 	}
+	if rep.Schema == schemaV2 {
+		if rep.Tracing == nil {
+			return fmt.Errorf("%s: missing tracing section", path)
+		}
+		if err := checkTracing(rep.Tracing); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		fmt.Fprintf(out, "%s: valid (tracing overhead %+.2f%%)\n", path, rep.Tracing.OverheadPct)
+		return nil
+	}
+
 	if rep.Algorithm == "" {
 		return fmt.Errorf("%s: missing algorithm", path)
 	}
@@ -761,21 +428,31 @@ func validateReport(path string, out io.Writer) error {
 	}
 	tracingNote := ""
 	if tb := rep.Tracing; tb != nil {
-		if tb.Requests <= 0 {
-			return fmt.Errorf("%s: tracing: non-positive request count %d", path, tb.Requests)
-		}
-		if tb.BaselineUS <= 0 || tb.InstrumentedUS <= 0 || tb.ReferenceUS <= 0 || tb.RecorderOpsPerSec <= 0 {
-			return fmt.Errorf("%s: tracing: non-positive measurement %+v", path, tb)
-		}
-		want := (tb.InstrumentedUS - tb.BaselineUS) / tb.ReferenceUS * 100
-		if d := tb.OverheadPct - want; d < -0.05 || d > 0.05 {
-			return fmt.Errorf("%s: tracing: overhead %.3f%% inconsistent with (on-off)/reference %.3f%%", path, tb.OverheadPct, want)
-		}
-		if tb.OverheadPct > 2.0 {
-			return fmt.Errorf("%s: tracing: overhead %.3f%% exceeds the 2%% gate", path, tb.OverheadPct)
+		if err := checkTracing(tb); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		tracingNote = fmt.Sprintf(", tracing overhead %+.2f%%", tb.OverheadPct)
 	}
 	fmt.Fprintf(out, "%s: valid (%d kernels, %d measurements%s%s%s)\n", path, len(sizesByKernel), len(rep.Results), serveNote, corpusNote, tracingNote)
+	return nil
+}
+
+// checkTracing checks a tracing section, in either schema: positive
+// measurements, an overhead consistent with (on-off)/reference, and
+// the 2% gate.
+func checkTracing(tb *TracingBench) error {
+	if tb.Requests <= 0 {
+		return fmt.Errorf("tracing: non-positive request count %d", tb.Requests)
+	}
+	if tb.BaselineUS <= 0 || tb.InstrumentedUS <= 0 || tb.ReferenceUS <= 0 || tb.RecorderOpsPerSec <= 0 {
+		return fmt.Errorf("tracing: non-positive measurement %+v", tb)
+	}
+	want := (tb.InstrumentedUS - tb.BaselineUS) / tb.ReferenceUS * 100
+	if d := tb.OverheadPct - want; d < -0.05 || d > 0.05 {
+		return fmt.Errorf("tracing: overhead %.3f%% inconsistent with (on-off)/reference %.3f%%", tb.OverheadPct, want)
+	}
+	if tb.OverheadPct > 2.0 {
+		return fmt.Errorf("tracing: overhead %.3f%% exceeds the 2%% gate", tb.OverheadPct)
+	}
 	return nil
 }

@@ -101,14 +101,15 @@ func (k Kind) String() string {
 }
 
 // Kinds returns the concrete engine kinds — every kind except Auto, in
-// reference-first order — so callers (and cmd/crcbench) can iterate
-// kernels without hardcoding the list.
+// reference-first order — so callers (such as the kernel cross-validation
+// tests) can iterate kernels without hardcoding the list.
 func Kinds() []Kind {
 	return []Kind{Bitwise, Table, Slicing16, Hardware}
 }
 
 // ParseKind maps a kind name (as produced by String, case-insensitive)
-// back to the Kind. It is the parser behind cmd/crcbench's -kinds flag.
+// back to the Kind. cmd/crcbench uses it to check the kernel names in
+// its checked-in reports.
 func ParseKind(s string) (Kind, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "auto":

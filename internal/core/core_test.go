@@ -111,6 +111,18 @@ func TestSmallWidthCanonicalCountByHand(t *testing.T) {
 	}
 }
 
+// parityFilter keeps (x+1)-divisible generators: a cheap first stage
+// for the stage-chaining test.
+type parityFilter struct{}
+
+// Name implements Filter.
+func (parityFilter) Name() string { return "parity(x+1)" }
+
+// Keep implements Filter.
+func (parityFilter) Keep(ev *hamming.Evaluator) (bool, error) {
+	return ev.Poly().DivisibleByXPlus1(), nil
+}
+
 // bruteHDFilter is HDFilter on the paper-faithful enumeration engine in
 // the given order: the reference the fast engine's survivors are checked
 // against.
@@ -167,7 +179,7 @@ func TestPipelineStageStats(t *testing.T) {
 	pl := &Pipeline{
 		Space: s,
 		Filters: []Filter{
-			ParityFilter{RequireDivisible: true},
+			parityFilter{},
 			HDFilter{Lengths: []int{16}, MinHD: 4},
 		},
 	}
@@ -332,18 +344,6 @@ func TestPipelineContextCancellation(t *testing.T) {
 	}
 }
 
-func TestShapeFilter(t *testing.T) {
-	ev := hamming.New(poly.Koopman32K)
-	keep, err := ShapeFilter{Shape: "{1,3,28}"}.Keep(ev)
-	if err != nil || !keep {
-		t.Errorf("Keep = %v, %v; want true", keep, err)
-	}
-	keep, err = ShapeFilter{Shape: "{32}"}.Keep(ev)
-	if err != nil || keep {
-		t.Errorf("Keep = %v, %v; want false", keep, err)
-	}
-}
-
 func TestCensus(t *testing.T) {
 	c, err := Census([]poly.P{poly.IEEE8023, poly.Koopman32K, poly.Koopman1130, poly.KoopmanSparse6})
 	if err != nil {
@@ -352,10 +352,12 @@ func TestCensus(t *testing.T) {
 	if c["{32}"] != 1 || c["{1,3,28}"] != 1 || c["{1,1,30}"] != 2 {
 		t.Errorf("census = %v", c)
 	}
-	if AllDivisibleByXPlus1([]poly.P{poly.Koopman32K, poly.Koopman1130}) != true {
-		t.Error("parity polynomials misclassified")
+	for _, p := range []poly.P{poly.Koopman32K, poly.Koopman1130} {
+		if !p.DivisibleByXPlus1() {
+			t.Errorf("%v: parity polynomial misclassified", p)
+		}
 	}
-	if AllDivisibleByXPlus1([]poly.P{poly.IEEE8023}) != false {
+	if poly.IEEE8023.DivisibleByXPlus1() {
 		t.Error("802.3 is not divisible by x+1")
 	}
 }

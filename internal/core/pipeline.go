@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"koopmancrc/internal/gf2"
 	"koopmancrc/internal/hamming"
 	"koopmancrc/internal/poly"
 )
@@ -23,44 +22,6 @@ type Filter interface {
 	Name() string
 	// Keep reports whether the candidate survives this stage.
 	Keep(ev *hamming.Evaluator) (bool, error)
-}
-
-// ParityFilter keeps polynomials by (x+1)-divisibility.
-type ParityFilter struct {
-	// RequireDivisible keeps only (x+1)-divisible generators when true;
-	// only non-divisible ones when false.
-	RequireDivisible bool
-}
-
-// Name implements Filter.
-func (f ParityFilter) Name() string {
-	if f.RequireDivisible {
-		return "parity(x+1)"
-	}
-	return "parity(not x+1)"
-}
-
-// Keep implements Filter.
-func (f ParityFilter) Keep(ev *hamming.Evaluator) (bool, error) {
-	return ev.Poly().DivisibleByXPlus1() == f.RequireDivisible, nil
-}
-
-// ShapeFilter keeps polynomials whose irreducible factorization has the
-// given degree multiset, e.g. "{1,3,28}".
-type ShapeFilter struct {
-	Shape string
-}
-
-// Name implements Filter.
-func (f ShapeFilter) Name() string { return "shape" + f.Shape }
-
-// Keep implements Filter.
-func (f ShapeFilter) Keep(ev *hamming.Evaluator) (bool, error) {
-	s, err := ev.Poly().Shape()
-	if err != nil {
-		return false, err
-	}
-	return s == f.Shape, nil
 }
 
 // HDFilter keeps polynomials achieving at least MinHD at every length in
@@ -332,25 +293,4 @@ func Census(polys []poly.P) (map[string]int, error) {
 		out[s]++
 	}
 	return out, nil
-}
-
-// AllDivisibleByXPlus1 reports whether every polynomial has the implicit
-// parity property — the paper's Table 2 finding for the HD=6 survivors.
-func AllDivisibleByXPlus1(polys []poly.P) bool {
-	for _, p := range polys {
-		if !p.DivisibleByXPlus1() {
-			return false
-		}
-	}
-	return true
-}
-
-// ShapeOf returns the factorization shape of a raw full polynomial — a
-// convenience wrapper for census consumers.
-func ShapeOf(full gf2.Poly) (string, error) {
-	p, err := poly.FromFull(full)
-	if err != nil {
-		return "", err
-	}
-	return p.Shape()
 }

@@ -266,16 +266,7 @@ func (s *Store) Put(snap *koopmancrc.MemoSnapshot) error {
 	return nil
 }
 
-// Compact folds the WAL into a fresh snapshot document now.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("corpus: store is closed")
-	}
-	return s.compactLocked()
-}
-
+// compactLocked folds the WAL into a fresh snapshot document.
 func (s *Store) compactLocked() error {
 	doc := storeDoc{Version: storeVersion}
 	for _, k := range s.keysLocked() {

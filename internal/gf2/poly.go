@@ -85,9 +85,6 @@ func Div(p, m Poly) Poly {
 	return q
 }
 
-// Divides reports whether d divides p (d non-zero).
-func Divides(d, p Poly) bool { return Mod(p, d) == 0 }
-
 // MulMod returns p*q mod m using shift-and-reduce, which is safe for any
 // modulus degree up to 63 (no intermediate overflow). It panics if m is zero.
 func MulMod(p, q, m Poly) Poly {

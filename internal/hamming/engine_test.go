@@ -338,7 +338,7 @@ func TestBandsFromTransitionsSynthetic(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := bandsFromTransitions(tt.ts, tt.maxLen, tt.maxHD)
+			got := BandsFromTransitions(tt.ts, tt.maxLen, tt.maxHD)
 			if len(got) != len(tt.want) {
 				t.Fatalf("bands = %+v, want %+v", got, tt.want)
 			}

@@ -65,7 +65,7 @@ func (e *Evaluator) Profile(maxLen, maxHD int) (*Profile, error) {
 			limit = first - 1
 		}
 	}
-	p.Bands = bandsFromTransitions(p.Transitions, maxLen, maxHD)
+	p.Bands = BandsFromTransitions(p.Transitions, maxLen, maxHD)
 	return p, nil
 }
 
@@ -74,11 +74,6 @@ func (e *Evaluator) Profile(maxLen, maxHD int) (*Profile, error) {
 // memoizing callers that discover transitions incrementally can build the
 // same band structure.
 func BandsFromTransitions(ts []Transition, maxLen, maxHD int) []Band {
-	return bandsFromTransitions(ts, maxLen, maxHD)
-}
-
-// bandsFromTransitions converts weight boundaries into contiguous HD bands.
-func bandsFromTransitions(ts []Transition, maxLen, maxHD int) []Band {
 	events := append([]Transition(nil), ts...)
 	sort.Slice(events, func(i, j int) bool { return events[i].FirstLen < events[j].FirstLen })
 	var bands []Band
@@ -121,16 +116,6 @@ func (p *Profile) HDAtLen(dataLen int) (hd int, atLeast bool, ok bool) {
 		}
 	}
 	return 0, false, false
-}
-
-// BandFor returns the band containing the given HD value, if any.
-func (p *Profile) BandFor(hd int) (Band, bool) {
-	for _, b := range p.Bands {
-		if b.HD == hd && !b.AtLeast {
-			return b, true
-		}
-	}
-	return Band{}, false
 }
 
 // MaxLenAtHD returns the largest length at which the profile guarantees at

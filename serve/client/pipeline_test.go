@@ -152,8 +152,8 @@ func batchOf(n int) serve.ChecksumBatchRequest {
 }
 
 // The amortization pair: 64 small payloads one-at-a-time vs in one
-// round trip. cmd/crcbench -serve measures the same ratio outside the
-// test harness and records it in the BENCH_PR8.json trajectory.
+// round trip. BENCH_PR8.json records the same ratio from a retired
+// crcbench mode, as history; these benchmarks are its measurement now.
 
 func BenchmarkChecksumSequential64(b *testing.B) {
 	srv, err := serve.New(serve.Config{})
