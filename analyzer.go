@@ -20,18 +20,14 @@ var ErrBudgetExceeded = hamming.ErrBudgetExceeded
 // is not given (the depth of the paper's Table 1 columns).
 const DefaultMaxHD = 13
 
-// Limits exposes the evaluation resource budgets of the underlying
-// Hamming-distance engine. Zero fields keep the defaults.
+// Limits exposes the evaluation resource budget of the underlying
+// Hamming-distance engine. A zero field keeps the default.
 type Limits struct {
 	// MaxProbes bounds the probe work of a single engine query — a
 	// boundary scan, which also answers existence queries, or an exact
 	// weight count; queries beyond it fail with ErrBudgetExceeded
 	// (default 2^62, effectively unbounded).
 	MaxProbes int64
-	// MaxStoreEntries is the threshold above which boundary scans
-	// switch from a compact map to the whole-space bitmap (default 1<<20
-	// entries).
-	MaxStoreEntries int
 }
 
 // Progress is a live report from a long-running evaluation, delivered to
@@ -128,15 +124,12 @@ func WithSpans(fn func(ctx context.Context, s Span)) Option {
 	return func(o *options) { o.spans = fn }
 }
 
-// WithLimits overrides the engine resource budgets; zero fields keep
-// their defaults.
+// WithLimits overrides the engine resource budget; a zero field keeps
+// its default.
 func WithLimits(l Limits) Option {
 	return func(o *options) {
 		if l.MaxProbes > 0 {
 			o.limits.MaxProbes = l.MaxProbes
-		}
-		if l.MaxStoreEntries > 0 {
-			o.limits.MaxStoreEntries = l.MaxStoreEntries
 		}
 	}
 }
@@ -225,9 +218,6 @@ func (a *Analyzer) evaluatorLocked() (*hamming.Evaluator, error) {
 	}
 	if a.opt.limits.MaxProbes > 0 {
 		hopts = append(hopts, hamming.WithMaxProbes(a.opt.limits.MaxProbes))
-	}
-	if a.opt.limits.MaxStoreEntries > 0 {
-		hopts = append(hopts, hamming.WithMaxStoreEntries(a.opt.limits.MaxStoreEntries))
 	}
 	if fn := a.opt.progress; fn != nil {
 		p := a.p
@@ -338,6 +328,32 @@ func (a *Analyzer) boundaryLocked(w, maxLen int) (*bound, bool, error) {
 	return b, false, nil
 }
 
+// walkLocked is the weight walk behind a Table 1 column: weights 2
+// through maxW in turn, each boundary searched up to a limit that starts
+// at horizon and drops below every boundary found, since lengths past a
+// lower weight's boundary already have a lower HD. visit, if non-nil,
+// sees each boundary found before the limit drops, and returning true
+// ends the walk there. walkLocked returns the limit it ended with: for
+// a full walk, the largest length up to horizon below every boundary of
+// weight <= maxW (sem held, a.ctx set).
+func (a *Analyzer) walkLocked(horizon, maxW int, visit func(w int, b *bound) bool) (int, error) {
+	limit := horizon
+	for w := 2; w <= maxW && limit >= 1; w++ {
+		b, found, err := a.boundaryLocked(w, limit)
+		if err != nil {
+			return 0, err
+		}
+		if !found {
+			continue
+		}
+		if visit != nil && visit(w, b) {
+			break
+		}
+		limit = b.first - 1
+	}
+	return limit, nil
+}
+
 // run executes fn with the session locked and the context wired into the
 // engine's cancellation hook. Waiting for the session itself honours the
 // context: a caller with a deadline fails fast instead of queueing
@@ -388,23 +404,16 @@ func (a *Analyzer) Evaluate(ctx context.Context, maxLen int) (*Report, error) {
 	if maxHD < 2 {
 		return nil, fmt.Errorf("koopmancrc: cannot profile with MaxHD %d (need >= 2)", maxHD)
 	}
-	var ts []hamming.Transition
+	var ts []Transition
 	err := a.run(ctx, func() error {
-		limit := maxLen
-		for w := 2; w <= maxHD && limit >= 1; w++ {
-			b, found, err := a.boundaryLocked(w, limit)
-			if err != nil {
-				return fmt.Errorf("evaluate %v: %w", a.p, err)
-			}
-			if !found {
-				continue
-			}
-			ts = append(ts, hamming.Transition{
+		_, err := a.walkLocked(maxLen, maxHD, func(w int, b *bound) bool {
+			ts = append(ts, Transition{
 				W: w, FirstLen: b.first, Witness: copyPositions(b.witness), Elapsed: b.elapsed,
 			})
-			if b.first-1 < limit {
-				limit = b.first - 1
-			}
+			return false
+		})
+		if err != nil {
+			return fmt.Errorf("evaluate %v: %w", a.p, err)
 		}
 		return nil
 	})
@@ -419,12 +428,48 @@ func (a *Analyzer) Evaluate(ctx context.Context, maxLen int) (*Report, error) {
 	return &Report{
 		Poly:        a.p,
 		MaxLen:      maxLen,
-		Bands:       hamming.BandsFromTransitions(ts, maxLen, maxHD),
+		Bands:       bandsFromTransitions(ts, maxLen, maxHD),
 		Transitions: ts,
 		Shape:       shape,
 		Period:      period,
 		ParityBit:   a.ParityBit(),
 	}, nil
+}
+
+// bandsFromTransitions converts weight boundaries into the contiguous HD
+// bands covering [1, maxLen].
+func bandsFromTransitions(ts []Transition, maxLen, maxHD int) []Band {
+	events := append([]Transition(nil), ts...)
+	sort.Slice(events, func(i, j int) bool { return events[i].FirstLen < events[j].FirstLen })
+	var bands []Band
+	cur := 1
+	minW := 0 // 0 = no boundary active yet: HD is at least maxHD+1
+	flush := func(to int) {
+		if to < cur {
+			return
+		}
+		if minW == 0 {
+			bands = append(bands, Band{HD: maxHD + 1, AtLeast: true, From: cur, To: to})
+		} else {
+			bands = append(bands, Band{HD: minW, From: cur, To: to})
+		}
+		cur = to + 1
+	}
+	for i := 0; i < len(events); {
+		l := events[i].FirstLen
+		if l > maxLen {
+			break
+		}
+		flush(l - 1)
+		for i < len(events) && events[i].FirstLen == l {
+			if minW == 0 || events[i].W < minW {
+				minW = events[i].W
+			}
+			i++
+		}
+	}
+	flush(maxLen)
+	return bands
 }
 
 // HDAt returns the exact Hamming distance at one data-word length,
@@ -467,18 +512,10 @@ func (a *Analyzer) MaxLenAtHD(ctx context.Context, hd, horizon int) (maxLen int,
 		return 0, false, fmt.Errorf("koopmancrc: invalid horizon %d", horizon)
 	}
 	err = a.run(ctx, func() error {
-		limit := horizon
-		for w := 2; w < hd && limit >= 1; w++ {
-			b, found, err := a.boundaryLocked(w, limit)
-			if err != nil {
-				return err
-			}
-			if found && b.first-1 < limit {
-				limit = b.first - 1
-			}
-		}
-		maxLen, ok = limit, limit >= 1
-		return nil
+		var err error
+		maxLen, err = a.walkLocked(horizon, hd-1, nil)
+		ok = maxLen >= 1
+		return err
 	})
 	if err != nil {
 		return 0, false, err
@@ -551,20 +588,18 @@ func copyPositions(w []int) []int {
 // one boundary search per weight instead of an existence query per
 // weight followed by the boundary search.
 func (a *Analyzer) selectionLocked(dataLen, horizon, maxHD int) (Selection, error) {
-	limit := horizon
-	for w := 2; w <= maxHD+1; w++ {
-		b, found, err := a.boundaryLocked(w, limit)
-		if err != nil {
-			return Selection{}, fmt.Errorf("select: %v: %w", a.p, err)
+	hd := maxHD + 1
+	limit, err := a.walkLocked(horizon, maxHD+1, func(w int, b *bound) bool {
+		if b.first <= dataLen {
+			hd = w
+			return true
 		}
-		if found && b.first <= dataLen {
-			return Selection{Poly: a.p, HD: w, CoverageAtHD: limit}, nil
-		}
-		if found && b.first-1 < limit {
-			limit = b.first - 1
-		}
+		return false
+	})
+	if err != nil {
+		return Selection{}, fmt.Errorf("select: %v: %w", a.p, err)
 	}
-	return Selection{Poly: a.p, HD: maxHD + 1, CoverageAtHD: limit}, nil
+	return Selection{Poly: a.p, HD: hd, CoverageAtHD: limit}, nil
 }
 
 // Coverage scores the polynomial at one data-word length: its HD there

@@ -3,9 +3,12 @@ package koopmancrc
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
+
+	"koopmancrc/internal/poly"
 )
 
 // TestAnalyzerMatchesFreshSession pins that a session's memo never
@@ -376,5 +379,107 @@ func TestAnalyzerSpans(t *testing.T) {
 	}
 	if !phases["w3_scan"] && !phases["w4_scan"] && !phases["boundary"] {
 		t.Errorf("no scan phase spans; saw %v", phases)
+	}
+}
+
+func TestBandsFromTransitionsSynthetic(t *testing.T) {
+	tests := []struct {
+		name   string
+		ts     []Transition
+		maxLen int
+		maxHD  int
+		want   []Band
+	}{
+		{
+			name:   "no transitions",
+			maxLen: 10, maxHD: 6,
+			want: []Band{{HD: 7, AtLeast: true, From: 1, To: 10}},
+		},
+		{
+			name:   "single",
+			ts:     []Transition{{W: 4, FirstLen: 5}},
+			maxLen: 10, maxHD: 6,
+			want: []Band{{HD: 7, AtLeast: true, From: 1, To: 4}, {HD: 4, From: 5, To: 10}},
+		},
+		{
+			name:   "descending weights",
+			ts:     []Transition{{W: 5, FirstLen: 3}, {W: 4, FirstLen: 7}, {W: 2, FirstLen: 9}},
+			maxLen: 12, maxHD: 8,
+			want: []Band{
+				{HD: 9, AtLeast: true, From: 1, To: 2},
+				{HD: 5, From: 3, To: 6},
+				{HD: 4, From: 7, To: 8},
+				{HD: 2, From: 9, To: 12},
+			},
+		},
+		{
+			name:   "same length",
+			ts:     []Transition{{W: 5, FirstLen: 4}, {W: 4, FirstLen: 4}},
+			maxLen: 6, maxHD: 6,
+			want: []Band{{HD: 7, AtLeast: true, From: 1, To: 3}, {HD: 4, From: 4, To: 6}},
+		},
+		{
+			name:   "boundary at 1",
+			ts:     []Transition{{W: 3, FirstLen: 1}},
+			maxLen: 5, maxHD: 6,
+			want: []Band{{HD: 3, From: 1, To: 5}},
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got := bandsFromTransitions(tt.ts, tt.maxLen, tt.maxHD)
+			if len(got) != len(tt.want) {
+				t.Fatalf("bands = %+v, want %+v", got, tt.want)
+			}
+			for i := range got {
+				if got[i] != tt.want[i] {
+					t.Fatalf("band %d = %+v, want %+v", i, got[i], tt.want[i])
+				}
+			}
+		})
+	}
+}
+
+func TestEvaluateBandsConsistentWithHDAt(t *testing.T) {
+	// A column's bands tile [1, maxLen], and at each length their HD and
+	// AtLeast flag match a pointwise HDAt query in a fresh session.
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(909, 9))
+	for trial := 0; trial < 10; trial++ {
+		var p Polynomial
+		for {
+			var err error
+			if p, err = poly.FromKoopman(8, rng.Uint64N(1<<8)|1<<7); err == nil {
+				break
+			}
+		}
+		rep, err := NewAnalyzer(p, WithMaxHD(8)).Evaluate(ctx, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 1
+		for _, b := range rep.Bands {
+			if b.From != next || b.To < b.From {
+				t.Fatalf("%v: bad band tiling %+v", p, rep.Bands)
+			}
+			next = b.To + 1
+		}
+		if next != 31 {
+			t.Fatalf("%v: bands end at %d, want 31", p, next)
+		}
+		for _, n := range []int{1, 7, 15, 30} {
+			hd, exact, err := NewAnalyzer(p, WithMaxHD(8)).HDAt(ctx, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, atLeast, ok := rep.HDAt(n)
+			if !ok {
+				t.Fatalf("%v: no band for %d", p, n)
+			}
+			if want != hd || atLeast == exact {
+				t.Fatalf("%v n=%d: bands say HD=%d(atLeast=%v), HDAt says %d(exact=%v)",
+					p, n, want, atLeast, hd, exact)
+			}
+		}
 	}
 }

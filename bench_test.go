@@ -30,11 +30,11 @@ func BenchmarkTable1ProfileColumn(b *testing.B) {
 		b.Run(col.P.String(), func(b *testing.B) {
 			var work int64
 			for i := 0; i < b.N; i++ {
-				ev := hamming.New(col.P)
-				if _, err := ev.Profile(2048, 10); err != nil {
+				a := NewAnalyzer(col.P, WithMaxHD(10))
+				if _, err := a.Evaluate(context.Background(), 2048); err != nil {
 					b.Fatal(err)
 				}
-				work += ev.Stats.Probes + ev.Stats.StoreOps
+				work += a.Stats().Probes + a.Stats().StoreOps
 			}
 			reportPerProbe(b, work)
 		})
@@ -56,12 +56,11 @@ func reportPerProbe(b *testing.B, work int64) {
 // 16360) plus the rest of the column.
 func BenchmarkTable1FullColumnBA0DC66B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ev := hamming.New(poly.Koopman32K)
-		prof, err := ev.Profile(paperdata.MaxComputedBits, 13)
+		rep, err := NewAnalyzer(poly.Koopman32K).Evaluate(context.Background(), paperdata.MaxComputedBits)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if l, _ := prof.MaxLenAtHD(6); l != 16360 {
+		if l, _ := rep.MaxLenAtHD(6); l != 16360 {
 			b.Fatalf("HD=6 bound %d", l)
 		}
 	}
@@ -72,13 +71,12 @@ func BenchmarkTable1FullColumnBA0DC66B(b *testing.B) {
 func BenchmarkFigure1Series(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, col := range poly.Table1() {
-			ev := hamming.New(col.P)
-			prof, err := ev.Profile(1024, 10)
+			rep, err := NewAnalyzer(col.P, WithMaxHD(10)).Evaluate(context.Background(), 1024)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for l := 64; l <= 1024; l *= 2 {
-				if _, _, ok := prof.HDAtLen(l); !ok {
+				if _, _, ok := rep.HDAt(l); !ok {
 					b.Fatal("missing band")
 				}
 			}
@@ -196,7 +194,7 @@ func BenchmarkOrderLexicographic(b *testing.B) {
 func BenchmarkInverseRejectHD6At16361(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev := hamming.New(poly.Koopman32K)
-		ok, err := ev.MeetsHD(16361, 6)
+		ok, err := ev.MeetsHDAtLengths([]int{16361}, 6)
 		if err != nil || ok {
 			b.Fatalf("%v %v", ok, err)
 		}
@@ -207,7 +205,7 @@ func BenchmarkInverseRejectHD6At16361(b *testing.B) {
 func BenchmarkInverseConfirmNoW5At8192(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev := hamming.New(poly.Koopman32K)
-		if _, found, err := ev.Exists(5, 8192); err != nil || found {
+		if _, _, found, err := ev.FirstDataLen(5, 8192); err != nil || found {
 			b.Fatalf("%v %v", found, err)
 		}
 	}

@@ -76,13 +76,12 @@ func run(args []string) error {
 }
 
 // profiles computes all Table 1 columns once (capped at maxLen).
-func profiles(maxLen int) ([]paperdata.Column, []*hamming.Profile, error) {
+func profiles(maxLen int) ([]paperdata.Column, []*koopmancrc.Report, error) {
 	cols := paperdata.Table1Columns()
-	out := make([]*hamming.Profile, len(cols))
+	out := make([]*koopmancrc.Report, len(cols))
 	for i, col := range cols {
 		start := time.Now()
-		ev := hamming.New(col.P)
-		prof, err := ev.Profile(maxLen, col.MaxHD)
+		prof, err := koopmancrc.NewAnalyzer(col.P, koopmancrc.WithMaxHD(col.MaxHD)).Evaluate(context.Background(), maxLen)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", col.Label, err)
 		}
@@ -109,7 +108,7 @@ func table1(maxLen int) error {
 		}
 		if maxLen == paperdata.MaxComputedBits {
 			fmt.Println("  paper comparison:")
-			for _, r := range paperdata.CompareProfile(col, profs[i]) {
+			for _, r := range paperdata.CompareProfile(col, profs[i].MaxLenAtHD) {
 				mark := "MATCH"
 				if !r.Match {
 					mark = "MISMATCH"
@@ -150,7 +149,7 @@ func figure1(maxLen int) error {
 	for _, l := range lengths {
 		fmt.Printf("%-10d", l)
 		for i := range cols {
-			hd, atLeast, ok := profs[i].HDAtLen(l)
+			hd, atLeast, ok := profs[i].HDAt(l)
 			cell := "-"
 			if ok {
 				if atLeast {

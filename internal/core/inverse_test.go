@@ -85,7 +85,7 @@ func ImplicitConfirm(p poly.P, dataLen, minHD int, probeBudget int64) (ok, impli
 	}
 	// Budget exceeded: implicit confirmation, verified exactly.
 	exact := hamming.New(p)
-	ok, err = exact.MeetsHD(dataLen, minHD)
+	ok, err = exact.MeetsHDAtLengths([]int{dataLen}, minHD)
 	if err != nil {
 		return false, true, false, err
 	}

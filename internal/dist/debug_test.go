@@ -79,9 +79,24 @@ func TestDebugListenerExposesLedger(t *testing.T) {
 		}
 	}()
 
+	// Hold the sweep until both workers have a job: alone, alpha could
+	// cover all 16 jobs before beta connects and leave beta no series.
+	// A worker's first log line reports its first finished job, before
+	// it delivers the result or asks for more, so each worker waits
+	// there until the other has logged its own.
+	var gate sync.WaitGroup
+	gate.Add(2)
 	var wg sync.WaitGroup
 	for _, id := range []string{"alpha", "beta"} {
-		w := dist.NewWorker(coord.Addr(), dist.WorkerConfig{ID: id, Logf: t.Logf})
+		var first sync.Once
+		logf := func(format string, args ...any) {
+			t.Logf(format, args...)
+			first.Do(func() {
+				gate.Done()
+				gate.Wait()
+			})
+		}
+		w := dist.NewWorker(coord.Addr(), dist.WorkerConfig{ID: id, Logf: logf})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -46,24 +46,19 @@ func TestAnchor8023Bands(t *testing.T) {
 	// Prose: "the 802.3 polynomial has a HD greater than or equal to 8 up
 	// to a data word length of 91 bits, HD=7 to 171 bits, HD=6 to 268 bits,
 	// HD=5 to 2974 bits".
-	e := New(poly.IEEE8023)
-	prof, err := e.Profile(4096, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := column(t, New(poly.IEEE8023), 4096, 8)
 	wantBoundaries := map[int]int{5: 269, 6: 172, 7: 92, 4: 2975}
-	for _, tr := range prof.Transitions {
-		if want, ok := wantBoundaries[tr.W]; ok && tr.FirstLen != want {
-			t.Errorf("weight-%d boundary = %d, want %d", tr.W, tr.FirstLen, want)
+	for w, want := range wantBoundaries {
+		if first[w] != want {
+			t.Errorf("weight-%d boundary = %d, want %d", w, first[w], want)
 		}
 	}
 	checks := []struct {
 		hd, maxLen int
 	}{{8, 91}, {7, 171}, {6, 268}, {5, 2974}}
 	for _, c := range checks {
-		got, ok := prof.MaxLenAtHD(c.hd)
-		if !ok || got != c.maxLen {
-			t.Errorf("MaxLenAtHD(%d) = %d,%v, want %d", c.hd, got, ok, c.maxLen)
+		if got := maxLenAtHD(first, 4096, c.hd); got != c.maxLen {
+			t.Errorf("maxLenAtHD(%d) = %d, want %d", c.hd, got, c.maxLen)
 		}
 	}
 }
@@ -71,16 +66,8 @@ func TestAnchor8023Bands(t *testing.T) {
 func TestAnchorISCSIBands(t *testing.T) {
 	// Table 1 column 2 (0x8F6E37A0): HD=8 for 48-177, HD=6 for 178-5243,
 	// HD=4 from 5244 — "only has HD=6 up to less than half an Ethernet MTU".
-	e := New(poly.CastagnoliISCSI)
-	prof, err := e.Profile(8192, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := column(t, New(poly.CastagnoliISCSI), 8192, 9)
 	want := map[int]int{4: 5244, 6: 178, 8: 48}
-	got := map[int]int{}
-	for _, tr := range prof.Transitions {
-		got[tr.W] = tr.FirstLen
-	}
 	for w, n := range want {
 		if got[w] != n {
 			t.Errorf("weight-%d boundary = %d, want %d", w, got[w], n)
@@ -89,23 +76,15 @@ func TestAnchorISCSIBands(t *testing.T) {
 	if _, found := got[3]; found {
 		t.Error("odd weight boundary found for (x+1)-divisible polynomial")
 	}
-	if l, ok := prof.MaxLenAtHD(6); !ok || l != 5243 {
-		t.Errorf("MaxLenAtHD(6) = %d, want 5243", l)
+	if l := maxLenAtHD(got, 8192, 6); l != 5243 {
+		t.Errorf("maxLenAtHD(6) = %d, want 5243", l)
 	}
 }
 
 func TestAnchorBA0DC66BShortBands(t *testing.T) {
 	// Table 1 column 3 (0xBA0DC66B): HD=8 for 19-152, HD=6 from 153 (the
 	// 16360 upper end is exercised in the full Table 1 reproduction).
-	e := New(poly.Koopman32K)
-	prof, err := e.Profile(1024, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int]int{}
-	for _, tr := range prof.Transitions {
-		got[tr.W] = tr.FirstLen
-	}
+	got := column(t, New(poly.Koopman32K), 1024, 13)
 	if got[6] != 153 {
 		t.Errorf("weight-6 boundary = %d, want 153", got[6])
 	}
@@ -127,17 +106,12 @@ func TestAnchorCastagnoliErratum(t *testing.T) {
 	// through 383, one bit past the paper's prose. EXPERIMENTS.md records
 	// the deviation; the paper's point (HD=6 collapses around ~0.4 Kbit
 	// instead of ~32 Kbit) reproduces exactly.
-	e := New(poly.CastagnoliMisprint)
-	prof, err := e.Profile(1024, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l, ok := prof.MaxLenAtHD(6); !ok || l != 383 {
-		t.Fatalf("misprint MaxLenAtHD(6) = %d,%v, want 383 (paper prose: 382)", l, ok)
+	misprint := column(t, New(poly.CastagnoliMisprint), 1024, 8)
+	if l := maxLenAtHD(misprint, 1024, 6); l != 383 {
+		t.Fatalf("misprint maxLenAtHD(6) = %d, want 383 (paper prose: 382)", l)
 	}
 	// The corrected polynomial keeps HD=6 well past that.
-	e2 := New(poly.Castagnoli1131515)
-	ok, err := e2.MeetsHD(1024, 6)
+	ok, err := New(poly.Castagnoli1131515).MeetsHDAtLengths([]int{1024}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +149,14 @@ func TestAnchorCCITT16(t *testing.T) {
 	if wit[1] != 32767 {
 		t.Fatalf("witness %v, want {0, 32767}", wit)
 	}
-	ok, err := e.MeetsHD(32751, 4)
+	ok, err := e.MeetsHDAtLengths([]int{32751}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Error("CCITT-16 should hold HD>=4 at 32751 bits")
 	}
-	ok, err = e.MeetsHD(32752, 4)
+	ok, err = e.MeetsHDAtLengths([]int{32752}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +186,7 @@ func TestAnchorMTUHammingDistances(t *testing.T) {
 		{poly.KoopmanSparse5, 5},
 	}
 	for _, tt := range tests {
-		e := New(tt.p)
-		hd, exact, err := e.HDAt(12112, 7)
+		hd, exact, err := hdAt(New(tt.p), 12112, 7)
 		if err != nil {
 			t.Fatalf("%v: %v", tt.p, err)
 		}
@@ -229,9 +202,13 @@ func TestAnchorW4AtMTU(t *testing.T) {
 	}
 	// §3: the 802.3 CRC at 12112 bits has weights {W2=0, W3=0, W4=223059}.
 	e := New(poly.IEEE8023)
-	ws, err := e.Weights(12112, 4)
-	if err != nil {
-		t.Fatal(err)
+	var ws []uint64
+	for w := 2; w <= 4; w++ {
+		c, err := e.Weight(w, 12112)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, c)
 	}
 	if ws[0] != 0 || ws[1] != 0 || ws[2] != 223059 {
 		t.Fatalf("weights at MTU = %v, want [0 0 223059]", ws)

@@ -139,8 +139,9 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 	p := (w - 1) / 2
 	q := w - 2 - p
 	// The store starts as a compact set, sized ahead of each row, and
-	// moves into the whole-space bitmap once it passes MaxStoreEntries,
-	// so a boundary at a few hundred bits never allocates 2^width bits.
+	// moves into the whole-space bitmap once it passes
+	// DefaultMaxStoreEntries, so a boundary at a few hundred bits never
+	// allocates 2^width bits.
 	var set synSet
 	if e.width <= 20 {
 		set = bitmapSet(e.bitset())
@@ -159,12 +160,12 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 		}
 		// After this row the store holds all C(c-1, p) subsets of [1, c).
 		if m, ok := set.(mapSet); ok {
-			if binomAtMost(c-1, p, 1<<62) > int64(e.opts.MaxStoreEntries) {
+			if binomAtMost(c-1, p, 1<<62) > int64(e.opts.maxStoreEntries) {
 				b := bitmapSet(e.bitset())
 				m.m.each(b.add)
 				set = b
 			} else {
-				reserveRow(m.m, c, n, p, e.opts.MaxStoreEntries)
+				reserveRow(m.m, c, n, p, e.opts.maxStoreEntries)
 			}
 		}
 		if err := e.enumStore(syn, c-1, p-1, syn[c-1], set, w, maxLen); err != nil {
@@ -201,51 +202,23 @@ func reserveRow(m *u32map, c, n, p, limit int) {
 	m.reserve(int(min(binomAtMost(min(2*c, n)-1, p, 1<<62), int64(limit))))
 }
 
-// HDAt returns the exact Hamming distance at the given data-word length,
-// searching weights up to maxHD. If no undetectable pattern of weight <=
-// maxHD exists, it returns maxHD+1 with exact = false (the true HD is at
-// least that).
-func (e *Evaluator) HDAt(dataLen, maxHD int) (hd int, exact bool, err error) {
-	for w := 2; w <= maxHD; w++ {
-		_, found, err := e.Exists(w, dataLen)
-		if err != nil {
-			return 0, false, err
-		}
-		if found {
-			return w, true, nil
-		}
-	}
-	return maxHD + 1, false, nil
-}
-
-// MeetsHD reports whether the polynomial attains at least the given Hamming
-// distance at the data-word length: no undetectable pattern of weight
-// < minHD exists. This is the paper's filtering predicate — evaluation
-// stops at the first non-zero weight rather than computing exact weights.
-func (e *Evaluator) MeetsHD(dataLen, minHD int) (bool, error) {
-	for w := 2; w < minHD; w++ {
-		_, found, err := e.Exists(w, dataLen)
-		if err != nil {
-			return false, err
-		}
-		if found {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// MeetsHDAtLengths applies MeetsHD at each length in order — the paper's
-// "filtering with increasing lengths": a polynomial rejected at a short
-// length is never evaluated at the expensive longer ones.
+// MeetsHDAtLengths reports whether the polynomial attains at least
+// Hamming distance minHD at each length in order: no undetectable
+// pattern of weight below minHD fits there. This is the paper's
+// "filtering with increasing lengths": evaluation stops at the first
+// pattern found rather than computing exact weights, and a polynomial
+// rejected at a short length is never evaluated at the expensive
+// longer ones.
 func (e *Evaluator) MeetsHDAtLengths(lengths []int, minHD int) (bool, error) {
 	for _, l := range lengths {
-		ok, err := e.MeetsHD(l, minHD)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
+		for w := 2; w < minHD; w++ {
+			if l < 1 {
+				return false, fmt.Errorf("hamming: invalid data length %d", l)
+			}
+			_, _, found, err := e.FirstDataLen(w, l)
+			if err != nil || found {
+				return false, err
+			}
 		}
 	}
 	return true, nil

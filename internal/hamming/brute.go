@@ -20,8 +20,8 @@ const (
 // enumeration of bit combinations, exactly as the paper's search software
 // did: canonical patterns (position 0 fixed, justified by dividing any
 // multiple of G by x), early bailout at the first hit, and an optional
-// FCS-bits-first ordering. It is exponentially slower than Exists at long
-// lengths and serves as the reference implementation and the subject of the
+// FCS-bits-first ordering. It is exponentially slower than the boundary
+// scan (FirstDataLen) at long lengths and serves as the reference implementation and the subject of the
 // §4.1 optimisation benchmarks.
 func (e *Evaluator) ExistsBrute(w, dataLen int, order Order) ([]int, bool, error) {
 	if w < 1 {

@@ -2,6 +2,7 @@ package hamming
 
 import (
 	"errors"
+	"maps"
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
@@ -39,6 +40,54 @@ func xp1Poly(rng *rand.Rand, width int) poly.P {
 	}
 }
 
+// exists asks FirstDataLen whether a weight-w pattern fits at dataLen:
+// a pattern that fits at one length fits at every longer one.
+func exists(e *Evaluator, w, dataLen int) ([]int, bool, error) {
+	_, wit, found, err := e.FirstDataLen(w, dataLen)
+	return wit, found, err
+}
+
+// hdAt is the Hamming distance at dataLen: the smallest weight up to
+// maxHD with a pattern there, or maxHD+1 with exact false if none has.
+func hdAt(e *Evaluator, dataLen, maxHD int) (hd int, exact bool, err error) {
+	for w := 2; w <= maxHD; w++ {
+		if _, found, err := exists(e, w, dataLen); err != nil || found {
+			return w, found, err
+		}
+	}
+	return maxHD + 1, false, nil
+}
+
+// column returns the weight boundaries of a Table 1 column to maxLen:
+// weights 2..maxHD in turn, each FirstDataLen search capped below the
+// smallest boundary found so far. A weight absent from the map has no
+// pattern below that cap.
+func column(t *testing.T, e *Evaluator, maxLen, maxHD int) map[int]int {
+	t.Helper()
+	first, limit := map[int]int{}, maxLen
+	for w := 2; w <= maxHD && limit >= 1; w++ {
+		n, _, found, err := e.FirstDataLen(w, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if found {
+			first[w], limit = n, n-1
+		}
+	}
+	return first
+}
+
+// maxLenAtHD is the largest length up to maxLen that no boundary of
+// weight below hd reaches: where the column still has HD >= hd.
+func maxLenAtHD(first map[int]int, maxLen, hd int) int {
+	for w, n := range first {
+		if w < hd {
+			maxLen = min(maxLen, n-1)
+		}
+	}
+	return maxLen
+}
+
 func TestExistsMatchesBruteForce8Bit(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 1))
 	for trial := 0; trial < 40; trial++ {
@@ -50,12 +99,12 @@ func TestExistsMatchesBruteForce8Bit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wit, found, err := e.Exists(w, n)
+				wit, found, err := exists(e, w, n)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if found != (count > 0) {
-					t.Fatalf("%v w=%d n=%d: Exists=%v but brute count=%d", p, w, n, found, count)
+					t.Fatalf("%v w=%d n=%d: exists=%v but brute count=%d", p, w, n, found, count)
 				}
 				if found && len(wit) != w {
 					t.Fatalf("%v: witness %v has wrong weight", p, wit)
@@ -76,12 +125,12 @@ func TestExistsMatchesBruteForce16Bit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, found, err := e.Exists(w, n)
+				_, found, err := exists(e, w, n)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if found != (count > 0) {
-					t.Fatalf("%v w=%d n=%d: Exists=%v brute=%d", p, w, n, found, count)
+					t.Fatalf("%v w=%d n=%d: exists=%v brute=%d", p, w, n, found, count)
 				}
 			}
 		}
@@ -96,7 +145,7 @@ func TestExistsBruteMatchesFastEngine(t *testing.T) {
 		for _, order := range []Order{OrderLex, OrderFCSFirst} {
 			for _, n := range []int{4, 11, 20} {
 				for w := 2; w <= 5; w++ {
-					wantWit, want, err := e.Exists(w, n)
+					wantWit, want, err := exists(e, w, n)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -226,8 +275,8 @@ func TestOddWeightsZeroForParityPolynomials(t *testing.T) {
 					t.Fatalf("%v divisible by x+1 but W%d(%d) = %d", p, w, n, count)
 				}
 			}
-			if _, found, err := e.Exists(3, n); err != nil || found {
-				t.Fatalf("%v: Exists(3,%d) = %v, %v", p, n, found, err)
+			if _, found, err := exists(e, 3, n); err != nil || found {
+				t.Fatalf("%v: exists(3,%d) = %v, %v", p, n, found, err)
 			}
 		}
 	}
@@ -257,103 +306,34 @@ func TestWeightsNonDecreasingInLength(t *testing.T) {
 }
 
 func TestProfileConsistentWithHDAt(t *testing.T) {
+	// The boundaries of a column, each search capped below the ones
+	// before it, give the same HD at every length as a fresh pointwise
+	// query there.
 	rng := rand.New(rand.NewPCG(909, 9))
 	for trial := 0; trial < 10; trial++ {
 		p := randPoly(rng, 8)
-		e := New(p)
-		prof, err := e.Profile(30, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Bands must tile [1, 30] exactly.
-		next := 1
-		for _, b := range prof.Bands {
-			if b.From != next || b.To < b.From {
-				t.Fatalf("%v: bad band tiling %+v", p, prof.Bands)
-			}
-			next = b.To + 1
-		}
-		if next != 31 {
-			t.Fatalf("%v: bands end at %d, want 31", p, next)
-		}
+		first := column(t, New(p), 30, 8)
 		for _, n := range []int{1, 7, 15, 30} {
-			hd, exact, err := e.HDAt(n, 8)
+			want := 9
+			for w, l := range first {
+				if l <= n && w < want {
+					want = w
+				}
+			}
+			hd, exact, err := hdAt(New(p), n, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, atLeast, ok := prof.HDAtLen(n)
-			if !ok {
-				t.Fatalf("%v: no band for %d", p, n)
-			}
-			if want != hd || atLeast == exact {
-				t.Fatalf("%v n=%d: profile says HD=%d(atLeast=%v), HDAt says %d(exact=%v)",
-					p, n, want, atLeast, hd, exact)
+			if hd != want || exact != (want <= 8) {
+				t.Fatalf("%v n=%d: column %v gives HD=%d, hdAt gives %d (exact=%v)", p, n, first, want, hd, exact)
 			}
 		}
-	}
-}
-
-func TestBandsFromTransitionsSynthetic(t *testing.T) {
-	tests := []struct {
-		name   string
-		ts     []Transition
-		maxLen int
-		maxHD  int
-		want   []Band
-	}{
-		{
-			name:   "no transitions",
-			maxLen: 10, maxHD: 6,
-			want: []Band{{HD: 7, AtLeast: true, From: 1, To: 10}},
-		},
-		{
-			name:   "single",
-			ts:     []Transition{{W: 4, FirstLen: 5}},
-			maxLen: 10, maxHD: 6,
-			want: []Band{{HD: 7, AtLeast: true, From: 1, To: 4}, {HD: 4, From: 5, To: 10}},
-		},
-		{
-			name:   "descending weights",
-			ts:     []Transition{{W: 5, FirstLen: 3}, {W: 4, FirstLen: 7}, {W: 2, FirstLen: 9}},
-			maxLen: 12, maxHD: 8,
-			want: []Band{
-				{HD: 9, AtLeast: true, From: 1, To: 2},
-				{HD: 5, From: 3, To: 6},
-				{HD: 4, From: 7, To: 8},
-				{HD: 2, From: 9, To: 12},
-			},
-		},
-		{
-			name:   "same length",
-			ts:     []Transition{{W: 5, FirstLen: 4}, {W: 4, FirstLen: 4}},
-			maxLen: 6, maxHD: 6,
-			want: []Band{{HD: 7, AtLeast: true, From: 1, To: 3}, {HD: 4, From: 4, To: 6}},
-		},
-		{
-			name:   "boundary at 1",
-			ts:     []Transition{{W: 3, FirstLen: 1}},
-			maxLen: 5, maxHD: 6,
-			want: []Band{{HD: 3, From: 1, To: 5}},
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := BandsFromTransitions(tt.ts, tt.maxLen, tt.maxHD)
-			if len(got) != len(tt.want) {
-				t.Fatalf("bands = %+v, want %+v", got, tt.want)
-			}
-			for i := range got {
-				if got[i] != tt.want[i] {
-					t.Fatalf("band %d = %+v, want %+v", i, got[i], tt.want[i])
-				}
-			}
-		})
 	}
 }
 
 func TestBudgetExceeded(t *testing.T) {
 	e := New(poly.IEEE8023, WithMaxProbes(100))
-	_, _, err := e.Exists(5, 4096)
+	_, _, err := exists(e, 5, 4096)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -367,20 +347,17 @@ func TestBudgetExceeded(t *testing.T) {
 
 func TestInvalidArguments(t *testing.T) {
 	e := New(poly.IEEE8023)
-	if _, _, err := e.Exists(0, 10); err == nil {
-		t.Error("Exists(0,...) should error")
+	if _, _, _, err := e.FirstDataLen(1, 10); err == nil {
+		t.Error("FirstDataLen(1,...) should error")
 	}
-	if _, _, err := e.Exists(2, 0); err == nil {
-		t.Error("Exists(...,0) should error")
+	if _, err := e.MeetsHDAtLengths([]int{64, 0}, 3); err == nil {
+		t.Error("MeetsHDAtLengths at length 0 should error")
+	}
+	if _, err := e.Weight(2, 0); err == nil {
+		t.Error("Weight(...,0) should error")
 	}
 	if _, err := e.Weight(5, 10); err == nil {
 		t.Error("Weight(5,...) should error (exact weights limited to w<=4)")
-	}
-	if _, err := e.Profile(0, 6); err == nil {
-		t.Error("Profile(0,...) should error")
-	}
-	if _, err := e.Profile(10, 1); err == nil {
-		t.Error("Profile(...,1) should error")
 	}
 }
 
@@ -451,12 +428,12 @@ func TestSmallPeriodWeight2(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(p)
-	if _, found, err := e.Exists(2, 3); err != nil || found {
-		t.Fatalf("Exists(2,3) = %v, %v; want no", found, err)
+	if _, found, err := exists(e, 2, 3); err != nil || found {
+		t.Fatalf("exists(2,3) = %v, %v; want no", found, err)
 	}
-	wit, found, err := e.Exists(2, 4)
+	wit, found, err := exists(e, 2, 4)
 	if err != nil || !found {
-		t.Fatalf("Exists(2,4) = %v, %v; want yes", found, err)
+		t.Fatalf("exists(2,4) = %v, %v; want yes", found, err)
 	}
 	if wit[0] != 0 || wit[1] != 7 {
 		t.Fatalf("witness = %v, want [0 7]", wit)
@@ -995,9 +972,8 @@ func TestMeetsHDAtLengthsShortCircuit(t *testing.T) {
 	}
 }
 
-// TestExistsMatchesBruteForceHighWeights checks Exists against brute
-// force at weights 7 to 10, where the boundary scan behind it stores rows
-// of p-1 = 2 (w = 7, 8) and 3 (w = 9, 10) positions, the latter through
+// TestExistsMatchesBruteForceHighWeights checks existence against brute
+// force at weights 7 to 10, where the boundary scan stores rows of p-1 = 2 (w = 7, 8) and 3 (w = 9, 10) positions, the latter through
 // the store's general recursion, and probes q = 2 to 4 positions, q = 4
 // (w = 10) through the probe's general recursion.
 func TestExistsMatchesBruteForceHighWeights(t *testing.T) {
@@ -1011,12 +987,12 @@ func TestExistsMatchesBruteForceHighWeights(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wit, found, err := e.Exists(w, n)
+				wit, found, err := exists(e, w, n)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if found != (count > 0) {
-					t.Fatalf("%v w=%d n=%d: Exists=%v brute=%d", p, w, n, found, count)
+					t.Fatalf("%v w=%d n=%d: exists=%v brute=%d", p, w, n, found, count)
 				}
 				if found && len(wit) != w {
 					t.Fatalf("witness %v", wit)
@@ -1027,23 +1003,12 @@ func TestExistsMatchesBruteForceHighWeights(t *testing.T) {
 }
 
 func TestProfileDeterministic(t *testing.T) {
-	// Profiles must be reproducible run to run (the EDF factorization uses
+	// Columns must be reproducible run to run (the EDF factorization uses
 	// a fixed-seed RNG; everything else is deterministic).
-	a, err := New(poly.CastagnoliISCSI).Profile(600, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(poly.CastagnoliISCSI).Profile(600, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Bands) != len(b.Bands) {
-		t.Fatalf("band counts differ: %d vs %d", len(a.Bands), len(b.Bands))
-	}
-	for i := range a.Bands {
-		if a.Bands[i] != b.Bands[i] {
-			t.Fatalf("band %d differs: %+v vs %+v", i, a.Bands[i], b.Bands[i])
-		}
+	a := column(t, New(poly.CastagnoliISCSI), 600, 9)
+	b := column(t, New(poly.CastagnoliISCSI), 600, 9)
+	if !maps.Equal(a, b) || len(a) == 0 {
+		t.Fatalf("boundaries differ: %v vs %v", a, b)
 	}
 }
 
@@ -1060,9 +1025,9 @@ func TestGeneratorItselfIsACodeword(t *testing.T) {
 		{poly.KoopmanSparse5, 5},
 	} {
 		e := New(tt.p)
-		wit, found, err := e.Exists(tt.weight, 1)
+		wit, found, err := exists(e, tt.weight, 1)
 		if err != nil || !found {
-			t.Fatalf("%v: Exists(%d, 1) = %v, %v", tt.p, tt.weight, found, err)
+			t.Fatalf("%v: exists(%d, 1) = %v, %v", tt.p, tt.weight, found, err)
 		}
 		// The minimal witness is the generator's own coefficient pattern.
 		var acc gf2.Poly

@@ -1,6 +1,8 @@
-// Package hamming computes the error-detection performance of CRC generator
-// polynomials: undetectable-error weights, Hamming-distance boundaries and
-// the HD-vs-length band profiles of the paper's Table 1 and Figure 1.
+// Package hamming is the scan engine behind the paper's Table 1 and
+// Figure 1: it finds undetectable-error weights and Hamming-distance
+// boundaries of CRC generator polynomials. Assembling boundaries into
+// the HD-vs-length bands of a Table 1 column is the caller's job (the
+// root package's Analyzer).
 //
 // # Model
 //
@@ -19,19 +21,20 @@
 //
 // # Engines
 //
-// Two engines are provided. The fast engine (Exists, FirstDataLen, HDAt,
-// MeetsHD, Weight, Profile) exploits the syndrome formulation with one
+// Two engines are provided. The fast engine (FirstDataLen, Weight,
+// MeetsHDAtLengths) exploits the syndrome formulation with one
 // incremental scan per weight: a code of length n+1 extends the code of
 // length n, so each scan grows the length a bit at a time, stops at the
 // first undetectable pattern (the exact boundary, which answers every
 // existence query up to it), or runs to the end to count W3 and W4. The
-// brute-force engine (ExistsBrute, WeightBrute) enumerates bit patterns
-// exactly as the paper's software did — including the FCS-bits-first
-// ordering and early-bailout optimisations of §4.1 — and is one of the
-// two references the fast engine is tested against. The other, in the
-// tests only, counts every weight exactly from the code's 2^width-word
-// dual through the MacWilliams identity, sharing no code with the scans,
-// at lengths and widths where enumeration is out of reach.
+// brute-force engine (ExistsBrute, WeightBrute, MeetsHDBrute) enumerates
+// bit patterns exactly as the paper's software did — including the
+// FCS-bits-first ordering and early-bailout optimisations of §4.1 — and
+// is one of the two references the fast engine is tested against. The
+// other, in the tests only, counts every weight exactly from the code's
+// 2^width-word dual through the MacWilliams identity, sharing no code
+// with the scans, at lengths and widths where enumeration is out of
+// reach.
 package hamming
 
 import (
@@ -45,9 +48,9 @@ import (
 
 // Default resource limits.
 const (
-	// DefaultMaxStoreEntries bounds the number of subset syndromes
-	// materialised on the store side of the w >= 5 boundary scan before
-	// it switches to the whole-space bitmap.
+	// DefaultMaxStoreEntries is the number of subset syndromes the
+	// store side of the w >= 5 boundary scan holds in its compact set
+	// before it switches to the whole-space bitmap.
 	// The hash store is a keys-only set, never sized past this limit at
 	// 50% load, with 4 bytes per slot plus 1 byte of presence filter:
 	// 2^20 entries take about 10 MiB (2^21 slots), against the 512 MiB
@@ -113,9 +116,9 @@ type Stats struct {
 	Resolutions int64 // bitmap hits re-resolved into explicit witnesses
 }
 
-// Options configure an Evaluator.
-type Options struct {
-	MaxStoreEntries int
+// options configure an Evaluator.
+type options struct {
+	maxStoreEntries int // DefaultMaxStoreEntries; tests lower it to force a migration
 	MaxProbes       int64
 	// Progress, when non-nil, receives Events at query boundaries and
 	// periodically inside long scans.
@@ -129,26 +132,22 @@ type Options struct {
 }
 
 // Option mutates evaluator options.
-type Option func(*Options)
+type Option func(*options)
 
 // WithMaxProbes bounds the probe work per query: one boundary scan (and
 // so one existence query) or one exact weight count.
-func WithMaxProbes(n int64) Option { return func(o *Options) { o.MaxProbes = n } }
+func WithMaxProbes(n int64) Option { return func(o *options) { o.MaxProbes = n } }
 
 // WithProgress installs a progress hook receiving Events.
-func WithProgress(fn func(Event)) Option { return func(o *Options) { o.Progress = fn } }
+func WithProgress(fn func(Event)) Option { return func(o *options) { o.Progress = fn } }
 
 // WithCancel installs a cancellation hook polled inside long scans (for
 // wiring context.Context into an evaluation, poll ctx.Err() != nil).
-func WithCancel(fn func() bool) Option { return func(o *Options) { o.Cancel = fn } }
+func WithCancel(fn func() bool) Option { return func(o *options) { o.Cancel = fn } }
 
 // WithSpanHook installs a hook receiving a SpanEvent at the end of each
 // engine phase.
-func WithSpanHook(fn func(SpanEvent)) Option { return func(o *Options) { o.Span = fn } }
-
-// WithMaxStoreEntries sets the threshold above which the w >= 5 boundary
-// scan switches from a compact map to the whole-space bitmap.
-func WithMaxStoreEntries(n int) Option { return func(o *Options) { o.MaxStoreEntries = n } }
+func WithSpanHook(fn func(SpanEvent)) Option { return func(o *options) { o.Span = fn } }
 
 // Evaluator computes error-detection properties of one generator
 // polynomial. It caches the syndrome table and period across queries and is
@@ -177,7 +176,7 @@ type Evaluator struct {
 
 	tickOps int64 // scan operations since the last progress/cancel poll
 
-	opts  Options
+	opts  options
 	Stats Stats
 }
 
@@ -237,8 +236,8 @@ func (e *Evaluator) spanStart(phase string, w, dataLen int) func() {
 
 // New returns an evaluator for the polynomial.
 func New(p poly.P, opts ...Option) *Evaluator {
-	o := Options{
-		MaxStoreEntries: DefaultMaxStoreEntries,
+	o := options{
+		maxStoreEntries: DefaultMaxStoreEntries,
 		MaxProbes:       DefaultMaxProbes,
 	}
 	for _, fn := range opts {

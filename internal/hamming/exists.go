@@ -5,30 +5,6 @@ import (
 	"sort"
 )
 
-// Exists reports whether an undetectable error pattern of exactly w bits
-// fits within the codeword of the given data-word length (dataLen + width
-// bits total). On success it returns the sorted bit positions of one such
-// pattern — a weight-w multiple of the generator. Position 0 is the lowest
-// FCS bit.
-//
-// A pattern that fits at one length fits at every longer one, so Exists
-// is FirstDataLen(w, dataLen) found: one boundary scan per weight, which
-// stops at the first undetectable pattern and returns it as the witness.
-func (e *Evaluator) Exists(w, dataLen int) ([]int, bool, error) {
-	if w < 1 {
-		return nil, false, fmt.Errorf("hamming: invalid weight %d", w)
-	}
-	if dataLen < 1 {
-		return nil, false, fmt.Errorf("hamming: invalid data length %d", dataLen)
-	}
-	if w == 1 {
-		// A single flipped bit always has non-zero syndrome.
-		return nil, false, nil
-	}
-	_, wit, found, err := e.FirstDataLen(w, dataLen)
-	return wit, found, err
-}
-
 // verifyWitness defensively re-checks a reported pattern: correct weight,
 // in-range sorted distinct positions, zero syndrome.
 func (e *Evaluator) verifyWitness(w, n int, witness []int) error {

@@ -57,8 +57,8 @@ func checkBoundaryWitness(t *testing.T, e *Evaluator, w, dataLen int, wit []int)
 // where the scan keeps its store in the compact hash set instead of the
 // bitmap. The random generators include ones with lower-weight patterns
 // inside the range, whose degenerate store hits the scan must resolve
-// away. Exists, HDAt and MeetsHD, which run on the same scans, must agree
-// with those boundaries at lengths on both sides of each. The dual-code
+// away. Existence queries, the HD and MeetsHDAtLengths, which run on the
+// same scans, must agree with those boundaries at lengths on both sides of each. The dual-code
 // oracle then checks every boundary at weights 2..8, and the exact
 // counts of Weight, on random 8..24-bit generators, half of them
 // divisible by (x+1), to 4000 data bits, far past what enumeration
@@ -136,12 +136,12 @@ func checkScanAgainstBrute(t *testing.T, p poly.P, maxLen, maxHD int) {
 			if b := boundary[w]; b > 0 && b <= n {
 				wantHD = w
 			}
-			wit, found, err := e.Exists(w, n)
+			wit, found, err := exists(e, w, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if b := boundary[w]; found != (b > 0 && b <= n) {
-				t.Fatalf("%v Exists(%d, %d) = %v, brute boundary %d", p, w, n, found, b)
+				t.Fatalf("%v exists(%d, %d) = %v, brute boundary %d", p, w, n, found, b)
 			}
 			if found {
 				if err := e.verifyWitness(w, e.codewordLen(n), wit); err != nil {
@@ -149,23 +149,23 @@ func checkScanAgainstBrute(t *testing.T, p poly.P, maxLen, maxHD int) {
 				}
 			}
 		}
-		hd, exact, err := e.HDAt(n, maxHD)
+		hd, exact, err := hdAt(e, n, maxHD)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if hd != wantHD || exact != (wantHD <= maxHD) {
-			t.Fatalf("%v HDAt(%d) = %d (exact %v), brute boundaries give %d", p, n, hd, exact, wantHD)
+			t.Fatalf("%v hdAt(%d) = %d (exact %v), brute boundaries give %d", p, n, hd, exact, wantHD)
 		}
 		for _, minHD := range []int{wantHD, wantHD + 1} {
 			if minHD > maxHD+1 {
 				break // needs weights past the brute boundaries
 			}
-			ok, err := e.MeetsHD(n, minHD)
+			ok, err := e.MeetsHDAtLengths([]int{n}, minHD)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ok != (minHD <= wantHD) {
-				t.Fatalf("%v MeetsHD(%d, %d) = %v at HD %d", p, n, minHD, ok, wantHD)
+				t.Fatalf("%v MeetsHDAtLengths({%d}, %d) = %v at HD %d", p, n, minHD, ok, wantHD)
 			}
 		}
 	}
@@ -193,7 +193,8 @@ func TestScanStoreMigration(t *testing.T) {
 			c := compact.codewordLen(n1) - 1
 			late := int(binomAtMost(c-2, (w-1)/2, 1<<62)) - 1
 			for _, limit := range []int{64, late} {
-				moved := New(p, WithMaxStoreEntries(limit))
+				moved := New(p)
+				moved.opts.maxStoreEntries = limit
 				n2, wit2, f2, err := moved.FirstDataLen(w, 300)
 				if err != nil {
 					t.Fatal(err)
@@ -326,11 +327,9 @@ func TestScanCancelAndBudget(t *testing.T) {
 func TestProfile32BitNoBitmap(t *testing.T) {
 	for _, col := range poly.Table1() {
 		e := New(col.P)
-		if _, err := e.Profile(512, 6); err != nil {
-			t.Fatal(err)
-		}
+		column(t, e, 512, 6)
 		if e.bitmap != nil {
-			t.Errorf("%v: Profile(512, 6) allocated the whole-space bitmap", col.P)
+			t.Errorf("%v: the column to 512 bits at HD <= 6 allocated the whole-space bitmap", col.P)
 		}
 	}
 }
@@ -349,12 +348,12 @@ func TestParityShortcutMatchesBrute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, found, err := e.Exists(w, n)
+				_, found, err := exists(e, w, n)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if found != (count > 0) {
-					t.Fatalf("%v w=%d n=%d: Exists=%v brute=%d", p, w, n, found, count)
+					t.Fatalf("%v w=%d n=%d: exists=%v brute=%d", p, w, n, found, count)
 				}
 				if w%2 == 0 {
 					continue

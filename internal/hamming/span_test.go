@@ -26,13 +26,13 @@ func TestSpanHookPhases(t *testing.T) {
 	if _, _, _, err := e.FirstDataLen(4, 200); err != nil {
 		t.Fatal(err)
 	}
-	// An existence query is one boundary scan and nothing else.
+	// A weight-5 search is one boundary scan and nothing else.
 	mark := len(events)
-	if _, _, err := e.Exists(5, 80); err != nil {
+	if _, _, _, err := e.FirstDataLen(5, 80); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(mark); got[SpanBoundary] != 1 || len(got) != 1 {
-		t.Errorf("Exists(5, 80) spans = %v, want one %s", got, SpanBoundary)
+		t.Errorf("FirstDataLen(5, 80) spans = %v, want one %s", got, SpanBoundary)
 	}
 	if _, err := e.Weight(3, 64); err != nil {
 		t.Fatal(err)

@@ -292,20 +292,3 @@ func (e *Evaluator) countW4Split(dataLen int, syn, hsyn []uint32, workers int) (
 	}
 	return t, nil
 }
-
-// Weights returns exact W2..Wmax at the given length (max <= 4), the
-// paper's weight-vector notation {W2, W3, W4, ...}.
-func (e *Evaluator) Weights(dataLen, max int) ([]uint64, error) {
-	if max < 2 || max > 4 {
-		return nil, fmt.Errorf("hamming: Weights supports max in 2..4, got %d", max)
-	}
-	out := make([]uint64, 0, max-1)
-	for w := 2; w <= max; w++ {
-		v, err := e.Weight(w, dataLen)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}

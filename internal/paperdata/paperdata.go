@@ -13,7 +13,6 @@ package paperdata
 import (
 	"fmt"
 
-	"koopmancrc/internal/hamming"
 	"koopmancrc/internal/poly"
 )
 
@@ -215,11 +214,13 @@ type CheckResult struct {
 	Match    bool
 }
 
-// CompareProfile checks a computed profile against a column's anchors.
-func CompareProfile(col Column, prof *hamming.Profile) []CheckResult {
+// CompareProfile checks a computed column against a column's anchors.
+// maxLenAtHD is the column's largest length with HD at least hd, and
+// false when even length 1 falls short (koopmancrc.Report.MaxLenAtHD).
+func CompareProfile(col Column, maxLenAtHD func(hd int) (int, bool)) []CheckResult {
 	var out []CheckResult
 	for _, a := range col.Anchors {
-		got, ok := prof.MaxLenAtHD(a.HD)
+		got, ok := maxLenAtHD(a.HD)
 		name := fmt.Sprintf("%s HD=%d through", col.Label, a.HD)
 		expected := fmt.Sprintf("%d", a.To)
 		if a.Open {

@@ -1,8 +1,10 @@
 package paperdata
 
 import (
+	"context"
 	"testing"
 
+	"koopmancrc"
 	"koopmancrc/internal/hamming"
 	"koopmancrc/internal/poly"
 )
@@ -67,8 +69,7 @@ func TestCompareProfileAgainstCheapColumns(t *testing.T) {
 	// limited to 4K bits and the iSCSI polynomial limited to 8K bits are
 	// covered in package hamming; here exercise the comparison plumbing on
 	// a truncated 802.3 profile.
-	ev := hamming.New(poly.IEEE8023)
-	prof, err := ev.Profile(300, 13)
+	rep, err := koopmancrc.NewAnalyzer(poly.IEEE8023).Evaluate(context.Background(), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestCompareProfileAgainstCheapColumns(t *testing.T) {
 			{HD: 6, To: 268, Source: "prose"},
 		},
 	}
-	for _, r := range CompareProfile(col, prof) {
+	for _, r := range CompareProfile(col, rep.MaxLenAtHD) {
 		if !r.Match {
 			t.Errorf("%s: expected %s, measured %s", r.Name, r.Expected, r.Measured)
 		}
@@ -88,9 +89,9 @@ func TestCompareProfileAgainstCheapColumns(t *testing.T) {
 }
 
 // TestReproduceTable1 is the full Table 1 / Figure 1 reproduction to
-// 131072 bits — the paper's central artifact. It takes a few minutes of
-// single-core time and is skipped in -short runs (cmd/crctables produces
-// the same comparison as a report).
+// 131072 bits — the paper's central artifact. It takes about 8 s on one
+// core of a 2-vCPU x86-64 host with AVX-512, and is skipped in -short
+// runs (cmd/crctables produces the same comparison as a report).
 func TestReproduceTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 1 reproduction in -short mode")
@@ -98,12 +99,11 @@ func TestReproduceTable1(t *testing.T) {
 	for _, col := range Table1Columns() {
 		col := col
 		t.Run(col.Label, func(t *testing.T) {
-			ev := hamming.New(col.P)
-			prof, err := ev.Profile(MaxComputedBits, col.MaxHD)
+			rep, err := koopmancrc.NewAnalyzer(col.P, koopmancrc.WithMaxHD(col.MaxHD)).Evaluate(context.Background(), MaxComputedBits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range CompareProfile(col, prof) {
+			for _, r := range CompareProfile(col, rep.MaxLenAtHD) {
 				if !r.Match {
 					t.Errorf("%s [%s]: expected %s, measured %s", r.Name, r.Source, r.Expected, r.Measured)
 				} else {
@@ -112,10 +112,10 @@ func TestReproduceTable1(t *testing.T) {
 			}
 			// §4.2 global claims, checked per polynomial: no HD=6 at or
 			// above 32739 bits, no HD=5 at or above 65507 bits.
-			if l, ok := prof.MaxLenAtHD(6); ok && l >= NoHD6AtOrAbove {
+			if l, ok := rep.MaxLenAtHD(6); ok && l >= NoHD6AtOrAbove {
 				t.Errorf("HD=6 survives to %d, contradicting the paper's global bound %d", l, NoHD6AtOrAbove)
 			}
-			if l, ok := prof.MaxLenAtHD(5); ok && l >= NoHD5AtOrAbove {
+			if l, ok := rep.MaxLenAtHD(5); ok && l >= NoHD5AtOrAbove {
 				t.Errorf("HD=5 survives to %d, contradicting the paper's global bound %d", l, NoHD5AtOrAbove)
 			}
 		})

@@ -28,11 +28,10 @@ package koopmancrc
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"koopmancrc/internal/core"
 	"koopmancrc/internal/crc"
-	"koopmancrc/internal/errmodel"
-	"koopmancrc/internal/hamming"
 	"koopmancrc/internal/poly"
 )
 
@@ -89,9 +88,22 @@ func MustPolynomial(width int, n Notation, s string) Polynomial {
 	return p
 }
 
-// Band is a range of data-word lengths (bits, inclusive) sharing a Hamming
-// distance.
-type Band = hamming.Band
+// Band is a maximal range of data-word lengths sharing one Hamming
+// distance, a cell of the paper's Table 1.
+type Band struct {
+	HD      int  // Hamming distance over the range
+	AtLeast bool // true if HD is a lower bound (the session's MaxHD was reached)
+	From    int  // first data-word length, inclusive, in bits
+	To      int  // last data-word length, inclusive, in bits
+}
+
+// Transition records where weight W first becomes non-zero.
+type Transition struct {
+	W        int           // pattern weight
+	FirstLen int           // smallest data-word length with W_w > 0
+	Witness  []int         // example undetectable pattern (bit positions)
+	Elapsed  time.Duration // search time, for the §4.1 cost discussion
+}
 
 // Report is the evaluation of one polynomial: its HD bands up to MaxLen
 // and the weight boundaries behind them.
@@ -99,7 +111,7 @@ type Report struct {
 	Poly        Polynomial
 	MaxLen      int
 	Bands       []Band
-	Transitions []hamming.Transition
+	Transitions []Transition // ascending by weight; only weights that occur
 	Shape       string
 	Period      uint64 // 0 if the period exceeds practical computation
 	ParityBit   bool   // divisible by (x+1): all odd-weight errors caught
@@ -235,7 +247,16 @@ func VerifyFCS(p Polynomial, frame []byte) bool {
 
 // CorruptCodeword flips codeword bit positions in a frame produced by
 // AppendFCS. Positions use the polynomial convention of
-// Analyzer.Witness: position 0 is the last transmitted bit.
+// Analyzer.Witness: position 0 is the last transmitted bit, so frame
+// bit index = total-1-position, MSB-first within bytes.
 func CorruptCodeword(frame []byte, positions []int) error {
-	return errmodel.FlipCodewordPositions(frame, positions)
+	total := len(frame) * 8
+	for _, p := range positions {
+		if p < 0 || p >= total {
+			return fmt.Errorf("koopmancrc: position %d outside %d-bit frame", p, total)
+		}
+		idx := total - 1 - p
+		frame[idx/8] ^= 1 << uint(7-idx%8)
+	}
+	return nil
 }

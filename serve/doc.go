@@ -97,13 +97,13 @@
 // # Sessions, coalescing, cancellation
 //
 // Evaluation requests are served from a bounded LRU pool of per-
-// polynomial Analyzer sessions keyed by (polynomial, max_hd, limits), so
-// a repeat query for a hot polynomial answers from the session memo with
-// zero engine probes. Concurrent identical long evaluations are
-// singleflight-coalesced onto one engine run; the run's context is
-// detached from any single caller and cancelled only when every caller
-// has disconnected, which the engine's cancel hook turns into a prompt
-// abort of the scan loops.
+// polynomial Analyzer sessions keyed by (polynomial, max_hd,
+// max_probes), so a repeat query for a hot polynomial answers from the
+// session memo with zero engine probes. Concurrent identical long
+// evaluations are singleflight-coalesced onto one engine run; the run's
+// context is detached from any single caller and cancelled only when
+// every caller has disconnected, which the engine's cancel hook turns
+// into a prompt abort of the scan loops.
 //
 // Per-request max_hd and limits are honoured but clamped by the server
 // Config; server-side timeouts bound each request's evaluation budget.

@@ -96,13 +96,13 @@ func newServerObs(s *Server) *serverObs {
 			}
 			return float64(n)
 		})
-	// A session is keyed by its polynomial, depth and limits, so the
-	// labels name all of them: two sessions that differ only in a limit
-	// are two series.
-	sessionLabels := []string{"poly", "width", "max_hd", "max_probes", "max_store_entries"}
+	// A session is keyed by its polynomial, depth and probe budget, so
+	// the labels name all of them: two sessions that differ only in
+	// their budget are two series.
+	sessionLabels := []string{"poly", "width", "max_hd", "max_probes"}
 	sessionID := func(si sessionInfo, extra ...string) []string {
 		return append([]string{si.Poly, strconv.Itoa(si.Width), strconv.Itoa(si.MaxHD),
-			strconv.FormatInt(si.Limits.MaxProbes, 10), strconv.Itoa(si.Limits.MaxStoreEntries)}, extra...)
+			strconv.FormatInt(si.Limits.MaxProbes, 10)}, extra...)
 	}
 	r.NewGaugeCollector("crcserve_pool_session_probes",
 		"Engine probes spent by each live session.", sessionLabels,

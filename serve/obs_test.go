@@ -118,7 +118,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"crcserve_engine_phase_probes",
 		"crcserve_pool_sessions 1",
 		"crcserve_flights_total 2",
-		`crcserve_pool_session_probes{poly="0x82608edb",width="32",max_hd="6",max_probes="0",max_store_entries="0"}`,
+		`crcserve_pool_session_probes{poly="0x82608edb",width="32",max_hd="6",max_probes="0"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -137,7 +137,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 // exposition stays valid.
 func TestSessionSeriesPerLimits(t *testing.T) {
 	_, ts := startServer(t, Config{})
-	for _, limits := range []*Limits{nil, {MaxProbes: 1 << 40, MaxStoreEntries: 4096}} {
+	for _, limits := range []*Limits{nil, {MaxProbes: 1 << 40}} {
 		req := smallEval
 		req.Limits = limits
 		if code, body := postJSON(t, ts.URL+"/v1/evaluate", req, nil); code != http.StatusOK {
@@ -149,12 +149,9 @@ func TestSessionSeriesPerLimits(t *testing.T) {
 		if got := m.series(name, `poly="0x83"`); len(got) != 2 {
 			t.Errorf("%s: %d series for two sessions: %v", name, len(got), got)
 		}
-		for _, labels := range [][]string{
-			{`max_probes="0"`, `max_store_entries="0"`},
-			{`max_probes="1099511627776"`, `max_store_entries="4096"`},
-		} {
-			if got := m.series(name, labels...); len(got) != 1 {
-				t.Errorf("%s%v: %d series, want 1", name, labels, len(got))
+		for _, label := range []string{`max_probes="0"`, `max_probes="1099511627776"`} {
+			if got := m.series(name, label); len(got) != 1 {
+				t.Errorf("%s{%s}: %d series, want 1", name, label, len(got))
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 // sessionKey identifies an Analyzer session in the pool. Sessions are
 // keyed by the full configuration that shapes their memo — polynomial,
-// classification depth and engine limits — so a request only ever reuses
+// classification depth and probe budget — so a request only ever reuses
 // knowledge computed under its own budget.
 type sessionKey struct {
 	width   int
@@ -202,7 +202,7 @@ type sessionInfo struct {
 	Poly            string
 	Width           int
 	MaxHD           int
-	Limits          koopmancrc.Limits // clamped engine budgets, 0 = engine default
+	Limits          koopmancrc.Limits // clamped probe budget, 0 = engine default
 	BoundWeights    int
 	ExactBoundaries int
 	WeightEntries   int

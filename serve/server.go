@@ -77,9 +77,9 @@ type Config struct {
 	// tail-sampling decision as the flight recorder, so under load it
 	// keeps exactly the requests whose traces are retrievable.
 	AccessLog bool
-	// Limits are ceilings for per-request engine budgets: a request may
-	// lower a budget below the ceiling but never raise it. Zero fields
-	// leave the engine defaults as the only bound.
+	// Limits is the ceiling for the per-request probe budget: a request
+	// may lower it but never raise it. A zero field leaves the engine
+	// default as the only bound.
 	Limits koopmancrc.Limits
 	// Logger receives structured request and engine-phase events at
 	// debug level (default slog.Default()).
@@ -318,20 +318,17 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// clampLimits resolves a request's engine budgets against the server
-// ceilings: zero request fields inherit the ceiling, non-zero ones are
+// clampLimits resolves a request's engine budget against the server
+// ceiling: a zero request field inherits the ceiling, a non-zero one is
 // capped by it.
 func (s *Server) clampLimits(l *Limits) koopmancrc.Limits {
 	var out koopmancrc.Limits
 	if l != nil {
-		out = koopmancrc.Limits{MaxProbes: l.MaxProbes, MaxStoreEntries: l.MaxStoreEntries}
+		out = koopmancrc.Limits{MaxProbes: l.MaxProbes}
 	}
 	ceil := s.cfg.Limits
 	if ceil.MaxProbes > 0 && (out.MaxProbes <= 0 || out.MaxProbes > ceil.MaxProbes) {
 		out.MaxProbes = ceil.MaxProbes
-	}
-	if ceil.MaxStoreEntries > 0 && (out.MaxStoreEntries <= 0 || out.MaxStoreEntries > ceil.MaxStoreEntries) {
-		out.MaxStoreEntries = ceil.MaxStoreEntries
 	}
 	return out
 }

@@ -639,6 +639,7 @@ func TestValidation(t *testing.T) {
 		{"/v1/evaluate", EvaluateRequest{PolyRef: PolyRef{Poly: "0x83", Width: 8}}, http.StatusBadRequest},                                // max_len 0
 		{"/v1/evaluate", EvaluateRequest{PolyRef: PolyRef{Poly: "0x83", Width: 8, Notation: "bogus"}, MaxLen: 64}, http.StatusBadRequest}, // notation
 		{"/v1/evaluate", map[string]any{"poly": "0x83", "width": 8, "max_len": 64, "typo_field": 1}, http.StatusBadRequest},
+		{"/v1/evaluate", map[string]any{"poly": "0x83", "width": 8, "max_len": 64, "limits": map[string]any{"max_store_entries": 4096}}, http.StatusBadRequest},
 		{"/v1/hd", HDRequest{PolyRef: PolyRef{Poly: "0x83", Width: 8}}, http.StatusBadRequest}, // data_len 0
 		{"/v1/select", SelectRequest{DataLen: 64}, http.StatusBadRequest},                      // no candidates
 		{"/v1/checksum", ChecksumRequest{Algorithm: "CRC-99/NOPE"}, http.StatusNotFound},

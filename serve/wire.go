@@ -50,12 +50,11 @@ func (r PolyRef) Polynomial() (koopmancrc.Polynomial, error) {
 	return koopmancrc.ParsePolynomial(width, n, r.Poly)
 }
 
-// Limits carries per-request engine resource budgets; zero fields keep
-// the server defaults, and the server clamps every field to its
-// configured ceiling.
+// Limits carries a request's engine resource budget; a zero field keeps
+// the server default, and the server clamps it to its configured
+// ceiling.
 type Limits struct {
-	MaxProbes       int64 `json:"max_probes,omitempty"`
-	MaxStoreEntries int   `json:"max_store_entries,omitempty"`
+	MaxProbes int64 `json:"max_probes,omitempty"`
 }
 
 // EvaluateRequest asks for the HD-vs-length profile of one polynomial —
