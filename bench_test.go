@@ -222,13 +222,10 @@ func BenchmarkPipelineShardFanout(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	filters := []core.Filter{core.HDFilter{
-		Lengths: []int{24, 64},
-		MinHD:   5,
-	}}
+	lengths := []int{24, 64}
 	const start, end = 1024, 1024 + 4096
 	b.Run("sequential", func(b *testing.B) {
-		pl := &core.Pipeline{Space: space, Filters: filters}
+		pl := &core.Pipeline{Space: space, Lengths: lengths, MinHD: 5}
 		for i := 0; i < b.N; i++ {
 			res, err := pl.RunShard(context.Background(), start, end)
 			if err != nil {
@@ -239,7 +236,7 @@ func BenchmarkPipelineShardFanout(b *testing.B) {
 	})
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pl := &core.Pipeline{Space: space, Filters: filters, Workers: workers}
+			pl := &core.Pipeline{Space: space, Lengths: lengths, MinHD: 5, Workers: workers}
 			for i := 0; i < b.N; i++ {
 				res, err := pl.Run(context.Background(), start, end)
 				if err != nil {
@@ -261,11 +258,9 @@ func BenchmarkFilterThroughput32(b *testing.B) {
 		b.Fatal(err)
 	}
 	pl := &core.Pipeline{
-		Space: space,
-		Filters: []core.Filter{core.HDFilter{
-			Lengths: []int{64, 256, 1024, paperdata.MTUDataBits},
-			MinHD:   5,
-		}},
+		Space:   space,
+		Lengths: []int{64, 256, 1024, paperdata.MTUDataBits},
+		MinHD:   5,
 	}
 	rng := rand.New(rand.NewPCG(7, 11))
 	b.ResetTimer()
@@ -281,47 +276,44 @@ func BenchmarkFilterThroughput32(b *testing.B) {
 	b.ReportMetric(float64(count)/b.Elapsed().Seconds(), "polys/s")
 }
 
-// bruteFCSFirstFilter is core.HDFilter on the paper-faithful enumeration
-// engine with FCS-first ordering.
-type bruteFCSFirstFilter struct{ core.HDFilter }
-
-// Keep implements core.Filter.
-func (f bruteFCSFirstFilter) Keep(ev *hamming.Evaluator) (bool, error) {
-	for _, l := range f.Lengths {
-		ok, err := ev.MeetsHDBrute(l, f.MinHD, hamming.OrderFCSFirst)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
 // BenchmarkFilterThroughputBrute32 is the same filter run on the
 // paper-faithful enumeration engine with FCS-first ordering — the closest
 // analog of the paper's actual inner loop (short lengths only; the fast
-// engine takes over beyond them).
+// engine takes over beyond them). It walks 16 canonical candidates per
+// op on the calling goroutine.
 func BenchmarkFilterThroughputBrute32(b *testing.B) {
 	space, err := core.NewSpace(32)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl := &core.Pipeline{
-		Space: space,
-		Filters: []core.Filter{bruteFCSFirstFilter{core.HDFilter{
-			Lengths: []int{64, 256},
-			MinHD:   5,
-		}}},
-	}
+	lengths := []int{64, 256}
 	rng := rand.New(rand.NewPCG(13, 17))
 	b.ResetTimer()
 	count := 0
 	for i := 0; i < b.N; i++ {
 		start := rng.Uint64N(space.TotalPolynomials() - 16)
-		res, err := pl.Run(context.Background(), start, start+16)
+		var runErr error
+		n, err := space.Enumerate(start, start+16, func(p poly.P) bool {
+			ev := hamming.New(p)
+			for _, l := range lengths {
+				ok, err := ev.MeetsHDBrute(l, 5, hamming.OrderFCSFirst)
+				if err != nil {
+					runErr = err
+					return false
+				}
+				if !ok {
+					break
+				}
+			}
+			return true
+		})
+		if err == nil {
+			err = runErr
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		count += int(res.Canonical)
+		count += int(n)
 	}
 	b.ReportMetric(float64(count)/b.Elapsed().Seconds(), "polys/s")
 }

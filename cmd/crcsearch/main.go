@@ -192,7 +192,6 @@ func runCoord(listen string, cfg dist.CoordinatorConfig) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "jobs=%d requeues=%d resumed=%d\n", sum.Jobs, sum.Requeues, sum.Resumed)
-	printStages(sum.Stages)
 	census, err := core.Census(sum.Survivors)
 	if err != nil {
 		return err
@@ -267,19 +266,6 @@ func runStatus(checkpoint string, jsonOut bool) error {
 		fmt.Println("state:     in progress; too little data for an ETA")
 	}
 	return nil
-}
-
-// printStages reports the fleet-wide per-stage drop statistics the
-// coordinator aggregated from worker results.
-func printStages(stages []core.StageStats) {
-	for _, st := range stages {
-		drop := 0.0
-		if st.In > 0 {
-			drop = 100 * float64(st.In-st.Out) / float64(st.In)
-		}
-		fmt.Fprintf(os.Stderr, "stage %-24s in=%-10d out=%-10d drop=%5.1f%% compute=%v\n",
-			st.Name, st.In, st.Out, drop, st.Elapsed)
-	}
 }
 
 func printSummary(candidates uint64, rate float64, survivors []koopmancrc.Polynomial, census map[string]int) {

@@ -8,9 +8,10 @@
 // decision to a checkpoint directory, dies mid-sweep, the orphaned
 // journal is inspected read-only with dist.ReadStatus (what `crcsearch
 // -mode status` prints), and a second coordinator resumes from the
-// journal and finishes — with exactly-once accounting and a census
-// identical to an uninterrupted run. Workers renew their leases with
-// mid-job heartbeats that carry live candidate counts, feeding the
+// journal and finishes — with exactly-once accounting. The example then
+// runs koopmancrc.Search over the same schedule on one machine and exits
+// non-zero unless candidates and survivors (hence the census) match.
+// Workers renew their leases with mid-job heartbeats that carry live candidate counts, feeding the
 // coordinator's adaptive job sizing: each grant targets a fixed wall
 // time per worker, so stragglers get smaller jobs instead of dominating
 // tail latency. The many small jobs sizing produces are amortized on
@@ -24,10 +25,12 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"koopmancrc"
 	"koopmancrc/internal/core"
 	"koopmancrc/internal/dist"
 )
@@ -123,9 +126,6 @@ func main() {
 
 	fmt.Printf("\nevaluated %d canonical candidates across %d jobs (%d restored from checkpoint, %d lease requeues)\n",
 		sum.Canonical, sum.Jobs, sum.Resumed, sum.Requeues)
-	for _, st := range sum.Stages {
-		fmt.Printf("stage %-16s in=%-6d out=%-6d (fleet compute %v)\n", st.Name, st.In, st.Out, st.Elapsed)
-	}
 	fmt.Printf("survivors with HD>=%d at %d bits: %d\n", spec.MinHD, spec.Lengths[len(spec.Lengths)-1], len(sum.Survivors))
 	census, err := core.Census(sum.Survivors)
 	if err != nil {
@@ -148,6 +148,21 @@ func main() {
 		fmt.Printf(" %v", p)
 	}
 	fmt.Println()
+
+	// The killed and resumed sweep must agree exactly with one
+	// uninterrupted single-machine search of the same schedule.
+	local, err := koopmancrc.Search(ctx, koopmancrc.SearchConfig{
+		Width: spec.Width, MinHD: spec.MinHD, Lengths: spec.Lengths,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if sum.Canonical != local.Candidates || !slices.Equal(sum.Survivors, local.Survivors) {
+		log.Fatalf("distributed sweep disagrees with koopmancrc.Search: %d candidates and %d survivors, local %d and %d",
+			sum.Canonical, len(sum.Survivors), local.Candidates, len(local.Survivors))
+	}
+	fmt.Printf("matches the single-machine koopmancrc.Search: %d candidates, %d survivors\n",
+		local.Candidates, len(local.Survivors))
 }
 
 // runWorkers starts three TCP workers against a coordinator and returns

@@ -111,78 +111,44 @@ func TestSmallWidthCanonicalCountByHand(t *testing.T) {
 	}
 }
 
-// parityFilter keeps (x+1)-divisible generators: a cheap first stage
-// for the stage-chaining test.
-type parityFilter struct{}
-
-// Name implements Filter.
-func (parityFilter) Name() string { return "parity(x+1)" }
-
-// Keep implements Filter.
-func (parityFilter) Keep(ev *hamming.Evaluator) (bool, error) {
-	return ev.Poly().DivisibleByXPlus1(), nil
-}
-
-// bruteHDFilter is HDFilter on the paper-faithful enumeration engine in
-// the given order: the reference the fast engine's survivors are checked
-// against.
-type bruteHDFilter struct {
-	HDFilter
-	order hamming.Order
-}
-
-// Keep implements Filter.
-func (f bruteHDFilter) Keep(ev *hamming.Evaluator) (bool, error) {
-	for _, l := range f.Lengths {
-		ok, err := ev.MeetsHDBrute(l, f.MinHD, f.order)
-		if err != nil || !ok {
-			return false, err
+// bruteSurvivors is the §4.2 filter written directly on the
+// paper-faithful enumeration engine in the given order: every canonical
+// candidate of the space, kept if it reaches minHD at each length.
+func bruteSurvivors(t *testing.T, s Space, lengths []int, minHD int, order hamming.Order) []poly.P {
+	t.Helper()
+	var out []poly.P
+	var runErr error
+	if _, err := s.Enumerate(0, s.TotalPolynomials(), func(p poly.P) bool {
+		ev := hamming.New(p)
+		for _, l := range lengths {
+			ok, err := ev.MeetsHDBrute(l, minHD, order)
+			if err != nil {
+				runErr = err
+				return false
+			}
+			if !ok {
+				return true
+			}
 		}
+		out = append(out, p)
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
-	return true, nil
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return out
 }
 
 func TestPipelineEnginesAgree(t *testing.T) {
-	// The fast and paper-faithful engines must select identical survivor
-	// sets — the paper's "comparing answers obtained with simple code to
-	// optimized code" validation (§4.5).
+	// The pipeline (fast engine) and a direct loop over the
+	// paper-faithful engine must select identical survivor sets — the
+	// paper's "comparing answers obtained with simple code to optimized
+	// code" validation (§4.5).
 	s, _ := NewSpace(8)
-	run := func(f Filter) []poly.P {
-		pl := &Pipeline{Space: s, Filters: []Filter{f}}
-		res, err := pl.Run(context.Background(), 0, s.TotalPolynomials())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Survivors
-	}
-	hd := HDFilter{Lengths: []int{8, 19}, MinHD: 4}
-	fast := run(hd)
-	bruteLex := run(bruteHDFilter{hd, hamming.OrderLex})
-	bruteFCS := run(bruteHDFilter{hd, hamming.OrderFCSFirst})
-	if len(fast) == 0 {
-		t.Fatal("expected some width-8 polynomials with HD>=4 at 19 bits")
-	}
-	for i, kind := range [][]poly.P{bruteLex, bruteFCS} {
-		if len(kind) != len(fast) {
-			t.Fatalf("engine %d: %d survivors, fast engine %d", i, len(kind), len(fast))
-		}
-		for j := range kind {
-			if kind[j] != fast[j] {
-				t.Fatalf("engine %d: survivor %d is %v, fast engine has %v", i, j, kind[j], fast[j])
-			}
-		}
-	}
-}
-
-func TestPipelineStageStats(t *testing.T) {
-	s, _ := NewSpace(8)
-	pl := &Pipeline{
-		Space: s,
-		Filters: []Filter{
-			parityFilter{},
-			HDFilter{Lengths: []int{16}, MinHD: 4},
-		},
-	}
+	lengths, minHD := []int{8, 19}, 4
+	pl := &Pipeline{Space: s, Lengths: lengths, MinHD: minHD}
 	res, err := pl.Run(context.Background(), 0, s.TotalPolynomials())
 	if err != nil {
 		t.Fatal(err)
@@ -190,25 +156,23 @@ func TestPipelineStageStats(t *testing.T) {
 	if res.Canonical != s.CanonicalCount() {
 		t.Errorf("Canonical = %d, want %d", res.Canonical, s.CanonicalCount())
 	}
-	if len(res.Stages) != 2 {
-		t.Fatalf("stages = %d", len(res.Stages))
-	}
-	if res.Stages[0].In != res.Canonical {
-		t.Errorf("stage 0 In = %d, want %d", res.Stages[0].In, res.Canonical)
-	}
-	if res.Stages[1].In != res.Stages[0].Out {
-		t.Errorf("stage chaining broken: %d -> %d", res.Stages[0].Out, res.Stages[1].In)
-	}
-	if uint64(len(res.Survivors)) != res.Stages[1].Out {
-		t.Errorf("survivors %d != last stage out %d", len(res.Survivors), res.Stages[1].Out)
-	}
-	for _, p := range res.Survivors {
-		if !p.DivisibleByXPlus1() {
-			t.Errorf("survivor %v not divisible by x+1", p)
-		}
-	}
 	if res.Rate() <= 0 {
 		t.Error("rate should be positive")
+	}
+	fast := res.Survivors
+	if len(fast) == 0 {
+		t.Fatal("expected some width-8 polynomials with HD>=4 at 19 bits")
+	}
+	for name, order := range map[string]hamming.Order{"lex": hamming.OrderLex, "fcs-first": hamming.OrderFCSFirst} {
+		brute := bruteSurvivors(t, s, lengths, minHD, order)
+		if len(brute) != len(fast) {
+			t.Fatalf("brute %s: %d survivors, pipeline %d", name, len(brute), len(fast))
+		}
+		for j := range brute {
+			if brute[j] != fast[j] {
+				t.Fatalf("brute %s: survivor %d is %v, pipeline has %v", name, j, brute[j], fast[j])
+			}
+		}
 	}
 }
 
@@ -217,10 +181,7 @@ func TestRunShardsMergeEqualsWholeRun(t *testing.T) {
 	// RunShard over the whole range — the invariant both the local
 	// worker pool and the dist coordinator rely on.
 	s, _ := NewSpace(8)
-	pl := &Pipeline{
-		Space:   s,
-		Filters: []Filter{HDFilter{Lengths: []int{9, 19}, MinHD: 4}},
-	}
+	pl := &Pipeline{Space: s, Lengths: []int{9, 19}, MinHD: 4}
 	whole, err := pl.RunShard(context.Background(), 0, s.TotalPolynomials())
 	if err != nil {
 		t.Fatal(err)
@@ -249,16 +210,6 @@ func TestRunShardsMergeEqualsWholeRun(t *testing.T) {
 			t.Errorf("survivor %d: merged %v, whole %v", i, merged.Survivors[i], whole.Survivors[i])
 		}
 	}
-	if len(merged.Stages) != len(whole.Stages) {
-		t.Fatalf("merged %d stages, whole %d", len(merged.Stages), len(whole.Stages))
-	}
-	for i := range merged.Stages {
-		if merged.Stages[i].Name != whole.Stages[i].Name ||
-			merged.Stages[i].In != whole.Stages[i].In ||
-			merged.Stages[i].Out != whole.Stages[i].Out {
-			t.Errorf("stage %d: merged %+v, whole %+v", i, merged.Stages[i], whole.Stages[i])
-		}
-	}
 }
 
 func TestMergeEmptyAndNil(t *testing.T) {
@@ -275,11 +226,7 @@ func TestMergeEmptyAndNil(t *testing.T) {
 
 func TestParallelRunMatchesSequential(t *testing.T) {
 	s, _ := NewSpace(10)
-	seq := &Pipeline{
-		Space:   s,
-		Filters: []Filter{HDFilter{Lengths: []int{11, 25}, MinHD: 4}},
-		Workers: 1,
-	}
+	seq := &Pipeline{Space: s, Lengths: []int{11, 25}, MinHD: 4, Workers: 1}
 	want, err := seq.Run(context.Background(), 0, s.TotalPolynomials())
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +235,7 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 		t.Fatal("expected width-10 survivors")
 	}
 	for _, workers := range []int{0, 2, 7} {
-		par := &Pipeline{Space: s, Filters: seq.Filters, Workers: workers}
+		par := &Pipeline{Space: s, Lengths: seq.Lengths, MinHD: seq.MinHD, Workers: workers}
 		got, err := par.Run(context.Background(), 0, s.TotalPolynomials())
 		if err != nil {
 			t.Fatal(err)
@@ -304,19 +251,12 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 				t.Errorf("workers=%d: survivor %d is %v, want %v", workers, i, got.Survivors[i], want.Survivors[i])
 			}
 		}
-		if len(got.Stages) != 1 || got.Stages[0].In != want.Stages[0].In || got.Stages[0].Out != want.Stages[0].Out {
-			t.Errorf("workers=%d: stage stats %+v, want %+v", workers, got.Stages, want.Stages)
-		}
 	}
 }
 
 func TestParallelRunPartialRange(t *testing.T) {
 	s, _ := NewSpace(10)
-	pl := &Pipeline{
-		Space:   s,
-		Filters: []Filter{HDFilter{Lengths: []int{11}, MinHD: 4}},
-		Workers: 4,
-	}
+	pl := &Pipeline{Space: s, Lengths: []int{11}, MinHD: 4, Workers: 4}
 	want, err := pl.RunShard(context.Background(), 100, 400)
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +278,7 @@ func TestPipelineContextCancellation(t *testing.T) {
 	s, _ := NewSpace(16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pl := &Pipeline{Space: s, Filters: []Filter{HDFilter{Lengths: []int{64}, MinHD: 4}}}
+	pl := &Pipeline{Space: s, Lengths: []int{64}, MinHD: 4}
 	if _, err := pl.Run(ctx, 0, s.TotalPolynomials()); err == nil {
 		t.Fatal("cancelled run should return an error")
 	}

@@ -13,43 +13,6 @@ import (
 	"koopmancrc/internal/poly"
 )
 
-// Filter is one stage of the polynomial filtering pipeline. Stages must be
-// ordered cheapest-first; a candidate is dropped at the first stage that
-// rejects it (the paper's early-bailout principle applied at pipeline
-// granularity).
-type Filter interface {
-	// Name identifies the stage in statistics.
-	Name() string
-	// Keep reports whether the candidate survives this stage.
-	Keep(ev *hamming.Evaluator) (bool, error)
-}
-
-// HDFilter keeps polynomials achieving at least MinHD at every length in
-// Lengths, evaluated in order — the paper's filtering with increasing
-// lengths. Each length's check bails out at the first undetectable pattern.
-type HDFilter struct {
-	Lengths []int
-	MinHD   int
-}
-
-// Name implements Filter.
-func (f HDFilter) Name() string {
-	return fmt.Sprintf("hd>=%d@%v", f.MinHD, f.Lengths)
-}
-
-// Keep implements Filter.
-func (f HDFilter) Keep(ev *hamming.Evaluator) (bool, error) {
-	return ev.MeetsHDAtLengths(f.Lengths, f.MinHD)
-}
-
-// StageStats records per-stage pipeline statistics.
-type StageStats struct {
-	Name    string
-	In      uint64
-	Out     uint64
-	Elapsed time.Duration
-}
-
 // ShardResult is the outcome of a pipeline run over one shard of the
 // space — the unit of work that the intra-machine worker pool and the
 // internal/dist coordinator both hand out, and that Merge recombines.
@@ -57,13 +20,11 @@ type ShardResult struct {
 	// Start and End bound the raw index range [Start, End) this result
 	// covers. A merged result covers the hull of its inputs.
 	Start, End uint64
-	// Survivors are the canonical polynomials passing every stage, in
-	// ascending Koopman order.
+	// Survivors are the canonical polynomials passing the HD filter at
+	// every scheduled length, in ascending Koopman order.
 	Survivors []poly.P
 	// Canonical counts candidates evaluated (after reciprocal dedup).
 	Canonical uint64
-	// Stages holds per-stage statistics in pipeline order.
-	Stages []StageStats
 	// Elapsed is the wall-clock time of a single-shard run; Merge sums
 	// it into aggregate compute time, and the parallel Run overwrites
 	// the merged value with its own wall clock.
@@ -79,10 +40,9 @@ func (r ShardResult) Rate() float64 {
 	return float64(r.Canonical) / r.Elapsed.Seconds()
 }
 
-// Merge combines shard results into one: candidate counts and per-stage
-// statistics are summed, survivors are concatenated and re-sorted into
-// ascending Koopman order, and Elapsed accumulates the shards' compute
-// time. Merging is associative and order-independent, so partial results
+// Merge combines shard results into one: candidate counts are summed,
+// survivors are concatenated and re-sorted into ascending Koopman order,
+// and Elapsed accumulates the shards' compute time. Merging is associative and order-independent, so partial results
 // may arrive in any order (jobs complete out of order both across the
 // local worker pool and across dist workers).
 func Merge(shards ...*ShardResult) *ShardResult {
@@ -106,7 +66,6 @@ func Merge(shards ...*ShardResult) *ShardResult {
 		out.Canonical += s.Canonical
 		out.Elapsed += s.Elapsed
 		out.Survivors = append(out.Survivors, s.Survivors...)
-		out.Stages = MergeStages(out.Stages, s.Stages)
 	}
 	sort.Slice(out.Survivors, func(i, j int) bool {
 		return out.Survivors[i].Koopman() < out.Survivors[j].Koopman()
@@ -114,33 +73,15 @@ func Merge(shards ...*ShardResult) *ShardResult {
 	return out
 }
 
-// MergeStages folds per-stage statistics into an aggregate keyed by
-// stage name, summing In/Out/Elapsed and appending stages dst has not
-// seen. It is the stage half of Merge, shared with internal/dist's
-// coordinator-side aggregation of worker-reported statistics.
-func MergeStages(dst, add []StageStats) []StageStats {
-	for _, st := range add {
-		merged := false
-		for i := range dst {
-			if dst[i].Name == st.Name {
-				dst[i].In += st.In
-				dst[i].Out += st.Out
-				dst[i].Elapsed += st.Elapsed
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			dst = append(dst, st)
-		}
-	}
-	return dst
-}
-
-// Pipeline applies filters in order over a polynomial space.
+// Pipeline is the paper's §4.2 filter over a polynomial space: a
+// candidate survives if it achieves at least MinHD at every length in
+// Lengths, checked in order so most candidates fail cheaply at the
+// short lengths. Each length's check bails out at the first
+// undetectable pattern.
 type Pipeline struct {
 	Space   Space
-	Filters []Filter
+	Lengths []int
+	MinHD   int
 	// Workers is the fan-out degree of Run: the shard is carved into
 	// sub-shards filtered concurrently. Zero means GOMAXPROCS; one
 	// forces the sequential path.
@@ -158,10 +99,7 @@ type Pipeline struct {
 // and each internal/dist worker job reduce to RunShard calls whose
 // results recombine with Merge.
 func (pl *Pipeline) RunShard(ctx context.Context, startIdx, endIdx uint64) (*ShardResult, error) {
-	res := &ShardResult{Start: startIdx, End: endIdx, Stages: make([]StageStats, len(pl.Filters))}
-	for i, f := range pl.Filters {
-		res.Stages[i].Name = f.Name()
-	}
+	res := &ShardResult{Start: startIdx, End: endIdx}
 	start := time.Now()
 	var runErr error
 	_, err := pl.Space.Enumerate(startIdx, endIdx, func(p poly.P) bool {
@@ -173,22 +111,14 @@ func (pl *Pipeline) RunShard(ctx context.Context, startIdx, endIdx uint64) (*Sha
 		if pl.Progress != nil {
 			pl.Progress.Add(1)
 		}
-		ev := hamming.New(p)
-		for i, f := range pl.Filters {
-			stageStart := time.Now()
-			res.Stages[i].In++
-			keep, err := f.Keep(ev)
-			res.Stages[i].Elapsed += time.Since(stageStart)
-			if err != nil {
-				runErr = fmt.Errorf("stage %s on %v: %w", f.Name(), p, err)
-				return false
-			}
-			if !keep {
-				return true
-			}
-			res.Stages[i].Out++
+		keep, err := hamming.New(p).MeetsHDAtLengths(pl.Lengths, pl.MinHD)
+		if err != nil {
+			runErr = fmt.Errorf("hd filter on %v: %w", p, err)
+			return false
 		}
-		res.Survivors = append(res.Survivors, p)
+		if keep {
+			res.Survivors = append(res.Survivors, p)
+		}
 		return true
 	})
 	res.Elapsed = time.Since(start)
@@ -205,8 +135,8 @@ func (pl *Pipeline) RunShard(ctx context.Context, startIdx, endIdx uint64) (*Sha
 // range out over Workers goroutines (GOMAXPROCS by default) in dynamically
 // scheduled sub-shards and merging their results. Elapsed in the returned
 // result is the wall-clock time of the whole run, so Rate reflects the
-// multicore speedup. The survivor set and per-stage statistics are
-// identical to a sequential RunShard over the same range.
+// multicore speedup. The survivor set and candidate count are identical
+// to a sequential RunShard over the same range.
 func (pl *Pipeline) Run(ctx context.Context, startIdx, endIdx uint64) (*ShardResult, error) {
 	if endIdx > pl.Space.TotalPolynomials() {
 		endIdx = pl.Space.TotalPolynomials()

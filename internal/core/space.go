@@ -1,7 +1,7 @@
 // Package core implements the paper's central contribution: enumeration and
 // filtering of the complete CRC polynomial design space. It provides the
-// candidate space with reciprocal-pair deduplication (§3), the multi-stage
-// filtering pipeline with the §4.1 optimisations, inverse filtering, and the
+// candidate space with reciprocal-pair deduplication (§3), the §4.2
+// increasing-length HD filter with its sharded, multicore Run, and the
 // factorization-class census behind Table 2.
 package core
 

@@ -2,7 +2,10 @@ package dist
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/base64"
 	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -12,8 +15,7 @@ import (
 func TestBatchRoundTrip(t *testing.T) {
 	results := []*message{
 		{Type: msgResult, Worker: "alpha", JobID: 3, Canonical: 17,
-			Survivors: []uint64{0x80, 0x83, 0x9b}, ElapsedNS: 1234,
-			Stages: []StageStat{{Name: "hd", In: 40, Out: 3, ElapsedNS: 99}}},
+			Survivors: []uint64{0x80, 0x83, 0x9b}, ElapsedNS: 1234},
 		{Type: msgResult, Worker: "alpha", JobID: 4, Canonical: 0, ElapsedNS: 5},
 		{Type: msgResult, Worker: "alpha", JobID: 9, Canonical: 2,
 			Survivors: []uint64{0xff}},
@@ -35,6 +37,42 @@ func TestBatchRoundTrip(t *testing.T) {
 	for i := range results {
 		if !reflect.DeepEqual(got[i], results[i]) {
 			t.Errorf("result %d = %+v, want %+v", i, got[i], results[i])
+		}
+	}
+}
+
+// olderBatch gzips and base64-wraps n copies of olderResultLine, a
+// result_batch as an older worker that still reported per-stage
+// statistics would send it, and returns its count and batch string.
+func olderBatch(tb testing.TB, n int) (int, string) {
+	tb.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	for i := 0; i < n; i++ {
+		if _, err := io.WriteString(zw, olderResultLine+"\n"); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return n, base64.StdEncoding.EncodeToString(buf.Bytes())
+}
+
+// TestBatchAcceptsOlderWorkerResults checks that a result_batch whose
+// lines carry the retired "stages" field decodes, each result intact.
+func TestBatchAcceptsOlderWorkerResults(t *testing.T) {
+	count, batch := olderBatch(t, 3)
+	got, err := decodeBatch(&message{Type: msgResultBatch, Worker: "old", Batch: batch, Count: count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != count {
+		t.Fatalf("decoded %d results, want %d", len(got), count)
+	}
+	for i, r := range got {
+		if !reflect.DeepEqual(r, olderResult) {
+			t.Errorf("result %d = %+v, want %+v", i, r, olderResult)
 		}
 	}
 }
@@ -92,8 +130,7 @@ func TestBatchDecodeRejectsGarbage(t *testing.T) {
 func FuzzDecodeBatch(f *testing.F) {
 	for _, results := range [][]*message{
 		{{Type: msgResult, Worker: "w", JobID: 1, Canonical: 3, Survivors: []uint64{0x80, 0x83}, ElapsedNS: 12}},
-		{{Type: msgResult, JobID: 4}, {Type: msgResult, JobID: 9, Survivors: []uint64{0xff},
-			Stages: []StageStat{{Name: "hd", In: 40, Out: 3, ElapsedNS: 99}}}},
+		{{Type: msgResult, JobID: 4}, {Type: msgResult, JobID: 9, Survivors: []uint64{0xff}}},
 	} {
 		b, err := encodeBatch("w", results)
 		if err != nil {
@@ -105,6 +142,8 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		f.Add(b.Count, b.Batch)
 	}
+	n, older := olderBatch(f, 2)
+	f.Add(n, older)
 	f.Add(1, "not base64!!")
 	f.Add(1, "aGVsbG8=")
 	f.Add(maxBatchResults+1, "")

@@ -67,9 +67,9 @@ type CoordinatorConfig struct {
 	// live ledger — per-worker EWMA rates and grant sizes, lease ages,
 	// requeue and coverage counters — in Prometheus text exposition,
 	// /v1/traces and /v1/traces/{id} serve the per-job trace recorder
-	// (one span tree per grant, spanning coordinator → worker → pipeline
-	// stages), and /healthz answers liveness probes. The listener is
-	// unauthenticated; bind it to loopback or an operator network.
+	// (one span tree per grant, spanning coordinator → worker), and
+	// /healthz answers liveness probes. The listener is unauthenticated;
+	// bind it to loopback or an operator network.
 	DebugAddr string
 }
 
@@ -88,9 +88,6 @@ type Summary struct {
 	// Survivors pass the HD filter at every scheduled length, in
 	// ascending Koopman order.
 	Survivors []poly.P
-	// Stages aggregates the workers' per-stage filter statistics across
-	// every job, in pipeline order.
-	Stages []core.StageStats
 	// Elapsed is the coordinator wall-clock time from start to the last
 	// job's result (the current process only, on a resumed sweep).
 	Elapsed time.Duration
@@ -221,7 +218,6 @@ type Coordinator struct {
 	resumed      int
 	canonical    uint64
 	survivors    []poly.P
-	stages       []core.StageStats
 	workers      map[string]*workerStat
 	summary      *Summary
 	recorder     *obs.FlightRecorder // per-job traces behind Traces()/DebugAddr
@@ -711,12 +707,11 @@ func (c *Coordinator) recordResult(m *message) error {
 	c.canonical += m.Canonical
 	c.doneIdx += j.end - j.start
 	c.survivors = append(c.survivors, survivors...)
-	c.stages = core.MergeStages(c.stages, fromWireStages(m.Stages))
 	c.doneJobs++
 	c.workerLocked(m.Worker).observeDone(m.Canonical, time.Duration(m.ElapsedNS))
 	c.jnlAppendLocked(recDone, doneRec{
 		JobID: j.id, Worker: m.Worker, Canonical: m.Canonical,
-		Survivors: m.Survivors, ElapsedNS: m.ElapsedNS, Stages: m.Stages,
+		Survivors: m.Survivors, ElapsedNS: m.ElapsedNS,
 		TS: time.Now().UnixNano(),
 	}, true)
 	c.cfg.Logf("dist: job %d [%d,%d) done by %q in %v (%d jobs, %d/%d indices)",
@@ -741,7 +736,6 @@ func (c *Coordinator) completeLocked() {
 		Resumed:   c.resumed,
 		Canonical: c.canonical,
 		Survivors: c.survivors,
-		Stages:    c.stages,
 		Elapsed:   time.Since(c.started),
 	}
 	c.snapshotLocked()

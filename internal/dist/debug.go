@@ -12,8 +12,8 @@ import (
 // shared obs debug surface (obs.Mount) over the live ledger registry —
 // /metrics with per-worker EWMA rates and grant sizes, lease ages of
 // assigned jobs, requeue and coverage counters — and the per-job trace
-// recorder at /v1/traces and /v1/traces/{id} (grant → worker →
-// pipeline-stage span trees; expired leases retained as errored), plus
+// recorder at /v1/traces and /v1/traces/{id} (grant → worker span
+// trees; expired leases retained as errored), plus
 // /healthz for liveness probes. The endpoint is read-only and
 // unauthenticated, so it belongs on loopback or an operator network,
 // never the open internet.

@@ -19,9 +19,9 @@
 // over bigger ones. Every worker filters its jobs with the same
 // core.Pipeline engine as the local koopmancrc.Search path — including
 // the intra-machine worker-pool fan-out, so one dist worker per machine
-// saturates all of its cores. Completed jobs merge into a Summary once
-// the whole space is covered, including fleet-wide per-stage filter
-// statistics shipped back with each result.
+// saturates all of its cores. Completed jobs merge into a Summary —
+// candidate count and survivors, equal to one single-machine run — once
+// the whole space is covered.
 //
 // With CoordinatorConfig.CheckpointDir set, the coordinator layers the
 // internal/journal write-ahead log under the ledger: grants (with their

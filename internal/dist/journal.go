@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"koopmancrc/internal/core"
 	"koopmancrc/internal/journal"
 	"koopmancrc/internal/poly"
 )
@@ -33,7 +32,9 @@ const (
 
 // journalVersion is bumped when the record schema changes incompatibly.
 // Version 2 introduced ranged grants (adaptive sizing), timestamps,
-// resize records and the per-worker stats snapshot.
+// resize records and the per-worker stats snapshot. Dropping a field
+// needs no bump: replay ignores fields it does not know, so version-2
+// journals that still carry per-stage "stages" statistics resume.
 const journalVersion = 2
 
 // beginRec pins the sweep's identity. A resume validates it so a
@@ -82,13 +83,12 @@ type resizeRec struct {
 // doneRec records one job's accepted result — the unit of exactly-once
 // accounting across a crash.
 type doneRec struct {
-	JobID     uint64      `json:"job_id"`
-	Worker    string      `json:"worker"`
-	Canonical uint64      `json:"canonical"`
-	Survivors []uint64    `json:"survivors,omitempty"`
-	ElapsedNS int64       `json:"elapsed_ns"`
-	Stages    []StageStat `json:"stages,omitempty"`
-	TS        int64       `json:"ts"`
+	JobID     uint64   `json:"job_id"`
+	Worker    string   `json:"worker"`
+	Canonical uint64   `json:"canonical"`
+	Survivors []uint64 `json:"survivors,omitempty"`
+	ElapsedNS int64    `json:"elapsed_ns"`
+	TS        int64    `json:"ts"`
 }
 
 // snapJob is one carved job in a snapshot.
@@ -119,7 +119,6 @@ type ledgerSnap struct {
 	RequeueLog []requeueRec `json:"requeue_log,omitempty"`
 	Canonical  uint64       `json:"canonical"`
 	Survivors  []uint64     `json:"survivors,omitempty"`
-	Stages     []StageStat  `json:"stages,omitempty"`
 	Workers    []workerSnap `json:"workers,omitempty"`
 	TS         int64        `json:"ts"`
 }
@@ -145,7 +144,6 @@ type ledgerState struct {
 	requeueLog []requeueRec
 	canonical  uint64
 	survivors  []uint64
-	stages     []StageStat
 	workers    map[string]*workerStat
 	lastTS     int64 // newest record timestamp seen
 }
@@ -182,17 +180,9 @@ func (ls *ledgerState) applyDone(d doneRec) error {
 	ls.doneIdx += j.end - j.start
 	ls.canonical += d.Canonical
 	ls.survivors = append(ls.survivors, d.Survivors...)
-	ls.stages = mergeWireStages(ls.stages, d.Stages)
 	ls.worker(d.Worker).observeDone(d.Canonical, time.Duration(d.ElapsedNS))
 	ls.seeTS(d.TS)
 	return nil
-}
-
-// mergeWireStages folds wire-form stage stats without the round trip
-// through core.StageStats.
-func mergeWireStages(dst, add []StageStat) []StageStat {
-	merged := core.MergeStages(fromWireStages(dst), fromWireStages(add))
-	return toWireStages(merged)
 }
 
 // replayLedger rebuilds the sweep state from a replayed journal:
@@ -219,7 +209,6 @@ func replayLedger(rec *journal.Recovery) (*ledgerState, error) {
 		ls.requeueLog = s.RequeueLog
 		ls.canonical = s.Canonical
 		ls.survivors = s.Survivors
-		ls.stages = s.Stages
 		ls.jobs = make([]ledgerJob, len(s.Jobs))
 		for i, sj := range s.Jobs {
 			if sj.ID != uint64(i) {
@@ -367,7 +356,6 @@ func (c *Coordinator) restore(rec *journal.Recovery) error {
 	c.canonical = ls.canonical
 	c.doneIdx = ls.doneIdx
 	c.doneJobs = ls.doneJobs
-	c.stages = fromWireStages(ls.stages)
 	c.workers = ls.workers
 	c.jobs = make([]*job, len(ls.jobs))
 	for i, lj := range ls.jobs {
@@ -428,7 +416,6 @@ func (c *Coordinator) snapshotLocked() {
 		RequeueLog: c.requeueLog,
 		Canonical:  c.canonical,
 		Survivors:  make([]uint64, len(c.survivors)),
-		Stages:     toWireStages(c.stages),
 		TS:         time.Now().UnixNano(),
 	}
 	for i, j := range c.jobs {

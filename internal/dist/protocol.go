@@ -9,9 +9,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
-
-	"koopmancrc/internal/core"
 )
 
 // SearchSpec is the search every job belongs to, fixed for the lifetime
@@ -65,33 +62,6 @@ const (
 	msgShutdown    = "shutdown"
 )
 
-// StageStat is the wire (and journal) form of core.StageStats, so
-// per-stage drop statistics survive the trip from worker to coordinator.
-type StageStat struct {
-	Name      string `json:"name"`
-	In        uint64 `json:"in"`
-	Out       uint64 `json:"out"`
-	ElapsedNS int64  `json:"elapsed_ns"`
-}
-
-// toWireStages converts pipeline stage statistics to their wire form.
-func toWireStages(in []core.StageStats) []StageStat {
-	out := make([]StageStat, len(in))
-	for i, s := range in {
-		out[i] = StageStat{Name: s.Name, In: s.In, Out: s.Out, ElapsedNS: s.Elapsed.Nanoseconds()}
-	}
-	return out
-}
-
-// fromWireStages is the inverse of toWireStages.
-func fromWireStages(in []StageStat) []core.StageStats {
-	out := make([]core.StageStats, len(in))
-	for i, s := range in {
-		out[i] = core.StageStats{Name: s.Name, In: s.In, Out: s.Out, Elapsed: time.Duration(s.ElapsedNS)}
-	}
-	return out
-}
-
 // message is the single line-delimited JSON envelope for every exchange.
 // Survivors travel as raw Koopman values; the coordinator rebuilds poly.P
 // from the spec width.
@@ -120,9 +90,6 @@ type message struct {
 	// worker is still coalescing into a batch; each gets a bare lease
 	// renewal (no progress) so one message renews the whole set.
 	Held []uint64 `json:"held,omitempty"`
-	// Stages, on a result message, carries the job's per-stage filter
-	// statistics for coordinator-side aggregation.
-	Stages []StageStat `json:"stages,omitempty"`
 	// BatchOK, on a job message, advertises that this coordinator
 	// understands result_batch messages; workers never batch without it,
 	// so old coordinators keep working against new workers.

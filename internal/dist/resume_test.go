@@ -457,38 +457,3 @@ func TestWorkerSendsHeartbeats(t *testing.T) {
 	}
 	t.Logf("observed %d heartbeats during the job", o.heartbeats)
 }
-
-// TestStageStatsAggregated checks that per-stage drop statistics ride
-// the wire and merge in the coordinator's Summary.
-func TestStageStatsAggregated(t *testing.T) {
-	coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
-		Spec: smallSpec, JobSize: 8, LeaseTimeout: time.Minute, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	w := dist.NewWorker(coord.Addr(), dist.WorkerConfig{ID: "solo", Logf: t.Logf})
-	if _, err := w.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	sum, err := coord.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum.Stages) != 1 {
-		t.Fatalf("summary has %d stages, want 1 (the HD filter): %+v", len(sum.Stages), sum.Stages)
-	}
-	st := sum.Stages[0]
-	if st.In != sum.Canonical {
-		t.Errorf("stage in = %d, want every canonical candidate (%d)", st.In, sum.Canonical)
-	}
-	if st.Out != uint64(len(sum.Survivors)) {
-		t.Errorf("stage out = %d, want the survivor count (%d)", st.Out, len(sum.Survivors))
-	}
-	if st.Elapsed <= 0 {
-		t.Errorf("stage elapsed = %v, want > 0", st.Elapsed)
-	}
-}

@@ -12,7 +12,9 @@ import (
 // as flat wire spans parented under the grant; the coordinator stitches
 // them into a TraceData span tree in its flight recorder, served at the
 // DebugAddr listener's /v1/traces. One coherent trace per job, spanning
-// coordinator → worker → pipeline stages.
+// coordinator → worker: the "dist.job" grant root and the worker's
+// "worker.job" compute span, which carries the job's candidate and
+// survivor counts.
 //
 // Like the journal's v2 records, the trace fields are schema-versioned
 // by tolerance: they ride the existing message envelope as new optional
@@ -38,9 +40,12 @@ type WireSpan struct {
 const traceCapacity = 256
 
 // buildSpanTree reconstructs the children of rootID from flat wire
-// spans, treating the list as untrusted input: spans whose parent is
-// missing (or whose links form a cycle) attach under the root rather
-// than vanishing, and at most maxWireSpans are kept.
+// spans, treating the list as untrusted input: at most maxWireSpans are
+// read, spans with an empty, duplicate or root-colliding ID are dropped,
+// and every other span appears exactly once in the tree. A span whose
+// parent is missing attaches under the root, and so does a span whose
+// parent link would close a cycle (spans are linked in list order, so
+// the cycle's last-listed member is the one cut loose).
 func buildSpanTree(rootID string, spans []WireSpan) []*obs.SpanData {
 	const maxWireSpans = 512
 	if len(spans) > maxWireSpans {
@@ -60,18 +65,32 @@ func buildSpanTree(rootID string, spans []WireSpan) []*obs.SpanData {
 			Attrs:      ws.Attrs,
 		}
 	}
+	// Link in list order. The links made so far form a forest, so a new
+	// link closes a cycle exactly when the span is an ancestor of its
+	// would-be parent; the walk up ends at the root or at a span not yet
+	// linked.
 	var roots []*obs.SpanData
-	linked := make(map[string]bool, len(nodes))
+	parent := make(map[string]string, len(nodes)) // linked span → parent ID, "" for the root
 	for _, ws := range spans {
 		n := nodes[ws.ID]
-		if n == nil || linked[ws.ID] {
+		if _, done := parent[ws.ID]; n == nil || done {
 			continue // dropped above, or a duplicate id re-resolving the original node
 		}
-		linked[ws.ID] = true
-		if p := nodes[ws.Parent]; p != nil && ws.Parent != ws.ID {
-			p.Children = append(p.Children, n)
-		} else {
+		p := ws.Parent
+		if nodes[p] == nil {
+			p = ""
+		}
+		for a := p; a != ""; a = parent[a] {
+			if a == ws.ID {
+				p = "" // the link would close a cycle
+				break
+			}
+		}
+		parent[ws.ID] = p
+		if p == "" {
 			roots = append(roots, n)
+		} else {
+			nodes[p].Children = append(nodes[p].Children, n)
 		}
 	}
 	return roots

@@ -40,8 +40,7 @@ func FuzzWireRecv(f *testing.F) {
 		{Type: msgJob, Spec: &SearchSpec{Width: 8, MinHD: 4, Lengths: []int{16, 48}},
 			JobID: 3, Start: 16, End: 32, LeaseNS: 1e9, BatchOK: true, TraceID: "t", ParentSpan: "p"},
 		{Type: msgResult, Worker: "w1", JobID: 3, Canonical: 9, Survivors: []uint64{0x83, 0x9b},
-			ElapsedNS: 77, Stages: []StageStat{{Name: "hd", In: 9, Out: 2, ElapsedNS: 5}},
-			Spans: []WireSpan{{ID: "a", Name: "dist.job", DurNS: 4, Attrs: []obs.Attr{{K: "k", V: "v"}}}}},
+			ElapsedNS: 77, Spans: []WireSpan{{ID: "a", Name: "dist.job", DurNS: 4, Attrs: []obs.Attr{{K: "k", V: "v"}}}}},
 		{Type: msgHeartbeat, Worker: "w1", JobID: 3, Progress: 4, Held: []uint64{1, 2}},
 		{Type: msgResultBatch, Worker: "w1", Batch: "aGVsbG8=", Count: 1},
 	} {
@@ -51,6 +50,7 @@ func FuzzWireRecv(f *testing.F) {
 		}
 		f.Add(append(line, '\n'))
 	}
+	f.Add([]byte(olderResultLine + "\n"))
 	f.Add([]byte(`{"type":"wait"} {"type":"shutdown"}` + "\n" + `{"type":"next"`))
 	f.Add([]byte(`{"type":"next","worker":"big","pad":"` + strings.Repeat("a", 2*wireFuzzLimit) + `"}`))
 	f.Add([]byte(strings.Repeat(" ", wireFuzzLimit-4) + "null null"))
@@ -96,6 +96,39 @@ func FuzzWireRecv(f *testing.F) {
 			}
 		}
 	})
+}
+
+// olderResultLine is a result line as workers sent it while the
+// pipeline still reported per-stage filter statistics: a "stages" field
+// that no current message carries.
+const olderResultLine = `{"type":"result","worker":"old","job_id":3,"start":0,"end":0,` +
+	`"canonical":9,"survivors":[131,155],"elapsed_ns":77,` +
+	`"stages":[{"name":"hd>=4@[9 19]","in":9,"out":2,"elapsed_ns":5}]}`
+
+// olderResult is what olderResultLine must decode to.
+var olderResult = &message{Type: msgResult, Worker: "old", JobID: 3, Canonical: 9,
+	Survivors: []uint64{131, 155}, ElapsedNS: 77}
+
+// TestRecvAcceptsOlderWorkerResult checks that a result still carrying
+// the retired "stages" field is received, with every field the
+// coordinator reads intact, and that the next frame on the stream
+// decodes normally after it.
+func TestRecvAcceptsOlderWorkerResult(t *testing.T) {
+	w := newWire(&memConn{r: strings.NewReader(olderResultLine + "\n" + `{"type":"next","worker":"old"}` + "\n")})
+	got, err := w.recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, olderResult) {
+		t.Errorf("received %+v, want %+v", got, olderResult)
+	}
+	next, err := w.recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Type != msgNext || next.Worker != "old" {
+		t.Errorf("frame after the older result decoded as %+v", next)
+	}
 }
 
 // wireFuzzLimit is the frame cap FuzzWireRecv tests against, small

@@ -222,7 +222,8 @@ func (w *Worker) runJob(ctx context.Context, wr *wire, m *message, alsoRenew []u
 	var progress atomic.Uint64
 	pl := &core.Pipeline{
 		Space:    space,
-		Filters:  []core.Filter{core.HDFilter{Lengths: m.Spec.Lengths, MinHD: m.Spec.MinHD}},
+		Lengths:  m.Spec.Lengths,
+		MinHD:    m.Spec.MinHD,
 		Workers:  w.cfg.Parallelism,
 		Progress: &progress,
 	}
@@ -253,13 +254,13 @@ func (w *Worker) runJob(ctx context.Context, wr *wire, m *message, alsoRenew []u
 		Canonical: res.Canonical,
 		Survivors: survivors,
 		ElapsedNS: res.Elapsed.Nanoseconds(),
-		Stages:    toWireStages(res.Stages),
 	}
 	if m.TraceID != "" {
-		// A traced grant: report the compute as wire spans — one
-		// "worker.job" span under the coordinator's root, one child per
-		// pipeline stage — for coordinator-side tree assembly.
-		js := WireSpan{
+		// A traced grant: report the compute as one "worker.job" wire
+		// span under the coordinator's root, for coordinator-side tree
+		// assembly.
+		out.TraceID = m.TraceID
+		out.Spans = []WireSpan{{
 			ID: obs.NewSpanID(), Parent: m.ParentSpan, Name: "worker.job",
 			StartNS: started.UnixNano(), DurNS: res.Elapsed.Nanoseconds(),
 			Attrs: []obs.Attr{
@@ -267,26 +268,7 @@ func (w *Worker) runJob(ctx context.Context, wr *wire, m *message, alsoRenew []u
 				{K: "canonical", V: strconv.FormatUint(res.Canonical, 10)},
 				{K: "survivors", V: strconv.Itoa(len(res.Survivors))},
 			},
-		}
-		out.TraceID = m.TraceID
-		out.Spans = append(out.Spans, js)
-		// StageStats carries durations, not start times, so each stage
-		// span starts where the previous one's duration ends. For the
-		// sharded pipeline that is an approximation (stages overlap
-		// across shards), but it renders the stage order instead of
-		// stacking every stage at t=0.
-		offNS := int64(0)
-		for _, st := range res.Stages {
-			out.Spans = append(out.Spans, WireSpan{
-				ID: obs.NewSpanID(), Parent: js.ID, Name: "stage." + st.Name,
-				StartNS: started.UnixNano() + offNS, DurNS: st.Elapsed.Nanoseconds(),
-				Attrs: []obs.Attr{
-					{K: "in", V: strconv.FormatUint(st.In, 10)},
-					{K: "out", V: strconv.FormatUint(st.Out, 10)},
-				},
-			})
-			offNS += st.Elapsed.Nanoseconds()
-		}
+		}}
 	}
 	return out, nil
 }

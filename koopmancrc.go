@@ -195,11 +195,7 @@ func Search(ctx context.Context, cfg SearchConfig) (*SearchResult, error) {
 	if end == 0 {
 		end = space.TotalPolynomials()
 	}
-	pl := &core.Pipeline{
-		Space:   space,
-		Filters: []core.Filter{core.HDFilter{Lengths: cfg.Lengths, MinHD: cfg.MinHD}},
-		Workers: cfg.Parallelism,
-	}
+	pl := &core.Pipeline{Space: space, Lengths: cfg.Lengths, MinHD: cfg.MinHD, Workers: cfg.Parallelism}
 	res, err := pl.Run(ctx, cfg.StartIdx, end)
 	if err != nil {
 		return nil, err
