@@ -11,10 +11,6 @@
 //
 //	crcsearch -mode coord -target 30s -minjobsize 64 -maxjobsize 1048576 ...
 //
-// Workers coalesce result lines into gzipped batches (-batch, default 8)
-// so the many small jobs adaptive sizing produces do not multiply wire
-// traffic; -batch 1 restores one message per result.
-//
 // Long sweeps should run the coordinator with a durable checkpoint so an
 // interrupted search (crash, SIGINT) resumes instead of restarting, and
 // so progress can be inspected read-only without touching the running
@@ -79,7 +75,6 @@ func run(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "durable journal directory for checkpoint/resume/status")
 	resume := fs.Bool("resume", false, "resume the sweep journaled in -checkpoint (coord mode)")
 	par := fs.Int("parallelism", 0, "filter goroutines per machine, 0 = GOMAXPROCS (local and worker modes)")
-	batch := fs.Int("batch", 0, "results coalesced per gzipped send, 1 = every result its own message, 0 = default (worker mode)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of the human report (status mode)")
 	debug := fs.String("debug", "", "read-only telemetry listener: /metrics Prometheus exposition, /v1/traces job traces + /healthz (coord mode; keep loopback)")
 	if err := fs.Parse(args); err != nil {
@@ -108,7 +103,7 @@ func run(args []string) error {
 			DebugAddr:     *debug,
 		})
 	case "worker":
-		return runWorker(*connect, *id, *par, *batch)
+		return runWorker(*connect, *id, *par)
 	case "status":
 		if *checkpoint == "" {
 			return fmt.Errorf("-mode status requires -checkpoint")
@@ -206,11 +201,10 @@ func runCoord(listen string, cfg dist.CoordinatorConfig) error {
 	return nil
 }
 
-func runWorker(connect, id string, par, batch int) error {
+func runWorker(connect, id string, par int) error {
 	w := dist.NewWorker(connect, dist.WorkerConfig{
 		ID:          id,
 		Parallelism: par,
-		ResultBatch: batch,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -11,13 +11,10 @@
 // journal and finishes — with exactly-once accounting. The example then
 // runs koopmancrc.Search over the same schedule on one machine and exits
 // non-zero unless candidates and survivors (hence the census) match.
-// Workers renew their leases with mid-job heartbeats that carry live candidate counts, feeding the
-// coordinator's adaptive job sizing: each grant targets a fixed wall
-// time per worker, so stragglers get smaller jobs instead of dominating
-// tail latency. The many small jobs sizing produces are amortized on
-// the wire by result batching: workers coalesce completed-job results
-// into gzipped batch messages while heartbeats keep the held jobs'
-// leases alive.
+// Workers renew their leases with mid-job heartbeats that carry live
+// candidate counts, feeding the coordinator's adaptive job sizing: each
+// grant targets a fixed wall time per worker, so stragglers get smaller
+// jobs instead of dominating tail latency.
 package main
 
 import (
@@ -36,10 +33,18 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; returning its errors instead of exiting lets
+// the deferred checkpoint removal and coordinator close run on failure.
+func run() error {
 	spec := dist.SearchSpec{Width: 14, MinHD: 5, Lengths: []int{16, 57}}
 	checkpoint, err := os.MkdirTemp("", "distsearch-checkpoint-")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(checkpoint)
 	fmt.Printf("searching width-%d space for HD>=%d at %d bits; checkpoint in %s\n",
@@ -59,9 +64,10 @@ func main() {
 		CheckpointDir: checkpoint,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stopWorkers := runWorkers(coord.Addr())
+	var stalled error
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		done, total := coord.Progress()
@@ -70,19 +76,23 @@ func main() {
 			break
 		}
 		if time.Now().After(deadline) {
-			log.Fatalf("phase 1 stalled at %d/%d indices (workers dead?)", done, total)
+			stalled = fmt.Errorf("phase 1 stalled at %d/%d indices (workers dead?)", done, total)
+			break
 		}
 		time.Sleep(time.Millisecond)
 	}
 	coord.Close() // the "crash": workers are cut off, the journal is flushed
 	stopWorkers()
+	if stalled != nil {
+		return stalled
+	}
 
 	// Interlude: inspect the orphaned checkpoint read-only — exactly
 	// what `crcsearch -mode status -checkpoint DIR` does for an
 	// operator who cannot (or must not) attach to a live coordinator.
 	st, err := dist.ReadStatus(checkpoint)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("status from journal: %d/%d jobs done, %d/%d indices (%d requeues, %d survivors so far)\n",
 		st.DoneJobs, st.CarvedJobs, st.DoneIndices, st.TotalIndices, st.Requeues, st.Survivors)
@@ -109,7 +119,7 @@ func main() {
 		Resume:        true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer coord2.Close()
 	done, total := coord2.Progress()
@@ -121,7 +131,7 @@ func main() {
 	defer cancel()
 	sum, err := coord2.Wait(ctx)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	fmt.Printf("\nevaluated %d canonical candidates across %d jobs (%d restored from checkpoint, %d lease requeues)\n",
@@ -129,7 +139,7 @@ func main() {
 	fmt.Printf("survivors with HD>=%d at %d bits: %d\n", spec.MinHD, spec.Lengths[len(spec.Lengths)-1], len(sum.Survivors))
 	census, err := core.Census(sum.Survivors)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	shapes := make([]string, 0, len(census))
 	for s := range census {
@@ -155,14 +165,15 @@ func main() {
 		Width: spec.Width, MinHD: spec.MinHD, Lengths: spec.Lengths,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if sum.Canonical != local.Candidates || !slices.Equal(sum.Survivors, local.Survivors) {
-		log.Fatalf("distributed sweep disagrees with koopmancrc.Search: %d candidates and %d survivors, local %d and %d",
+		return fmt.Errorf("distributed sweep disagrees with koopmancrc.Search: %d candidates and %d survivors, local %d and %d",
 			sum.Canonical, len(sum.Survivors), local.Candidates, len(local.Survivors))
 	}
 	fmt.Printf("matches the single-machine koopmancrc.Search: %d candidates, %d survivors\n",
 		local.Candidates, len(local.Survivors))
+	return nil
 }
 
 // runWorkers starts three TCP workers against a coordinator and returns
@@ -175,9 +186,7 @@ func runWorkers(addr string) (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for _, id := range []string{"alpha", "beta", "gamma"} {
-		// ResultBatch 4: up to four completed jobs travel as one gzipped
-		// result_batch message (the default is 8; 1 disables coalescing).
-		w := dist.NewWorker(addr, dist.WorkerConfig{ID: id, Parallelism: 2, ResultBatch: 4})
+		w := dist.NewWorker(addr, dist.WorkerConfig{ID: id, Parallelism: 2})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -187,7 +196,7 @@ func runWorkers(addr string) (stop func()) {
 				fmt.Printf("worker %s stopped after %d jobs: %v\n", id, n, err)
 				return
 			}
-			fmt.Printf("worker %s finished %d jobs (%d batched sends)\n", id, n, w.BatchesSent())
+			fmt.Printf("worker %s finished %d jobs\n", id, n)
 		}()
 	}
 	return func() {

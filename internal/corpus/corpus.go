@@ -161,22 +161,34 @@ func Open(dir string, cfg Config) (*Store, error) {
 }
 
 // absorbLocked merges one replayed snapshot into the in-memory view,
-// skipping (and counting) invalid ones.
+// skipping (and counting) invalid ones and ones whose facts contradict
+// what the key already holds.
 func (s *Store) absorbLocked(snap *koopmancrc.MemoSnapshot) {
 	if err := snap.Validate(); err != nil {
 		s.stats.SkippedAtOpen++
 		return
 	}
 	key := Key{Width: snap.Width, Poly: snap.Poly}
+	merged := snap.Clone()
 	if have, ok := s.entries[key]; ok {
-		if err := have.Merge(snap); err != nil {
+		merged = have.Clone()
+		if err := mergeValid(merged, snap); err != nil {
 			s.stats.SkippedAtOpen++
+			return
 		}
-		s.noteSizeLocked(key, have)
-		return
 	}
-	s.entries[key] = snap.Clone()
-	s.noteSizeLocked(key, snap)
+	s.entries[key] = merged
+	s.noteSizeLocked(key, merged)
+}
+
+// mergeValid merges o into m and validates the union: two valid
+// snapshots can still contradict each other (a clear prefix past the
+// other's hit), and their union must not be stored.
+func mergeValid(m, o *koopmancrc.MemoSnapshot) error {
+	if err := m.Merge(o); err != nil {
+		return err
+	}
+	return m.Validate()
 }
 
 // noteSizeLocked refreshes the serialized-size accounting for one key.
@@ -238,7 +250,7 @@ func (s *Store) Put(snap *koopmancrc.MemoSnapshot) error {
 		if err != nil {
 			return fmt.Errorf("corpus: %w", err)
 		}
-		if err := merged.Merge(have); err != nil {
+		if err := mergeValid(merged, have); err != nil {
 			return fmt.Errorf("corpus: %w", err)
 		}
 		now, err := json.Marshal(merged)

@@ -294,3 +294,35 @@ func TestPutRejectsInvalidAndClosed(t *testing.T) {
 		t.Fatalf("closed empty store invented an entry")
 	}
 }
+
+// TestPutRejectsContradiction checks that a Put whose facts contradict
+// the stored ones (a clear prefix past the stored hit) fails and leaves
+// the stored entry as it was, in memory and on disk.
+func TestPutRejectsContradiction(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	hit := &koopmancrc.MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
+		Bounds: []koopmancrc.BoundMemo{{Weight: 5, HitAt: 5, Witness: []int{0, 1, 2, 3, 4}}}}
+	if err := s.Put(hit); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	clear := &koopmancrc.MemoSnapshot{Version: 1, Width: 8, Poly: 0x83,
+		Bounds: []koopmancrc.BoundMemo{{Weight: 5, ClearTo: 10}}}
+	if err := s.Put(clear); err == nil {
+		t.Fatalf("Put stored a clear prefix past the stored hit")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s2, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if got, ok := s2.Get(8, 0x83); !ok || !reflect.DeepEqual(got, hit) {
+		t.Fatalf("stored entry = %+v, want %+v", got, hit)
+	}
+}

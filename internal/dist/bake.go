@@ -183,7 +183,7 @@ func bakeOne(ctx context.Context, spec BakeSpec, sink BakeSink, cfg BakeConfig, 
 				root.SetError(err.Error())
 			}
 			root.End()
-			cfg.Recorder.Record(tr.Data())
+			cfg.Recorder.RecordTrace(tr)
 		}()
 	}
 	opts := []koopmancrc.Option{koopmancrc.WithLimits(cfg.Limits)}

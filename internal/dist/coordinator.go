@@ -502,30 +502,13 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 				c.cfg.Logf("dist: dropping result from %q: %v", m.Worker, err)
 				return
 			}
-		case msgResultBatch:
-			results, err := decodeBatch(m)
-			if err != nil {
-				c.cfg.Logf("dist: %v", err)
-				return
-			}
-			for _, r := range results {
-				if err := c.recordResult(r); err != nil {
-					c.cfg.Logf("dist: dropping batched result from %q: %v", m.Worker, err)
-					return
-				}
-			}
 		case msgNext:
 			// fall through to assignment
 		case msgHeartbeat:
 			// Fire-and-forget lease renewal from a busy worker's side
 			// goroutine; no reply, or it would interleave with the job
-			// reply the worker's main loop is waiting for. Held jobs —
-			// completed results the worker is still batching — get bare
-			// renewals from the same message.
+			// reply the worker's main loop is waiting for.
 			c.renewLease(m.JobID, m.Worker, m.Progress)
-			for _, id := range m.Held {
-				c.renewLease(id, m.Worker, 0)
-			}
 			continue
 		default:
 			c.cfg.Logf("dist: unknown message %q from %q", m.Type, m.Worker)
@@ -669,7 +652,7 @@ func (c *Coordinator) grantLocked(j *job, worker string) *message {
 	spec := c.cfg.Spec
 	return &message{
 		Type: msgJob, JobID: j.id, Spec: &spec, Start: j.start, End: j.end,
-		LeaseNS: int64(c.cfg.LeaseTimeout), BatchOK: true,
+		LeaseNS: int64(c.cfg.LeaseTimeout),
 		TraceID: j.traceID, ParentSpan: j.rootSpan,
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -94,6 +95,126 @@ func TestCoordinatorThreeWorkersMatchesSingleMachine(t *testing.T) {
 		t.Errorf("workers completed %d jobs, coordinator carved %d", total, sum.Jobs)
 	}
 	checkMatchesSingleMachine(t, smallSpec, sum)
+}
+
+// TestBatchedWorkerMatchesSingleMachine drives a full sweep of many tiny
+// jobs, the traffic result batching used to coalesce, through one
+// worker: each result is its own message that also asks for the next
+// job, and the merged summary must be identical to a single-machine run.
+func TestBatchedWorkerMatchesSingleMachine(t *testing.T) {
+	coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+		Spec:         smallSpec,
+		JobSize:      4, // 32 jobs
+		LeaseTimeout: 30 * time.Second,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	w := dist.NewWorker(coord.Addr(), dist.WorkerConfig{ID: "plain", Logf: t.Logf})
+	type ran struct {
+		n   int
+		err error
+	}
+	done := make(chan ran, 1)
+	go func() {
+		n, err := w.Run(context.Background())
+		done <- ran{n, err}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	sum, err := coord.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("worker: %v", r.err)
+	}
+	checkMatchesSingleMachine(t, smallSpec, sum)
+	if sum.Jobs != 32 || r.n != 32 {
+		t.Errorf("coordinator carved %d jobs and the worker completed %d, want 32 each", sum.Jobs, r.n)
+	}
+}
+
+// TestBatchingDisabledSendsPlainResults plays an older coordinator that
+// advertises batching ("batch_ok":true on every job) over the whole
+// width-8 space in 16 jobs. The worker must ignore the offer and answer
+// each job with one plain result for that job, and the results must sum
+// to a single-machine run.
+func TestBatchingDisabledSendsPlainResults(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	w := dist.NewWorker(ln.Addr().String(), dist.WorkerConfig{ID: "plain", Logf: t.Logf})
+	type ran struct {
+		n   int
+		err error
+	}
+	done := make(chan ran, 1)
+	go func() {
+		n, err := w.Run(context.Background())
+		done <- ran{n, err}
+	}()
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(time.Minute))
+	old := &rawClient{t: t, conn: conn, sc: bufio.NewScanner(conn), enc: json.NewEncoder(conn)}
+	if m := old.recv(); m["type"] != "next" {
+		t.Fatalf("worker opened with %v, want next", m)
+	}
+
+	const total, jobSize = 128, 8
+	var canonical uint64
+	var survivors []uint64
+	for id := uint64(0); id < total/jobSize; id++ {
+		old.send(map[string]any{
+			"type": "job", "spec": smallSpec, "job_id": id,
+			"start": id * jobSize, "end": (id + 1) * jobSize, "batch_ok": true,
+		})
+		m := old.recv()
+		if m["type"] != "result" || m["job_id"] != float64(id) {
+			t.Fatalf("job %d answered with %v, want a plain result for it", id, m)
+		}
+		canonical += uint64(m["canonical"].(float64))
+		if s, ok := m["survivors"].([]any); ok {
+			for _, v := range s {
+				survivors = append(survivors, uint64(v.(float64)))
+			}
+		}
+	}
+	old.send(map[string]any{"type": "shutdown"})
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("worker: %v", r.err)
+	}
+	if r.n != total/jobSize {
+		t.Errorf("worker completed %d jobs, want %d", r.n, total/jobSize)
+	}
+
+	want := singleMachine(t, smallSpec)
+	if canonical != want.Candidates {
+		t.Errorf("canonical = %d, want %d", canonical, want.Candidates)
+	}
+	if len(survivors) != len(want.Survivors) {
+		t.Fatalf("%d survivors, single machine found %d", len(survivors), len(want.Survivors))
+	}
+	slices.Sort(survivors)
+	for i, p := range want.Survivors {
+		if survivors[i] != p.Koopman() {
+			t.Errorf("survivor %d = %#x, single machine has %#x", i, survivors[i], p.Koopman())
+		}
+	}
 }
 
 // rawClient speaks the wire protocol directly so tests can misbehave in
@@ -348,6 +469,75 @@ func TestOversizedFrameDropsOnlyThatPeer(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	checkMatchesSingleMachine(t, smallSpec, sum)
+}
+
+// olderBatchFrame is a result_batch frame as workers sent it when a
+// coordinator advertised batching: one gzipped, base64-wrapped result
+// line claiming job 0 with 9999 candidates and survivor 0x80. Merged,
+// it would break the sweep's totals.
+const olderBatchFrame = `{"type":"result_batch","worker":"old",` +
+	`"batch":"H4sIAAAAAAACAw3IOw6AIBBF0d5lvHoKsVK2YoxBmQIlDBn8xBj3Lre758XxZIaFcjnjAcIturNWkejrbrLMwcO2hNUlSWF1EXaoEcqpV7hEC+xoun4icHS5sJ9TJfM1P9D3O8deAAAA",` +
+	`"count":1}`
+
+// TestOlderBatchFrameDropsThatPeer checks that a result_batch frame,
+// which no current message type covers, drops the peer that sent it
+// without merging anything: the peer's job requeues once its lease
+// expires, a healthy worker completes it, and the summary matches one
+// machine's.
+func TestOlderBatchFrameDropsThatPeer(t *testing.T) {
+	coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+		Spec:         smallSpec,
+		JobSize:      16,
+		LeaseTimeout: 50 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	old := dialRaw(t, coord.Addr())
+	defer old.conn.Close()
+	old.send(map[string]any{"type": "next", "worker": "old"})
+	job := old.recv()
+	if job["type"] != "job" || job["job_id"] != 0.0 {
+		t.Fatalf("old peer got %v, want job 0", job)
+	}
+	if _, ok := job["batch_ok"]; ok {
+		t.Errorf("job message still advertises batching: %v", job)
+	}
+	if _, err := old.conn.Write([]byte(olderBatchFrame + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	old.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := old.conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("result_batch peer got a %d-byte reply instead of a disconnect", n)
+	} else if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("coordinator kept the result_batch peer connected")
+	}
+
+	w := dist.NewWorker(coord.Addr(), dist.WorkerConfig{ID: "healthy", Logf: t.Logf})
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.Run(context.Background())
+		done <- err
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	sum, err := coord.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if sum.Requeues < 1 {
+		t.Errorf("requeues = %d, want >= 1 (the dropped peer's lease must expire)", sum.Requeues)
+	}
+	if sum.Jobs != 8 {
+		t.Errorf("jobs = %d, want 8", sum.Jobs)
 	}
 	checkMatchesSingleMachine(t, smallSpec, sum)
 }

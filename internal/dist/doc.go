@@ -38,8 +38,9 @@
 // replay path, the two views cannot disagree.
 //
 // The wire protocol is a strict request/response exchange initiated by
-// the worker (heartbeats being the one fire-and-forget exception); see
-// protocol.go. cmd/crcsearch exposes all of it (-mode coord | worker |
+// the worker (heartbeats being the one fire-and-forget exception): each
+// completed job travels as one result message, which also asks for the
+// next job; see protocol.go. cmd/crcsearch exposes all of it (-mode coord | worker |
 // status, with -checkpoint/-resume and -target/-minjobsize/-maxjobsize)
 // and examples/distsearch runs the whole architecture in-process over
 // localhost, including a mid-sweep coordinator kill, a read-only status

@@ -1,9 +1,6 @@
 package dist
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -43,23 +40,22 @@ func (s SearchSpec) equal(o SearchSpec) bool {
 // goroutine while the job computation (and the main request/reply loop)
 // is still in flight:
 //
-//	worker → coord: next         (idle, requesting work; carries worker id)
-//	worker → coord: result       (a completed job; also an implicit next)
-//	worker → coord: result_batch (several coalesced results, gzipped; also
-//	                              an implicit next — only sent to
-//	                              coordinators that advertised batch_ok)
-//	worker → coord: heartbeat    (mid-job lease renewal + progress; no reply)
-//	coord → worker: job      (an assignment: spec + [start, end) + lease)
-//	coord → worker: wait     (no job available now — leases outstanding)
-//	coord → worker: shutdown (space fully covered; disconnect)
+//	worker → coord: next      (idle, requesting work; carries worker id)
+//	worker → coord: result    (a completed job; also an implicit next)
+//	worker → coord: heartbeat (mid-job lease renewal + progress; no reply)
+//	coord → worker: job       (an assignment: spec + [start, end) + lease)
+//	coord → worker: wait      (no job available now — leases outstanding)
+//	coord → worker: shutdown  (space fully covered; disconnect)
+//
+// Any other type, such as the result_batch of older workers, drops the
+// connection that sent it.
 const (
-	msgNext        = "next"
-	msgResult      = "result"
-	msgResultBatch = "result_batch"
-	msgHeartbeat   = "heartbeat"
-	msgJob         = "job"
-	msgWait        = "wait"
-	msgShutdown    = "shutdown"
+	msgNext      = "next"
+	msgResult    = "result"
+	msgHeartbeat = "heartbeat"
+	msgJob       = "job"
+	msgWait      = "wait"
+	msgShutdown  = "shutdown"
 )
 
 // message is the single line-delimited JSON envelope for every exchange.
@@ -86,20 +82,6 @@ type message struct {
 	// coordinator turns successive deltas into a live throughput
 	// estimate that feeds adaptive job sizing and sweep ETAs.
 	Progress uint64 `json:"progress,omitempty"`
-	// Held, on a heartbeat, lists completed jobs whose results the
-	// worker is still coalescing into a batch; each gets a bare lease
-	// renewal (no progress) so one message renews the whole set.
-	Held []uint64 `json:"held,omitempty"`
-	// BatchOK, on a job message, advertises that this coordinator
-	// understands result_batch messages; workers never batch without it,
-	// so old coordinators keep working against new workers.
-	BatchOK bool `json:"batch_ok,omitempty"`
-	// Batch, on a result_batch message, is the base64 of the gzipped
-	// LDJSON result lines being coalesced — the same lines the worker
-	// would otherwise have sent one message each. Count echoes how many
-	// for logging without decompression.
-	Batch string `json:"batch,omitempty"`
-	Count int    `json:"count,omitempty"`
 	// TraceID and ParentSpan, on a job message, propagate the
 	// coordinator's per-grant trace context; the worker echoes TraceID on
 	// the result and parents its spans under ParentSpan. Spans, on a
@@ -111,100 +93,12 @@ type message struct {
 	Spans      []WireSpan `json:"spans,omitempty"`
 }
 
-// maxBatchResults bounds how many results one result_batch may carry —
-// far above any sane ResultBatch setting. It bounds the message count
-// only; maxBatchDecodedBytes bounds their total decompressed size.
-const maxBatchResults = 4096
-
-// maxBatchDecodedBytes caps the decompressed size of one result_batch
-// (256 MiB — room for thousands of jobs with millions of survivors).
-// Without it a few-KB gzip bomb could expand into coordinator memory
-// unboundedly; the per-result path has no such amplification because
-// the sender must actually transmit every byte.
-const maxBatchDecodedBytes = 256 << 20
-
-// encodeBatch coalesces result messages into one result_batch envelope:
-// the results are serialized as LDJSON exactly as they would travel
-// individually, gzipped and base64-wrapped. Survivor lists are highly
-// compressible (long runs of nearby integers), which is what makes many
-// small adaptive jobs affordable on the wire.
-func encodeBatch(worker string, results []*message) (*message, error) {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	enc := json.NewEncoder(zw)
-	for _, r := range results {
-		if err := enc.Encode(r); err != nil {
-			return nil, fmt.Errorf("dist: encoding result batch: %w", err)
-		}
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("dist: compressing result batch: %w", err)
-	}
-	return &message{
-		Type:   msgResultBatch,
-		Worker: worker,
-		Batch:  base64.StdEncoding.EncodeToString(buf.Bytes()),
-		Count:  len(results),
-	}, nil
-}
-
-// decodeBatch is the inverse of encodeBatch, treating the frame as
-// untrusted input: the claimed Count is validated up front and enforced
-// while streaming, decompression is capped at maxBatchDecodedBytes, and
-// every inner message must be a result — the type check handleConn's
-// switch performs for the per-result path.
-func decodeBatch(m *message) ([]*message, error) {
-	if m.Count < 1 || m.Count > maxBatchResults {
-		return nil, fmt.Errorf("dist: result batch from %q claims %d results (limit %d)",
-			m.Worker, m.Count, maxBatchResults)
-	}
-	raw, err := base64.StdEncoding.DecodeString(m.Batch)
-	if err != nil {
-		return nil, fmt.Errorf("dist: bad result batch from %q: %w", m.Worker, err)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		return nil, fmt.Errorf("dist: bad result batch from %q: %w", m.Worker, err)
-	}
-	defer zr.Close()
-	// A truncated read at the cap surfaces as a decode error below.
-	dec := json.NewDecoder(io.LimitReader(zr, maxBatchDecodedBytes))
-	out := make([]*message, 0, m.Count)
-	for {
-		var r message
-		if err := dec.Decode(&r); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("dist: bad result batch from %q: %w", m.Worker, err)
-		}
-		if r.Type != msgResult {
-			return nil, fmt.Errorf("dist: result batch from %q smuggles a %q message",
-				m.Worker, r.Type)
-		}
-		if len(out) == m.Count {
-			return nil, fmt.Errorf("dist: result batch from %q holds more than its claimed %d results",
-				m.Worker, m.Count)
-		}
-		out = append(out, &r)
-	}
-	if m.Count != len(out) {
-		return nil, fmt.Errorf("dist: result batch from %q claims %d results, holds %d",
-			m.Worker, m.Count, len(out))
-	}
-	return out, nil
-}
-
-// maxFrameBytes caps one wire frame, one JSON message. The largest
-// frame a worker legitimately sends is a result_batch holding at most
-// maxBatchDecodedBytes of result lines, gzipped (at worst a fraction of a
-// percent larger than its input) and base64-wrapped (4/3 larger), so
-// under 1.34 × maxBatchDecodedBytes; a single result the batch path
-// could carry is at most maxBatchDecodedBytes. Twice the batch cap clears
-// both, so the frame cap rejects no result the coordinator would
-// otherwise accept and cannot wedge a job in a requeue loop, while one
-// peer can no longer make the coordinator buffer an unbounded value.
-const maxFrameBytes = 2 * maxBatchDecodedBytes
+// maxFrameBytes caps one wire frame, one JSON message (512 MiB). The
+// largest frame a worker legitimately sends is one job's result, about
+// 11 bytes per survivor of a 32-bit search, so one job may return some
+// 48 million survivors before its result is refused, while one peer can
+// no longer make the coordinator buffer an unbounded value.
+const maxFrameBytes = 512 << 20
 
 // frameLimit is the cap recv enforces: maxFrameBytes, lowered only by
 // tests (export_test.go) so an oversized frame stays cheap to send.

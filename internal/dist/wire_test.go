@@ -38,11 +38,10 @@ func FuzzWireRecv(f *testing.F) {
 	for _, m := range []*message{
 		{Type: msgNext, Worker: "w1"},
 		{Type: msgJob, Spec: &SearchSpec{Width: 8, MinHD: 4, Lengths: []int{16, 48}},
-			JobID: 3, Start: 16, End: 32, LeaseNS: 1e9, BatchOK: true, TraceID: "t", ParentSpan: "p"},
+			JobID: 3, Start: 16, End: 32, LeaseNS: 1e9, TraceID: "t", ParentSpan: "p"},
 		{Type: msgResult, Worker: "w1", JobID: 3, Canonical: 9, Survivors: []uint64{0x83, 0x9b},
 			ElapsedNS: 77, Spans: []WireSpan{{ID: "a", Name: "dist.job", DurNS: 4, Attrs: []obs.Attr{{K: "k", V: "v"}}}}},
-		{Type: msgHeartbeat, Worker: "w1", JobID: 3, Progress: 4, Held: []uint64{1, 2}},
-		{Type: msgResultBatch, Worker: "w1", Batch: "aGVsbG8=", Count: 1},
+		{Type: msgHeartbeat, Worker: "w1", JobID: 3, Progress: 4},
 	} {
 		line, err := json.Marshal(m)
 		if err != nil {
@@ -51,6 +50,7 @@ func FuzzWireRecv(f *testing.F) {
 		f.Add(append(line, '\n'))
 	}
 	f.Add([]byte(olderResultLine + "\n"))
+	f.Add([]byte(olderJobLine + "\n" + olderHeartbeatLine + "\n"))
 	f.Add([]byte(`{"type":"wait"} {"type":"shutdown"}` + "\n" + `{"type":"next"`))
 	f.Add([]byte(`{"type":"next","worker":"big","pad":"` + strings.Repeat("a", 2*wireFuzzLimit) + `"}`))
 	f.Add([]byte(strings.Repeat(" ", wireFuzzLimit-4) + "null null"))
@@ -109,25 +109,45 @@ const olderResultLine = `{"type":"result","worker":"old","job_id":3,"start":0,"e
 var olderResult = &message{Type: msgResult, Worker: "old", JobID: 3, Canonical: 9,
 	Survivors: []uint64{131, 155}, ElapsedNS: 77}
 
-// TestRecvAcceptsOlderWorkerResult checks that a result still carrying
-// the retired "stages" field is received, with every field the
-// coordinator reads intact, and that the next frame on the stream
-// decodes normally after it.
+// olderJobLine and olderHeartbeatLine are a job and a heartbeat as
+// peers sent them while workers could hold finished results for a
+// batch: the job advertised "batch_ok" and the heartbeat renewed the
+// held jobs' leases in "held". No current message carries either field.
+const (
+	olderJobLine = `{"type":"job","spec":{"width":8,"min_hd":4,"lengths":[9,19]},` +
+		`"job_id":5,"start":16,"end":32,"canonical":0,"elapsed_ns":0,"lease_ns":1000000000,` +
+		`"batch_ok":true,"trace_id":"t","parent_span":"p"}`
+	olderHeartbeatLine = `{"type":"heartbeat","worker":"old","job_id":5,"start":0,"end":0,` +
+		`"canonical":0,"elapsed_ns":0,"progress":4,"held":[1,2]}`
+)
+
+// TestRecvAcceptsOlderWorkerResult checks that messages still carrying
+// retired fields (the result's "stages", the job's "batch_ok", the
+// heartbeat's "held") are received, with every remaining field intact,
+// and that the next frame on the stream decodes normally after them.
 func TestRecvAcceptsOlderWorkerResult(t *testing.T) {
-	w := newWire(&memConn{r: strings.NewReader(olderResultLine + "\n" + `{"type":"next","worker":"old"}` + "\n")})
-	got, err := w.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, olderResult) {
-		t.Errorf("received %+v, want %+v", got, olderResult)
+	w := newWire(&memConn{r: strings.NewReader(olderResultLine + "\n" + olderJobLine + "\n" +
+		olderHeartbeatLine + "\n" + `{"type":"next","worker":"old"}` + "\n")})
+	for _, want := range []*message{
+		olderResult,
+		{Type: msgJob, Spec: &SearchSpec{Width: 8, MinHD: 4, Lengths: []int{9, 19}},
+			JobID: 5, Start: 16, End: 32, LeaseNS: 1e9, TraceID: "t", ParentSpan: "p"},
+		{Type: msgHeartbeat, Worker: "old", JobID: 5, Progress: 4},
+	} {
+		got, err := w.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("received %+v, want %+v", got, want)
+		}
 	}
 	next, err := w.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if next.Type != msgNext || next.Worker != "old" {
-		t.Errorf("frame after the older result decoded as %+v", next)
+		t.Errorf("frame after the older messages decoded as %+v", next)
 	}
 }
 

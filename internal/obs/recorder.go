@@ -107,30 +107,11 @@ func (r *FlightRecorder) Record(td *TraceData) (retained bool, reason string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recorded++
-	isErr := td.Error != ""
-	isSlow := r.qualifiesSlowLocked(td.Name, td.DurationNS)
-	switch {
-	case isErr:
-		reason = "error"
-	case isSlow:
-		reason = "slow"
-	case r.randLocked() < r.sampleRate:
-		reason = "sampled"
-	default:
+	reason, isSlow := r.decideLocked(td.Name, td.DurationNS, td.Error != "")
+	if reason == "" {
 		return false, ""
 	}
-	td.Retained = reason
-	e := &recEntry{td: td, seq: r.seq}
-	r.seq++
-	r.insertLocked(e)
-	if isErr {
-		r.pinErrLocked(e)
-	}
-	if isSlow {
-		r.pinSlowLocked(e)
-	}
-	r.kept++
+	r.keepLocked(td, reason, isSlow)
 	return true, reason
 }
 
@@ -147,38 +128,51 @@ func (r *FlightRecorder) RecordTrace(tr *Trace) (retained bool, reason string) {
 		return false, ""
 	}
 	name, durNS, errMsg := tr.rootState()
-	isErr := errMsg != ""
 	r.mu.Lock()
-	r.recorded++
-	isSlow := r.qualifiesSlowLocked(name, durNS)
-	switch {
-	case isErr:
-		reason = "error"
-	case isSlow:
-		reason = "slow"
-	case r.randLocked() < r.sampleRate:
-		reason = "sampled"
-	default:
-		r.mu.Unlock()
+	reason, isSlow := r.decideLocked(name, durNS, errMsg != "")
+	r.mu.Unlock()
+	if reason == "" {
 		return false, ""
 	}
-	r.mu.Unlock()
-
 	td := tr.Data() // takes the trace lock; must not nest inside r.mu
-	td.Retained = reason
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.keepLocked(td, reason, isSlow)
+	return true, reason
+}
+
+// decideLocked counts one completed trace and makes the tail-sampling
+// decision: the retention reason ("" drops the trace) and whether the
+// trace qualifies for its endpoint's slowest-K set.
+func (r *FlightRecorder) decideLocked(name string, durNS int64, isErr bool) (reason string, isSlow bool) {
+	r.recorded++
+	isSlow = r.qualifiesSlowLocked(name, durNS)
+	switch {
+	case isErr:
+		return "error", isSlow
+	case isSlow:
+		return "slow", true
+	case r.randLocked() < r.sampleRate:
+		return "sampled", false
+	}
+	return "", false
+}
+
+// keepLocked stores a retained trace with its reason and pins it as
+// decideLocked found: error pins for errored traces, slow pins for
+// traces entering the slowest-K set.
+func (r *FlightRecorder) keepLocked(td *TraceData, reason string, isSlow bool) {
+	td.Retained = reason
 	e := &recEntry{td: td, seq: r.seq}
 	r.seq++
 	r.insertLocked(e)
-	if isErr {
+	if reason == "error" {
 		r.pinErrLocked(e)
 	}
 	if isSlow {
 		r.pinSlowLocked(e)
 	}
 	r.kept++
-	return true, reason
 }
 
 // qualifiesSlowLocked reports whether a trace with this endpoint name
