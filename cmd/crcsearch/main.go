@@ -5,16 +5,12 @@
 //	crcsearch -mode coord -listen :9000 -width 16 -hd 6 -lengths 16,64,128 -jobsize 1024
 //	crcsearch -mode worker -connect host:9000 -id alpha
 //
-// With -target the coordinator sizes each grant adaptively so every job
-// takes roughly that wall time per worker (clamped to [-minjobsize,
-// -maxjobsize]), keeping stragglers from dominating tail latency:
-//
-//	crcsearch -mode coord -target 30s -minjobsize 64 -maxjobsize 1048576 ...
-//
-// Long sweeps should run the coordinator with a durable checkpoint so an
-// interrupted search (crash, SIGINT) resumes instead of restarting, and
-// so progress can be inspected read-only without touching the running
-// coordinator:
+// Every job is a fixed -jobsize slice of the raw index space (4096 by
+// default). Long sweeps should run the coordinator with a durable
+// checkpoint so an interrupted search (crash, SIGINT) resumes instead of
+// restarting, and so progress can be inspected read-only without
+// touching the running coordinator. A resume keeps the checkpoint's job
+// size; an explicit different -jobsize is refused.
 //
 //	crcsearch -mode coord -checkpoint /var/lib/crcsearch/w32 ...
 //	crcsearch -mode status -checkpoint /var/lib/crcsearch/w32
@@ -22,8 +18,8 @@
 //
 // -mode status -json emits the same report as machine-readable JSON.
 // A running coordinator can additionally serve live telemetry —
-// per-worker EWMA rates, grant sizes, lease ages, requeue counters —
-// as a Prometheus exposition, and its per-job traces:
+// per-worker completed jobs, lease ages, requeue and coverage counters
+// — as a Prometheus exposition, and its per-job traces:
 //
 //	crcsearch -mode coord -debug 127.0.0.1:9100 ...
 //	curl http://127.0.0.1:9100/metrics
@@ -67,10 +63,7 @@ func run(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:9000", "coordinator listen address")
 	connect := fs.String("connect", "127.0.0.1:9000", "coordinator address (worker mode)")
 	id := fs.String("id", "", "worker id, unique per fleet member (default: hostname-pid)")
-	jobSize := fs.Uint64("jobsize", 4096, "raw indices per job before throughput data exists (coord mode)")
-	target := fs.Duration("target", 0, "adaptive job sizing: target wall time per job, 0 = fixed -jobsize (coord mode)")
-	minJob := fs.Uint64("minjobsize", 0, "smallest adaptive grant in raw indices, 0 = 1 (coord mode)")
-	maxJob := fs.Uint64("maxjobsize", 0, "largest adaptive grant in raw indices, 0 = 64*jobsize (coord mode)")
+	jobSize := fs.Uint64("jobsize", 0, "raw indices per job, 0 = 4096 for a fresh sweep or the checkpoint's size on -resume (coord mode)")
 	lease := fs.Duration("lease", 30*time.Second, "job lease timeout (coord mode)")
 	checkpoint := fs.String("checkpoint", "", "durable journal directory for checkpoint/resume/status")
 	resume := fs.Bool("resume", false, "resume the sweep journaled in -checkpoint (coord mode)")
@@ -94,9 +87,6 @@ func run(args []string) error {
 		return runCoord(*listen, dist.CoordinatorConfig{
 			Spec:          dist.SearchSpec{Width: *width, MinHD: *minHD, Lengths: sched},
 			JobSize:       *jobSize,
-			TargetJobTime: *target,
-			MinJobSize:    *minJob,
-			MaxJobSize:    *maxJob,
 			LeaseTimeout:  *lease,
 			CheckpointDir: *checkpoint,
 			Resume:        *resume,
@@ -218,8 +208,8 @@ func runWorker(connect, id string, par int) error {
 }
 
 // runStatus replays a checkpoint journal read-only and prints the sweep
-// status: job/index coverage, per-worker throughput and sizing, requeue
-// history and an ETA. It never contacts a running coordinator.
+// status: job/index coverage, per-worker work, requeue history and an
+// ETA. It never contacts a running coordinator.
 func runStatus(checkpoint string, jsonOut bool) error {
 	st, err := dist.ReadStatus(checkpoint)
 	if err != nil {
@@ -231,14 +221,13 @@ func runStatus(checkpoint string, jsonOut bool) error {
 		return enc.Encode(st)
 	}
 	fmt.Printf("sweep:     width=%d hd>=%d lengths=%v\n", st.Spec.Width, st.Spec.MinHD, st.Spec.Lengths)
-	fmt.Printf("space:     %d raw indices, base job size %d\n", st.TotalIndices, st.JobSize)
+	fmt.Printf("space:     %d raw indices, job size %d\n", st.TotalIndices, st.JobSize)
 	pct := 0.0
 	if st.TotalIndices > 0 {
 		pct = 100 * float64(st.DoneIndices) / float64(st.TotalIndices)
 	}
-	fmt.Printf("jobs:      %d carved: %d done, %d pending\n", st.CarvedJobs, st.DoneJobs, st.PendingJobs)
-	fmt.Printf("indices:   %d/%d done (%.1f%%); %d pending in carved jobs, %d uncarved\n",
-		st.DoneIndices, st.TotalIndices, pct, st.PendingIndices, st.UncarvedIndices)
+	fmt.Printf("jobs:      %d total: %d done, %d pending\n", st.TotalJobs, st.DoneJobs, st.PendingJobs)
+	fmt.Printf("indices:   %d/%d done (%.1f%%)\n", st.DoneIndices, st.TotalIndices, pct)
 	fmt.Printf("candidates: %d canonical evaluated, %d survivors so far\n", st.Canonical, st.Survivors)
 	fmt.Printf("requeues:  %d\n", st.Requeues)
 	for _, rq := range st.RequeueLog {
@@ -246,8 +235,8 @@ func runStatus(checkpoint string, jsonOut bool) error {
 	}
 	fmt.Printf("workers:   %d seen\n", len(st.Workers))
 	for _, w := range st.Workers {
-		fmt.Printf("  %-12s jobs=%-5d canonical=%-10d compute=%-12v rate=%8.1f cand/s  grant=%d\n",
-			w.ID, w.JobsDone, w.Canonical, w.Compute.Round(time.Millisecond), w.Rate, w.LastGrantSize)
+		fmt.Printf("  %-12s jobs=%-5d canonical=%-10d compute=%v\n",
+			w.ID, w.JobsDone, w.Canonical, w.Compute.Round(time.Millisecond))
 	}
 	fmt.Printf("activity:  started %s, last record %s (%v active)\n",
 		st.Started.Format(time.RFC3339), st.LastActivity.Format(time.RFC3339), st.Active.Round(time.Second))

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"koopmancrc/internal/dist"
@@ -72,9 +74,10 @@ func TestResumeEmptyCheckpointErrors(t *testing.T) {
 	}
 }
 
-func TestStatusJSON(t *testing.T) {
-	// Run a tiny checkpointed sweep to completion, then render its
-	// status as JSON and decode it back into the dist.Status shape.
+// finishedCheckpoint runs a width-8 sweep in 32-index jobs to
+// completion with a checkpoint and returns its directory.
+func finishedCheckpoint(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
 	coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
 		Spec:          dist.SearchSpec{Width: 8, MinHD: 4, Lengths: []int{9, 19}},
@@ -94,38 +97,78 @@ func TestStatusJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord.Close()
+	return dir
+}
 
+// captureStdout returns what f prints to standard output.
+func captureStdout(t *testing.T, f func() error) ([]byte, error) {
+	t.Helper()
 	old := os.Stdout
 	r, pw, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stdout = pw
-	statusErr := runStatus(dir, true)
+	out := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(r) // a pipe read fails only once pw closes
+		out <- b
+	}()
+	ferr := f()
 	pw.Close()
 	os.Stdout = old
-	out, err := io.ReadAll(r)
+	return <-out, ferr
+}
+
+func TestStatusJSON(t *testing.T) {
+	// Render a finished sweep's status as JSON and decode it back into
+	// the dist.Status shape.
+	dir := finishedCheckpoint(t)
+	out, err := captureStdout(t, func() error { return runStatus(dir, true) })
 	if err != nil {
 		t.Fatal(err)
-	}
-	if statusErr != nil {
-		t.Fatal(statusErr)
 	}
 
 	var st dist.Status
 	if err := json.Unmarshal(out, &st); err != nil {
 		t.Fatalf("status -json is not valid JSON: %v\n%s", err, out)
 	}
-	if !st.Complete || st.TotalIndices != 128 || st.DoneIndices != 128 {
+	if !st.Complete || st.TotalIndices != 128 || st.DoneIndices != 128 || st.TotalJobs != 4 || st.DoneJobs != 4 {
 		t.Errorf("decoded status %+v", st)
 	}
 	if len(st.Workers) != 1 || st.Workers[0].ID != "solo" || st.Workers[0].JobsDone == 0 {
 		t.Errorf("decoded workers %+v", st.Workers)
 	}
 	// The wire field names are snake_case, not Go identifiers.
-	for _, key := range []string{`"total_indices"`, `"done_jobs"`, `"jobs_done"`, `"rate"`, `"complete"`} {
+	for _, key := range []string{`"total_indices"`, `"total_jobs"`, `"done_jobs"`, `"jobs_done"`, `"complete"`} {
 		if !bytes.Contains(out, []byte(key)) {
 			t.Errorf("JSON missing key %s:\n%s", key, out)
 		}
+	}
+}
+
+// TestResumeJobSize: -resume keeps the checkpoint's job size when
+// -jobsize is left at its default, and refuses a different one, naming
+// both sizes. The resumed finished sweep prints what -mode local does.
+func TestResumeJobSize(t *testing.T) {
+	dir := finishedCheckpoint(t)
+	args := []string{"-listen", "127.0.0.1:0", "-width", "8", "-hd", "4", "-lengths", "9,19"}
+	coord := append([]string{"-mode", "coord", "-checkpoint", dir, "-resume"}, args...)
+	err := run(append(coord, "-jobsize", "64"))
+	if err == nil || !strings.Contains(err.Error(), "job size 32") || !strings.Contains(err.Error(), "job size 64") {
+		t.Errorf("resume with -jobsize 64: error %v, want one naming sizes 32 and 64", err)
+	}
+	resumed, err := captureStdout(t, func() error { return run(coord) })
+	if err != nil {
+		t.Fatalf("resume with the default -jobsize: %v", err)
+	}
+	local, err := captureStdout(t, func() error { return run(append([]string{"-mode", "local"}, args...)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the polys/s rate on the first line may differ.
+	rate := regexp.MustCompile(` \(\d+ polys/s\)`)
+	if got, want := rate.ReplaceAll(resumed, nil), rate.ReplaceAll(local, nil); !bytes.Equal(got, want) {
+		t.Errorf("resumed coordinator printed\n%s\nlocal mode printed\n%s", resumed, local)
 	}
 }

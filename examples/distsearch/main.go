@@ -3,18 +3,16 @@
 // workstations for three months — at that scale a crashed coordinator
 // must resume the sweep, not restart it from index zero. This example
 // runs the coordinator/worker architecture in-process on the complete
-// width-14 space and deliberately kills the coordinator halfway: the
-// first coordinator journals every grant, completion and sizing
-// decision to a checkpoint directory, dies mid-sweep, the orphaned
-// journal is inspected read-only with dist.ReadStatus (what `crcsearch
-// -mode status` prints), and a second coordinator resumes from the
-// journal and finishes — with exactly-once accounting. The example then
-// runs koopmancrc.Search over the same schedule on one machine and exits
+// width-14 space, cut into fixed 256-index jobs, and deliberately kills
+// the coordinator early: the first coordinator journals every completion
+// to a checkpoint directory, dies mid-sweep, the orphaned journal is
+// inspected read-only with dist.ReadStatus (what `crcsearch -mode
+// status` prints), and a second coordinator resumes from the journal and
+// finishes — with exactly-once accounting. The example then runs
+// koopmancrc.Search over the same schedule on one machine and exits
 // non-zero unless candidates and survivors (hence the census) match.
-// Workers renew their leases with mid-job heartbeats that carry live
-// candidate counts, feeding the coordinator's adaptive job sizing: each
-// grant targets a fixed wall time per worker, so stragglers get smaller
-// jobs instead of dominating tail latency.
+// Workers renew their leases with mid-job heartbeats, so only a dead or
+// hung worker loses its job.
 package main
 
 import (
@@ -50,16 +48,10 @@ func run() error {
 	fmt.Printf("searching width-%d space for HD>=%d at %d bits; checkpoint in %s\n",
 		spec.Width, spec.MinHD, spec.Lengths[len(spec.Lengths)-1], checkpoint)
 
-	// Phase 1: a coordinator with a durable journal and adaptive job
-	// sizing (each grant targets ~100ms of worker wall time, clamped so
-	// the demo sweep still spans enough jobs to die in the middle of),
-	// killed mid-sweep.
+	// Phase 1: a coordinator with a durable journal, killed mid-sweep.
 	coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
 		Spec:          spec,
 		JobSize:       256,
-		TargetJobTime: 100 * time.Millisecond,
-		MinJobSize:    64,
-		MaxJobSize:    512,
 		LeaseTimeout:  10 * time.Second,
 		CheckpointDir: checkpoint,
 	})
@@ -95,25 +87,19 @@ func run() error {
 		return err
 	}
 	fmt.Printf("status from journal: %d/%d jobs done, %d/%d indices (%d requeues, %d survivors so far)\n",
-		st.DoneJobs, st.CarvedJobs, st.DoneIndices, st.TotalIndices, st.Requeues, st.Survivors)
+		st.DoneJobs, st.TotalJobs, st.DoneIndices, st.TotalIndices, st.Requeues, st.Survivors)
 	for _, w := range st.Workers {
-		fmt.Printf("  worker %-6s jobs=%-3d rate~%.0f cand/s  current grant=%d indices\n",
-			w.ID, w.JobsDone, w.Rate, w.LastGrantSize)
+		fmt.Printf("  worker %-6s jobs=%-3d canonical=%d\n", w.ID, w.JobsDone, w.Canonical)
 	}
 	if st.ETA > 0 {
 		fmt.Printf("  estimated remaining sweep time: %v\n", st.ETA.Round(time.Millisecond))
 	}
 
 	// Phase 2: a fresh coordinator resumes from the journal. Completed
-	// jobs are restored from disk — along with each worker's throughput
-	// estimate, so sizing picks up where it left off — and only the
-	// remainder is re-leased.
+	// jobs are restored from disk and only the remainder is leased
+	// again. JobSize is left unset: a resume adopts the checkpoint's.
 	coord2, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
 		Spec:          spec,
-		JobSize:       256,
-		TargetJobTime: 100 * time.Millisecond,
-		MinJobSize:    64,
-		MaxJobSize:    512,
 		LeaseTimeout:  10 * time.Second,
 		CheckpointDir: checkpoint,
 		Resume:        true,

@@ -86,11 +86,6 @@ type Pipeline struct {
 	// sub-shards filtered concurrently. Zero means GOMAXPROCS; one
 	// forces the sequential path.
 	Workers int
-	// Progress, when non-nil, is incremented once per canonical
-	// candidate evaluated — a live counter another goroutine may read
-	// while a run is in flight (e.g. a dist worker reporting per-job
-	// progress in its heartbeats). It is never reset by the pipeline.
-	Progress *atomic.Uint64
 }
 
 // RunShard sequentially evaluates raw indices [startIdx, endIdx) of the
@@ -108,9 +103,6 @@ func (pl *Pipeline) RunShard(ctx context.Context, startIdx, endIdx uint64) (*Sha
 			return false
 		}
 		res.Canonical++
-		if pl.Progress != nil {
-			pl.Progress.Add(1)
-		}
 		keep, err := hamming.New(p).MeetsHDAtLengths(pl.Lengths, pl.MinHD)
 		if err != nil {
 			runErr = fmt.Errorf("hd filter on %v: %w", p, err)

@@ -10,8 +10,8 @@ import (
 
 // startDebug opens the coordinator's optional telemetry listener: the
 // shared obs debug surface (obs.Mount) over the live ledger registry —
-// /metrics with per-worker EWMA rates and grant sizes, lease ages of
-// assigned jobs, requeue and coverage counters — and the per-job trace
+// /metrics with per-worker completed jobs, lease ages of leased jobs,
+// requeue and coverage counters — and the per-job trace
 // recorder at /v1/traces and /v1/traces/{id} (grant → worker span
 // trees; expired leases retained as errored), plus
 // /healthz for liveness probes. The endpoint is read-only and
@@ -46,7 +46,7 @@ func (c *Coordinator) DebugAddr() string {
 // debugRegistry builds the exposition over the live ledger. Every
 // collector takes c.mu only for the duration of one scrape, so
 // telemetry never holds up grants; the job and worker label sets are
-// bounded by the fleet size (lease ages only cover currently-assigned
+// bounded by the fleet size (lease ages only cover currently leased
 // jobs), so scrape cardinality cannot grow with sweep length.
 func (c *Coordinator) debugRegistry() *obs.Registry {
 	r := obs.NewRegistry()
@@ -59,18 +59,18 @@ func (c *Coordinator) debugRegistry() *obs.Registry {
 	}
 	r.NewGaugeFunc("dist_indices_total",
 		"Raw indices in the whole search space.",
-		locked(func() float64 { return float64(c.total) }))
+		locked(func() float64 { return float64(c.begin.Total) }))
 	r.NewGaugeFunc("dist_indices_done",
 		"Raw indices covered by completed jobs.",
 		locked(func() float64 { return float64(c.doneIdx) }))
-	r.NewGaugeFunc("dist_jobs_carved",
-		"Jobs carved from the space so far.",
-		locked(func() float64 { return float64(len(c.jobs)) }))
+	r.NewGaugeFunc("dist_jobs_total",
+		"Jobs the space is cut into.",
+		locked(func() float64 { return float64(c.totalJobs()) }))
 	r.NewGaugeFunc("dist_jobs_done",
 		"Jobs completed.",
-		locked(func() float64 { return float64(c.doneJobs) }))
+		locked(func() float64 { return float64(c.doneJobs()) }))
 	r.NewGaugeFunc("dist_jobs_queued",
-		"Carved jobs waiting in the queue (requeues and restored remainders).",
+		"Requeued jobs waiting to be granted again.",
 		locked(func() float64 { return float64(len(c.queue)) }))
 	r.NewGaugeFunc("dist_requeues_total",
 		"Lease expiries that sent a job back to the queue.",
@@ -85,15 +85,6 @@ func (c *Coordinator) debugRegistry() *obs.Registry {
 		"Open worker connections.",
 		locked(func() float64 { return float64(len(c.conns)) }))
 
-	r.NewGaugeCollector("dist_worker_rate_candidates_per_second",
-		"Per-worker EWMA throughput estimate in canonical candidates per second.",
-		[]string{"worker"}, func(emit func([]string, float64)) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			for id, ws := range c.workers {
-				emit([]string{id}, ws.rate)
-			}
-		})
 	r.NewGaugeCollector("dist_worker_jobs_done",
 		"Jobs completed per worker.",
 		[]string{"worker"}, func(emit func([]string, float64)) {
@@ -103,34 +94,22 @@ func (c *Coordinator) debugRegistry() *obs.Registry {
 				emit([]string{id}, float64(ws.jobsDone))
 			}
 		})
-	r.NewGaugeCollector("dist_worker_grant_size",
-		"Last journaled grant size per worker in raw indices.",
-		[]string{"worker"}, func(emit func([]string, float64)) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			for id, ws := range c.workers {
-				emit([]string{id}, float64(ws.lastSize))
-			}
-		})
 	r.NewGaugeCollector("dist_lease_age_seconds",
-		"Seconds since the last lease renewal of each currently-assigned job.",
+		"Seconds since the last lease renewal of each worker's oldest leased job.",
 		[]string{"worker"}, func(emit func([]string, float64)) {
 			now := time.Now()
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			// One row per worker — its oldest assigned lease — so the
+			// One row per worker — its oldest lease — so the
 			// series set stays keyed by fleet member, not by job id.
 			oldest := make(map[string]float64)
-			for _, j := range c.jobs {
-				if j.state != jobAssigned {
-					continue
-				}
-				age := now.Sub(j.deadline.Add(-c.cfg.LeaseTimeout)).Seconds()
+			for _, l := range c.leases {
+				age := now.Sub(l.deadline.Add(-c.cfg.LeaseTimeout)).Seconds()
 				if age < 0 {
 					age = 0
 				}
-				if cur, ok := oldest[j.worker]; !ok || age > cur {
-					oldest[j.worker] = age
+				if cur, ok := oldest[l.worker]; !ok || age > cur {
+					oldest[l.worker] = age
 				}
 			}
 			for w, age := range oldest {

@@ -16,7 +16,7 @@ import (
 
 // TestDebugListenerExposesLedger runs a small sweep with the telemetry
 // listener on and checks that /metrics is a valid Prometheus exposition
-// carrying the ledger — worker rates, coverage, requeue counters — and
+// carrying the ledger — per-worker jobs, coverage, requeue counters — and
 // that /healthz answers.
 func TestDebugListenerExposesLedger(t *testing.T) {
 	coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
@@ -122,11 +122,11 @@ func TestDebugListenerExposesLedger(t *testing.T) {
 	for _, want := range []string{
 		"dist_indices_total 128",
 		"dist_indices_done 128",
+		"dist_jobs_total 16",
 		"dist_jobs_done 16",
 		"dist_requeues_total 0",
-		`dist_worker_rate_candidates_per_second{worker="alpha"}`,
-		`dist_worker_rate_candidates_per_second{worker="beta"}`,
-		`dist_worker_jobs_done{worker=`,
+		`dist_worker_jobs_done{worker="alpha"}`,
+		`dist_worker_jobs_done{worker="beta"}`,
 		"dist_survivors",
 		"# TYPE dist_lease_age_seconds gauge",
 	} {

@@ -92,7 +92,7 @@ func TestCoordinatorThreeWorkersMatchesSingleMachine(t *testing.T) {
 		total += n
 	}
 	if total != sum.Jobs {
-		t.Errorf("workers completed %d jobs, coordinator carved %d", total, sum.Jobs)
+		t.Errorf("workers completed %d jobs, coordinator has %d", total, sum.Jobs)
 	}
 	checkMatchesSingleMachine(t, smallSpec, sum)
 }
@@ -136,7 +136,7 @@ func TestBatchedWorkerMatchesSingleMachine(t *testing.T) {
 	}
 	checkMatchesSingleMachine(t, smallSpec, sum)
 	if sum.Jobs != 32 || r.n != 32 {
-		t.Errorf("coordinator carved %d jobs and the worker completed %d, want 32 each", sum.Jobs, r.n)
+		t.Errorf("coordinator has %d jobs and the worker completed %d, want 32 each", sum.Jobs, r.n)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // AssembleJobTraceForTest exposes the wire-span stitcher so package
 // dist_test can feed it hostile worker input directly.
 func AssembleJobTraceForTest(rootSpan string, spans []WireSpan) *obs.TraceData {
-	j := &job{
+	j := &lease{
 		traceID:   obs.NewTraceID(),
 		rootSpan:  rootSpan,
 		grantedAt: time.Now().Add(-time.Millisecond),

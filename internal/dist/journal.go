@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -10,38 +11,36 @@ import (
 	"koopmancrc/internal/poly"
 )
 
-// Journal record types written by a checkpointing coordinator. Grants
-// define how the space was carved (adaptive sizing makes job ranges a
-// runtime decision, so the carve itself must be journaled); done records
-// and the periodic snapshot are what exactly-once resumption is rebuilt
-// from; requeue and resize records are audit/observability state that
-// the status view and resumed sizing read back.
+// Journal record types written by a checkpointing coordinator. Job i is
+// always the raw-index slice [i·JobSize, min((i+1)·JobSize, Total)), so
+// the begin record fixes every job's range and grants need no record:
+// a lease dies with the coordinator that issued it. Done records and the
+// periodic snapshot are what exactly-once resumption is rebuilt from;
+// requeue records are audit state the status view reads back.
 //
-// Grants, requeues and resizes are appended without fsync: the WAL is
-// strictly append-ordered, so the sync on any later record (every done
-// is synced) also makes them durable, and a grant lost from the tail is
-// harmless — its job was never completed, so the range is simply carved
-// again after resume.
+// Requeues are appended without fsync: the WAL is strictly
+// append-ordered, so the sync on any later record (every done is synced)
+// also makes them durable, and one lost from the tail only undercounts
+// the requeue history.
 const (
 	recBegin   = "begin"
-	recGrant   = "grant"
 	recRequeue = "requeue"
 	recDone    = "done"
-	recResize  = "resize"
 )
 
 // journalVersion is bumped when the record schema changes incompatibly.
-// Version 2 introduced ranged grants (adaptive sizing), timestamps,
-// resize records and the per-worker stats snapshot. Dropping a field
-// needs no bump: replay ignores fields it does not know, so version-2
-// journals that still carry per-stage "stages" statistics resume.
-const journalVersion = 2
+// Version 3 dropped the grant and resize records and the snapshot's
+// carve table: jobs are fixed slices, so a done watermark and the done
+// ids above it replace the per-job table. Dropping a field needs no
+// bump: replay ignores fields it does not know.
+const journalVersion = 3
+
+// snapshotEvery is the journal compaction cadence in appended records.
+const snapshotEvery = 64
 
 // beginRec pins the sweep's identity. A resume validates it so a
-// checkpoint directory can never silently continue a different search.
-// Sizing knobs are deliberately not part of the identity: every job's
-// range rides its grant record, so JobSize/TargetJobTime may be retuned
-// between runs of the same sweep.
+// checkpoint directory can never silently continue a different search;
+// the job size is part of that identity, since it defines every job id.
 type beginRec struct {
 	Version int        `json:"version"`
 	Spec    SearchSpec `json:"spec"`
@@ -50,34 +49,11 @@ type beginRec struct {
 	TS      int64      `json:"ts"`
 }
 
-// grantRec records a job lease handed to a worker. The first grant for a
-// job id is the carve decision that defines its [start, end) range;
-// later grants for the same id are re-leases of a requeued job.
-type grantRec struct {
-	JobID  uint64 `json:"job_id"`
-	Worker string `json:"worker"`
-	Start  uint64 `json:"start"`
-	End    uint64 `json:"end"`
-	TS     int64  `json:"ts"`
-}
-
 // requeueRec records a lease expiry that sent a job back to the queue.
 type requeueRec struct {
 	JobID  uint64 `json:"job_id"`
 	Worker string `json:"worker,omitempty"`
 	TS     int64  `json:"ts"`
-}
-
-// resizeRec records an adaptive-sizing decision: from this point the
-// worker's fresh grants are Size raw indices, estimated from Rate
-// canonical candidates/sec. Replayed on resume so sizing state (and the
-// heartbeat-driven part of the estimate, which is never journaled
-// directly) survives a crash.
-type resizeRec struct {
-	Worker string  `json:"worker"`
-	Size   uint64  `json:"size"`
-	Rate   float64 `json:"rate"`
-	TS     int64   `json:"ts"`
 }
 
 // doneRec records one job's accepted result — the unit of exactly-once
@@ -91,30 +67,19 @@ type doneRec struct {
 	TS        int64    `json:"ts"`
 }
 
-// snapJob is one carved job in a snapshot.
-type snapJob struct {
-	ID     uint64 `json:"id"`
-	Start  uint64 `json:"start"`
-	End    uint64 `json:"end"`
-	Done   bool   `json:"done,omitempty"`
-	Worker string `json:"worker,omitempty"`
-}
-
-// workerSnap is one worker's throughput ledger in a snapshot.
+// workerSnap is one worker's ledger entry in a snapshot.
 type workerSnap struct {
-	ID        string  `json:"id"`
-	Rate      float64 `json:"rate"`
-	JobsDone  int     `json:"jobs_done"`
-	Canonical uint64  `json:"canonical"`
-	ElapsedNS int64   `json:"elapsed_ns"`
-	LastSize  uint64  `json:"last_size"`
+	ID        string `json:"id"`
+	JobsDone  int    `json:"jobs_done"`
+	Canonical uint64 `json:"canonical"`
+	ElapsedNS int64  `json:"elapsed_ns"`
 }
 
-// ledgerSnap is the compacted whole-ledger state stored by snapshots.
+// ledgerSnap is the compacted ledger stored by snapshots.
 type ledgerSnap struct {
 	Begin      beginRec     `json:"begin"`
-	NextStart  uint64       `json:"next_start"`
-	Jobs       []snapJob    `json:"jobs"`
+	Watermark  uint64       `json:"watermark"`
+	DoneAbove  []uint64     `json:"done_above,omitempty"`
 	Requeues   int          `json:"requeues"`
 	RequeueLog []requeueRec `json:"requeue_log,omitempty"`
 	Canonical  uint64       `json:"canonical"`
@@ -123,77 +88,214 @@ type ledgerSnap struct {
 	TS         int64        `json:"ts"`
 }
 
-// ledgerJob is a carved job as reconstructed from the journal.
-type ledgerJob struct {
-	id, start, end uint64
-	done           bool
-	worker         string
+// workerStat is one worker's completed-job ledger.
+type workerStat struct {
+	jobsDone  int           // jobs this worker completed
+	canonical uint64        // canonical candidates across those jobs
+	elapsed   time.Duration // summed compute time across those jobs
 }
 
-// ledgerState is the full sweep state a journal replay reconstructs. It
-// is the single source both the coordinator's restore path and the
-// read-only ReadStatus view are built from, so the two can never
-// disagree about what a checkpoint contains.
-type ledgerState struct {
+// requeueLogCap bounds the requeue history kept for snapshots and the
+// status view; requeues keeps the exact total regardless.
+const requeueLogCap = 128
+
+// ledger is the journaled state of a sweep: what a snapshot stores, what
+// a replay rebuilds, and what the live coordinator updates. The live
+// coordinator, its restore path and ReadStatus all account through the
+// same methods, so the three can never disagree about a checkpoint. Jobs
+// are named by id alone, so the ledger's size tracks out-of-order
+// completions, workers and survivors, not the number of jobs.
+type ledger struct {
 	begin      beginRec
-	jobs       []ledgerJob // index == job id
-	nextStart  uint64
-	doneJobs   int
-	doneIdx    uint64
+	watermark  uint64              // every job id below it is done
+	doneAbove  map[uint64]struct{} // done ids at or above watermark
+	doneIdx    uint64              // raw indices covered by done jobs
 	requeues   int
 	requeueLog []requeueRec
 	canonical  uint64
-	survivors  []uint64
+	survivors  []poly.P // in completion order until the sweep completes
 	workers    map[string]*workerStat
 	lastTS     int64 // newest record timestamp seen
 }
 
-func (ls *ledgerState) worker(id string) *workerStat {
-	ws := ls.workers[id]
+func newLedger(b beginRec) ledger {
+	return ledger{begin: b, doneAbove: make(map[uint64]struct{}), workers: make(map[string]*workerStat)}
+}
+
+// totalJobs is the number of JobSize slices covering the space.
+func (l *ledger) totalJobs() uint64 {
+	n := l.begin.Total / l.begin.JobSize
+	if l.begin.Total%l.begin.JobSize != 0 {
+		n++
+	}
+	return n
+}
+
+// jobRange returns the raw-index slice [start, end) of job id.
+func (l *ledger) jobRange(id uint64) (start, end uint64) {
+	start = id * l.begin.JobSize
+	end = start + l.begin.JobSize
+	if end > l.begin.Total || end < start {
+		end = l.begin.Total
+	}
+	return start, end
+}
+
+func (l *ledger) isDone(id uint64) bool {
+	if id < l.watermark {
+		return true
+	}
+	_, ok := l.doneAbove[id]
+	return ok
+}
+
+func (l *ledger) doneJobs() uint64 { return l.watermark + uint64(len(l.doneAbove)) }
+
+func (l *ledger) complete() bool { return l.doneJobs() == l.totalJobs() }
+
+// addDone marks job id done and advances the watermark over every done
+// id it now reaches. The caller checks id is in range and not done.
+func (l *ledger) addDone(id uint64) {
+	l.doneAbove[id] = struct{}{}
+	for {
+		if _, ok := l.doneAbove[l.watermark]; !ok {
+			break
+		}
+		delete(l.doneAbove, l.watermark)
+		l.watermark++
+	}
+	start, end := l.jobRange(id)
+	l.doneIdx += end - start
+}
+
+// markDone folds one accepted result, whose survivors the caller has
+// already parsed, into the ledger.
+func (l *ledger) markDone(d doneRec, survivors []poly.P) {
+	l.addDone(d.JobID)
+	l.canonical += d.Canonical
+	l.survivors = append(l.survivors, survivors...)
+	ws := l.worker(d.Worker)
+	ws.jobsDone++
+	ws.canonical += d.Canonical
+	ws.elapsed += time.Duration(d.ElapsedNS)
+	l.seeTS(d.TS)
+}
+
+// requeue records one lease expiry, evicting the oldest logged event so
+// the log always holds the newest requeueLogCap events — an operator
+// debugging a flaky fleet needs the recent expiries, not the first ones.
+func (l *ledger) requeue(r requeueRec) {
+	l.requeues++
+	l.requeueLog = append(l.requeueLog, r)
+	if len(l.requeueLog) > requeueLogCap {
+		l.requeueLog = append(l.requeueLog[:0], l.requeueLog[len(l.requeueLog)-requeueLogCap:]...)
+	}
+	l.seeTS(r.TS)
+}
+
+func (l *ledger) worker(id string) *workerStat {
+	ws := l.workers[id]
 	if ws == nil {
 		ws = &workerStat{}
-		ls.workers[id] = ws
+		l.workers[id] = ws
 	}
 	return ws
 }
 
-func (ls *ledgerState) seeTS(ts int64) {
-	if ts > ls.lastTS {
-		ls.lastTS = ts
+func (l *ledger) seeTS(ts int64) {
+	if ts > l.lastTS {
+		l.lastTS = ts
 	}
 }
 
-// applyDone marks one journaled completion, mirroring the live
-// recordResult accounting (duplicates ignored, worker stats updated with
-// the same observeDone math).
-func (ls *ledgerState) applyDone(d doneRec) error {
-	if d.JobID >= uint64(len(ls.jobs)) {
-		return fmt.Errorf("dist: checkpoint done record for uncarved job %d", d.JobID)
+// polys parses Koopman survivors at the sweep's width.
+func (l *ledger) polys(ks []uint64) ([]poly.P, error) {
+	out := make([]poly.P, 0, len(ks))
+	for _, k := range ks {
+		p, err := poly.FromKoopman(l.begin.Spec.Width, k)
+		if err != nil {
+			return nil, fmt.Errorf("survivor %#x: %w", k, err)
+		}
+		out = append(out, p)
 	}
-	j := &ls.jobs[d.JobID]
-	if j.done {
-		return nil
+	return out, nil
+}
+
+// snap is the ledger as a snapshot stores it.
+func (l *ledger) snap() ledgerSnap {
+	s := ledgerSnap{
+		Begin:      l.begin,
+		Watermark:  l.watermark,
+		Requeues:   l.requeues,
+		RequeueLog: l.requeueLog,
+		Canonical:  l.canonical,
+		Survivors:  make([]uint64, len(l.survivors)),
+		TS:         time.Now().UnixNano(),
 	}
-	j.done = true
-	j.worker = d.Worker
-	ls.doneJobs++
-	ls.doneIdx += j.end - j.start
-	ls.canonical += d.Canonical
-	ls.survivors = append(ls.survivors, d.Survivors...)
-	ls.worker(d.Worker).observeDone(d.Canonical, time.Duration(d.ElapsedNS))
-	ls.seeTS(d.TS)
+	for id := range l.doneAbove {
+		s.DoneAbove = append(s.DoneAbove, id)
+	}
+	slices.Sort(s.DoneAbove)
+	for i, p := range l.survivors {
+		s.Survivors[i] = p.Koopman()
+	}
+	for _, id := range l.workerIDs() {
+		ws := l.workers[id]
+		s.Workers = append(s.Workers, workerSnap{
+			ID: id, JobsDone: ws.jobsDone, Canonical: ws.canonical, ElapsedNS: ws.elapsed.Nanoseconds(),
+		})
+	}
+	return s
+}
+
+func (l *ledger) workerIDs() []string {
+	ids := make([]string, 0, len(l.workers))
+	for id := range l.workers {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// loadSnap installs a snapshot into an empty ledger, rejecting done ids
+// outside the sweep or listed twice.
+func (l *ledger) loadSnap(s ledgerSnap) error {
+	if s.Watermark > l.totalJobs() {
+		return fmt.Errorf("dist: checkpoint snapshot watermark %d exceeds the sweep's %d jobs", s.Watermark, l.totalJobs())
+	}
+	l.watermark = s.Watermark
+	if s.Watermark > 0 {
+		_, l.doneIdx = l.jobRange(s.Watermark - 1)
+	}
+	for _, id := range s.DoneAbove {
+		if id >= l.totalJobs() || l.isDone(id) {
+			return fmt.Errorf("dist: checkpoint snapshot lists job %d as done twice or beyond the sweep", id)
+		}
+		l.addDone(id)
+	}
+	survivors, err := l.polys(s.Survivors)
+	if err != nil {
+		return fmt.Errorf("dist: checkpoint snapshot %w", err)
+	}
+	l.survivors = survivors
+	l.requeues = s.Requeues
+	l.requeueLog = s.RequeueLog
+	l.canonical = s.Canonical
+	for _, w := range s.Workers {
+		l.workers[w.ID] = &workerStat{jobsDone: w.JobsDone, canonical: w.Canonical, elapsed: time.Duration(w.ElapsedNS)}
+	}
+	l.seeTS(s.TS)
 	return nil
 }
 
 // replayLedger rebuilds the sweep state from a replayed journal:
 // snapshot first, then the WAL records above its watermark. It validates
-// the journal's internal consistency (version, record ordering) but not
-// against any particular coordinator configuration — that is the
-// caller's job, so the read-only status path can replay a checkpoint
+// the journal's internal consistency (version, record ordering, job ids)
+// but not against any particular coordinator configuration — that is
+// the caller's job, so the read-only status path can replay a checkpoint
 // without knowing the sweep's spec up front.
-func replayLedger(rec *journal.Recovery) (*ledgerState, error) {
-	ls := &ledgerState{workers: make(map[string]*workerStat)}
-	seenBegin := false
+func replayLedger(rec *journal.Recovery) (*ledger, error) {
+	var l *ledger
 	if rec.Snapshot != nil {
 		var s ledgerSnap
 		if err := json.Unmarshal(rec.Snapshot, &s); err != nil {
@@ -202,33 +304,16 @@ func replayLedger(rec *journal.Recovery) (*ledgerState, error) {
 		if err := checkVersion(s.Begin); err != nil {
 			return nil, err
 		}
-		seenBegin = true
-		ls.begin = s.Begin
-		ls.nextStart = s.NextStart
-		ls.requeues = s.Requeues
-		ls.requeueLog = s.RequeueLog
-		ls.canonical = s.Canonical
-		ls.survivors = s.Survivors
-		ls.jobs = make([]ledgerJob, len(s.Jobs))
-		for i, sj := range s.Jobs {
-			if sj.ID != uint64(i) {
-				return nil, fmt.Errorf("dist: checkpoint snapshot job %d has id %d", i, sj.ID)
-			}
-			ls.jobs[i] = ledgerJob{id: sj.ID, start: sj.Start, end: sj.End, done: sj.Done, worker: sj.Worker}
-			if sj.Done {
-				ls.doneJobs++
-				ls.doneIdx += sj.End - sj.Start
-			}
+		nl := newLedger(s.Begin)
+		l = &nl
+		if err := l.loadSnap(s); err != nil {
+			return nil, err
 		}
-		for _, w := range s.Workers {
-			ls.workers[w.ID] = &workerStat{
-				rate: w.Rate, jobsDone: w.JobsDone, canonical: w.Canonical,
-				elapsed: time.Duration(w.ElapsedNS), lastSize: w.LastSize,
-			}
-		}
-		ls.seeTS(s.TS)
 	}
 	for _, e := range rec.Entries {
+		if e.Type != recBegin && l == nil {
+			return nil, fmt.Errorf("dist: checkpoint %s record (seq %d) precedes the begin record", e.Type, e.Seq)
+		}
 		switch e.Type {
 		case recBegin:
 			var b beginRec
@@ -238,147 +323,91 @@ func replayLedger(rec *journal.Recovery) (*ledgerState, error) {
 			if err := checkVersion(b); err != nil {
 				return nil, err
 			}
-			if seenBegin {
+			if l != nil {
 				return nil, fmt.Errorf("dist: checkpoint holds two begin records")
 			}
-			seenBegin = true
-			ls.begin = b
-			ls.seeTS(b.TS)
-		case recGrant:
-			var g grantRec
-			if err := json.Unmarshal(e.Data, &g); err != nil {
-				return nil, fmt.Errorf("dist: checkpoint grant record: %w", err)
-			}
-			switch {
-			case g.JobID == uint64(len(ls.jobs)):
-				// The carve decision for a fresh job.
-				ls.jobs = append(ls.jobs, ledgerJob{id: g.JobID, start: g.Start, end: g.End, worker: g.Worker})
-				if g.End > ls.nextStart {
-					ls.nextStart = g.End
-				}
-			case g.JobID < uint64(len(ls.jobs)):
-				// A re-lease of a requeued job; leases don't survive the
-				// coordinator that issued them, but the holder is audit
-				// state worth keeping.
-				if !ls.jobs[g.JobID].done {
-					ls.jobs[g.JobID].worker = g.Worker
-				}
-			default:
-				return nil, fmt.Errorf("dist: checkpoint grant for job %d skips %d uncarved jobs",
-					g.JobID, g.JobID-uint64(len(ls.jobs)))
-			}
-			ls.seeTS(g.TS)
+			nl := newLedger(b)
+			l = &nl
+			l.seeTS(b.TS)
 		case recRequeue:
 			var r requeueRec
 			if err := json.Unmarshal(e.Data, &r); err != nil {
 				return nil, fmt.Errorf("dist: checkpoint requeue record: %w", err)
 			}
-			ls.requeues++
-			ls.requeueLog = appendRequeue(ls.requeueLog, r)
-			ls.seeTS(r.TS)
-		case recResize:
-			var r resizeRec
-			if err := json.Unmarshal(e.Data, &r); err != nil {
-				return nil, fmt.Errorf("dist: checkpoint resize record: %w", err)
-			}
-			ws := ls.worker(r.Worker)
-			ws.lastSize = r.Size
-			if r.Rate > 0 {
-				ws.rate = r.Rate
-			}
-			ls.seeTS(r.TS)
+			l.requeue(r)
 		case recDone:
 			var d doneRec
 			if err := json.Unmarshal(e.Data, &d); err != nil {
 				return nil, fmt.Errorf("dist: checkpoint done record: %w", err)
 			}
-			if err := ls.applyDone(d); err != nil {
-				return nil, err
+			if d.JobID >= l.totalJobs() {
+				return nil, fmt.Errorf("dist: checkpoint done record for job %d beyond the sweep's %d jobs",
+					d.JobID, l.totalJobs())
 			}
+			if l.isDone(d.JobID) {
+				continue
+			}
+			survivors, err := l.polys(d.Survivors)
+			if err != nil {
+				return nil, fmt.Errorf("dist: checkpoint done record for job %d: %w", d.JobID, err)
+			}
+			l.markDone(d, survivors)
 		default:
 			return nil, fmt.Errorf("dist: unknown checkpoint record type %q (seq %d)", e.Type, e.Seq)
 		}
 	}
-	if !seenBegin {
+	if l == nil {
 		return nil, fmt.Errorf("dist: checkpoint has no begin record (empty or foreign journal)")
 	}
-	return ls, nil
+	return l, nil
 }
 
-// checkVersion rejects journals written by an incompatible schema.
+// checkVersion rejects journals written by an incompatible schema, and
+// a begin record whose job size could not define any job.
 func checkVersion(b beginRec) error {
 	if b.Version != journalVersion {
 		return fmt.Errorf("dist: checkpoint journal is schema version %d, this build reads version %d",
 			b.Version, journalVersion)
 	}
-	return nil
-}
-
-// checkBegin validates a journaled sweep identity against this
-// coordinator's configuration.
-func (c *Coordinator) checkBegin(b beginRec) error {
-	if !b.Spec.equal(c.cfg.Spec) {
-		return fmt.Errorf("dist: checkpoint is for spec %+v, coordinator configured %+v", b.Spec, c.cfg.Spec)
-	}
-	if b.Total != c.total {
-		return fmt.Errorf("dist: checkpoint covers %d raw indices, coordinator's space has %d", b.Total, c.total)
+	if b.JobSize == 0 {
+		return fmt.Errorf("dist: checkpoint journal has job size 0")
 	}
 	return nil
 }
 
-// restore installs a replayed ledger into the coordinator. Jobs without
-// a done record — including ones that were granted when the old
-// coordinator died — go back to pending, and per-worker throughput and
-// sizing state carries over so the first grants after a resume are
-// already adapted.
+// restore replaces the coordinator's fresh ledger with a replayed one
+// after validating the journaled sweep identity against this
+// coordinator's configuration. JobSize 0 adopts the checkpoint's size.
+// Jobs without a done record — including ones leased when the old
+// coordinator died — are granted again, in ascending id order, by the
+// cursor starting at the watermark.
 func (c *Coordinator) restore(rec *journal.Recovery) error {
-	ls, err := replayLedger(rec)
+	l, err := replayLedger(rec)
 	if err != nil {
 		return err
 	}
-	if err := c.checkBegin(ls.begin); err != nil {
-		return err
+	b := l.begin
+	if !b.Spec.equal(c.cfg.Spec) {
+		return fmt.Errorf("dist: checkpoint is for spec %+v, coordinator configured %+v", b.Spec, c.cfg.Spec)
 	}
-	if ls.begin.JobSize != c.cfg.JobSize {
-		c.cfg.Logf("dist: base job size retuned from %d to %d across resume", ls.begin.JobSize, c.cfg.JobSize)
+	if b.Total != c.begin.Total {
+		return fmt.Errorf("dist: checkpoint covers %d raw indices, coordinator's space has %d", b.Total, c.begin.Total)
 	}
-	for _, k := range ls.survivors {
-		p, err := poly.FromKoopman(c.cfg.Spec.Width, k)
-		if err != nil {
-			return fmt.Errorf("dist: checkpoint survivor %#x: %w", k, err)
-		}
-		c.survivors = append(c.survivors, p)
+	if c.cfg.JobSize != 0 && c.cfg.JobSize != b.JobSize {
+		return fmt.Errorf("dist: checkpoint was swept with job size %d, coordinator configured job size %d",
+			b.JobSize, c.cfg.JobSize)
 	}
-	c.beginTS = ls.begin.TS
-	c.nextStart = ls.nextStart
-	c.requeues = ls.requeues
-	c.requeueLog = ls.requeueLog
-	c.canonical = ls.canonical
-	c.doneIdx = ls.doneIdx
-	c.doneJobs = ls.doneJobs
-	c.workers = ls.workers
-	c.jobs = make([]*job, len(ls.jobs))
-	for i, lj := range ls.jobs {
-		j := &job{id: lj.id, start: lj.start, end: lj.end, worker: lj.worker}
-		if lj.done {
-			j.state = jobDone
-		} else {
-			j.state = jobPending
-			c.queue = append(c.queue, j.id)
-		}
-		c.jobs[i] = j
-	}
-	c.resumed = c.doneJobs
+	c.cfg.JobSize = b.JobSize
+	c.ledger = *l
+	c.resumed = int(c.doneJobs())
 	return nil
 }
 
 // jnlAppendLocked appends one ledger record (c.mu held), compacting into
-// a snapshot every SnapshotEvery appends. Recovery-critical records
-// (begin, done) fsync before returning; carve/audit records (grants,
-// requeues, resizes) are buffered and ride the next synced operation,
-// keeping the per-assignment fsync off the handout hot path. Journal
-// failures are reported but do not stop the sweep: the search result
-// stays correct, only resumability degrades.
+// a snapshot every snapshotEvery appends. Done records fsync before
+// returning; requeues are buffered and ride the next synced operation.
+// Journal failures are reported but do not stop the sweep: the search
+// result stays correct, only resumability degrades.
 func (c *Coordinator) jnlAppendLocked(typ string, v any, sync bool) {
 	if c.jnl == nil {
 		return
@@ -394,49 +423,18 @@ func (c *Coordinator) jnlAppendLocked(typ string, v any, sync bool) {
 		return
 	}
 	c.appendsSince++
-	if c.appendsSince >= c.cfg.SnapshotEvery {
+	if c.appendsSince >= snapshotEvery {
 		c.snapshotLocked()
 	}
 }
 
-// snapshotLocked compacts the full ledger — including the carve table
-// and per-worker sizing state — into the journal's snapshot (c.mu held).
+// snapshotLocked compacts the ledger into the journal's snapshot (c.mu
+// held).
 func (c *Coordinator) snapshotLocked() {
 	if c.jnl == nil {
 		return
 	}
-	snap := ledgerSnap{
-		Begin: beginRec{
-			Version: journalVersion, Spec: c.cfg.Spec, JobSize: c.cfg.JobSize,
-			Total: c.total, TS: c.beginTS,
-		},
-		NextStart:  c.nextStart,
-		Jobs:       make([]snapJob, len(c.jobs)),
-		Requeues:   c.requeues,
-		RequeueLog: c.requeueLog,
-		Canonical:  c.canonical,
-		Survivors:  make([]uint64, len(c.survivors)),
-		TS:         time.Now().UnixNano(),
-	}
-	for i, j := range c.jobs {
-		snap.Jobs[i] = snapJob{ID: j.id, Start: j.start, End: j.end, Done: j.state == jobDone, Worker: j.worker}
-	}
-	for i, p := range c.survivors {
-		snap.Survivors[i] = p.Koopman()
-	}
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		ws := c.workers[id]
-		snap.Workers = append(snap.Workers, workerSnap{
-			ID: id, Rate: ws.rate, JobsDone: ws.jobsDone, Canonical: ws.canonical,
-			ElapsedNS: ws.elapsed.Nanoseconds(), LastSize: ws.lastSize,
-		})
-	}
-	if err := c.jnl.Snapshot(snap); err != nil {
+	if err := c.jnl.Snapshot(c.snap()); err != nil {
 		c.cfg.Logf("dist: checkpoint snapshot failed: %v", err)
 		return
 	}

@@ -42,7 +42,7 @@ func (s SearchSpec) equal(o SearchSpec) bool {
 //
 //	worker → coord: next      (idle, requesting work; carries worker id)
 //	worker → coord: result    (a completed job; also an implicit next)
-//	worker → coord: heartbeat (mid-job lease renewal + progress; no reply)
+//	worker → coord: heartbeat (mid-job lease renewal; no reply)
 //	coord → worker: job       (an assignment: spec + [start, end) + lease)
 //	coord → worker: wait      (no job available now — leases outstanding)
 //	coord → worker: shutdown  (space fully covered; disconnect)
@@ -77,11 +77,6 @@ type message struct {
 	// workers derive their heartbeat cadence from it (0 = coordinator
 	// predates heartbeats; don't send any).
 	LeaseNS int64 `json:"lease_ns,omitempty"`
-	// Progress, on a heartbeat, is the number of canonical candidates
-	// the worker has evaluated so far in the job being renewed. The
-	// coordinator turns successive deltas into a live throughput
-	// estimate that feeds adaptive job sizing and sweep ETAs.
-	Progress uint64 `json:"progress,omitempty"`
 	// TraceID and ParentSpan, on a job message, propagate the
 	// coordinator's per-grant trace context; the worker echoes TraceID on
 	// the result and parents its spans under ParentSpan. Spans, on a

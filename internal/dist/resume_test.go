@@ -6,6 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -249,16 +254,26 @@ func TestCheckpointGuards(t *testing.T) {
 	}); err == nil {
 		t.Error("resume with a different spec should error")
 	}
-	// ... but a retuned base job size is fine: every job's range is
-	// journaled with its grant, so the carve no longer has to match.
-	retuned, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+	// ... and a different job size, which would renumber every job,
+	// naming both sizes ...
+	if _, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
 		Spec: smallSpec, JobSize: 16, LeaseTimeout: time.Minute, CheckpointDir: dir, Resume: true,
+	}); err == nil || !strings.Contains(err.Error(), "job size 8") || !strings.Contains(err.Error(), "job size 16") {
+		t.Errorf("resume with a different job size: error %v, want one naming sizes 8 and 16", err)
+	}
+	// ... while JobSize 0 adopts the checkpoint's size.
+	adopted, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+		Spec: smallSpec, LeaseTimeout: time.Minute, CheckpointDir: dir, Resume: true,
 	})
 	if err != nil {
-		t.Errorf("resume with a retuned job size should succeed: %v", err)
-	} else {
-		retuned.Close()
+		t.Fatalf("resume with JobSize 0 should adopt the checkpoint's size: %v", err)
 	}
+	w := dialRaw(t, adopted.Addr())
+	if job, ok := w.takeJob("w"); !ok || job["start"] != 0.0 || job["end"] != 8.0 {
+		t.Errorf("first job after a JobSize-0 resume = %v, want [0,8)", job)
+	}
+	w.conn.Close()
+	adopted.Close()
 	// ... and Resume without a checkpoint dir or without a journal.
 	if _, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
 		Spec: smallSpec, JobSize: 8, LeaseTimeout: time.Minute, Resume: true,
@@ -270,6 +285,18 @@ func TestCheckpointGuards(t *testing.T) {
 		CheckpointDir: t.TempDir(), Resume: true,
 	}); err == nil {
 		t.Error("resume of an empty journal should error")
+	}
+	// A fresh sweep with JobSize 0 journals 4096-index jobs.
+	fresh := t.TempDir()
+	coord, err = dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+		Spec: smallSpec, LeaseTimeout: time.Minute, CheckpointDir: fresh,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	if st, err := dist.ReadStatus(fresh); err != nil || st.JobSize != 4096 || st.TotalJobs != 1 {
+		t.Errorf("fresh JobSize-0 sweep: status %+v, %v; want job size 4096 and 1 job", st, err)
 	}
 }
 
@@ -296,10 +323,17 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	if jobMsg["lease_ns"].(float64) != float64(200*time.Millisecond) {
 		t.Errorf("lease_ns = %v, want %v", jobMsg["lease_ns"], float64(200*time.Millisecond))
 	}
-	// Hold the job for 3x the lease, heartbeating the whole time.
+	// Hold the job for 3x the lease, heartbeating the whole time: first
+	// as older workers did, with a "progress" count the coordinator no
+	// longer reads, then as current workers do. Each phase alone
+	// outlasts the lease, so both forms must renew it.
 	for i := 0; i < 12; i++ {
 		time.Sleep(50 * time.Millisecond)
-		slow.send(map[string]any{"type": "heartbeat", "worker": "tortoise", "job_id": jobMsg["job_id"]})
+		hb := map[string]any{"type": "heartbeat", "worker": "tortoise", "job_id": jobMsg["job_id"]}
+		if i < 6 {
+			hb["progress"] = i
+		}
+		slow.send(hb)
 	}
 	slow.finishJob(smallSpec, "tortoise", jobMsg)
 	if reply := slow.recv(); reply["type"] != "shutdown" {
@@ -456,4 +490,183 @@ func TestWorkerSendsHeartbeats(t *testing.T) {
 		t.Errorf("observed %d mid-job heartbeats, want >= 1", o.heartbeats)
 	}
 	t.Logf("observed %d heartbeats during the job", o.heartbeats)
+}
+
+// sweepInOrder completes every job of a coordinator in id order through
+// one raw client, each result computed for real.
+func sweepInOrder(t *testing.T, coord *dist.Coordinator, spec dist.SearchSpec, worker string) {
+	t.Helper()
+	c := dialRaw(t, coord.Addr())
+	defer c.conn.Close()
+	reply, ok := c.takeJob(worker)
+	for want := 0.0; ok; want++ {
+		if reply["job_id"] != want {
+			t.Fatalf("granted job %v, want %v", reply["job_id"], want)
+		}
+		c.finishJob(spec, worker, reply)
+		reply = c.recv()
+		ok = reply["type"] == "job"
+	}
+	if reply["type"] != "shutdown" {
+		t.Fatalf("sweep ended with %v, want shutdown", reply["type"])
+	}
+}
+
+// withoutTimes clears the parts of a Status that record when the sweep ran.
+func withoutTimes(st *dist.Status) *dist.Status {
+	st.Started, st.LastActivity, st.Active, st.IndexRate, st.ETA = time.Time{}, time.Time{}, 0, 0, 0
+	return st
+}
+
+// TestResumeWithHolesMatchesUninterrupted: jobs done above a job that is
+// not done survive a crash, both in the WAL and in the snapshot, and the
+// resumed coordinator grants exactly the jobs that are not done, in
+// ascending order, reaching the Summary and status of an uninterrupted
+// run.
+func TestResumeWithHolesMatchesUninterrupted(t *testing.T) {
+	cfg := dist.CoordinatorConfig{Spec: smallSpec, JobSize: 8, LeaseTimeout: time.Minute, Logf: t.Logf}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	cfg.CheckpointDir = t.TempDir()
+	whole, err := dist.NewCoordinator("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepInOrder(t, whole, smallSpec, "w")
+	wantSum, err := whole.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole.Close()
+	wantSt, err := dist.ReadStatus(cfg.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Lease jobs 0 and 1 at once, finish 1, 2 and 3, and die holding 0
+	// and 4: the watermark stays at 0 with jobs 1-3 done above it.
+	cfg.CheckpointDir = t.TempDir()
+	coord1, err := dist.NewCoordinator("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dialRaw(t, coord1.Addr())
+	if job, ok := c.takeJob("w"); !ok || job["job_id"] != 0.0 {
+		t.Fatalf("first grant %v, want job 0", job)
+	}
+	job, _ := c.takeJob("w")
+	for want := 1.0; want <= 4; want++ {
+		if job["job_id"] != want {
+			t.Fatalf("granted %v, want job %v", job["job_id"], want)
+		}
+		if want == 4 {
+			break
+		}
+		c.finishJob(smallSpec, "w", job)
+		job = c.recv()
+	}
+	c.conn.Close()
+	// The live coordinator has not compacted yet: this status replays
+	// the WAL's done records.
+	fromWAL, err := dist.ReadStatus(cfg.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord1.Close() // compacts the ledger into a snapshot
+	fromSnap, err := dist.ReadStatus(cfg.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*dist.Status{fromWAL, fromSnap} {
+		if st.DoneJobs != 3 || st.PendingJobs != 13 || st.DoneIndices != 24 || st.Complete {
+			t.Errorf("status with holes = %d done / %d pending jobs, %d indices, complete %v; want 3/13/24, false",
+				st.DoneJobs, st.PendingJobs, st.DoneIndices, st.Complete)
+		}
+	}
+
+	coord2, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+		Spec: smallSpec, LeaseTimeout: time.Minute, CheckpointDir: cfg.CheckpointDir, Resume: true, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	c = dialRaw(t, coord2.Addr())
+	var granted []float64
+	job, ok := c.takeJob("w")
+	for ok {
+		granted = append(granted, job["job_id"].(float64))
+		c.finishJob(smallSpec, "w", job)
+		job = c.recv()
+		ok = job["type"] == "job"
+	}
+	c.conn.Close()
+	want := []float64{0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	if !slices.Equal(granted, want) {
+		t.Errorf("resumed grants %v, want %v", granted, want)
+	}
+	sum, err := coord2.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord2.Close()
+	if sum.Resumed != 3 {
+		t.Errorf("resumed %d jobs, want 3", sum.Resumed)
+	}
+	sum.Resumed, sum.Elapsed, wantSum.Elapsed = 0, 0, 0
+	if !reflect.DeepEqual(sum, wantSum) {
+		t.Errorf("resumed summary %+v, uninterrupted %+v", sum, wantSum)
+	}
+	st, err := dist.ReadStatus(cfg.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Elapsed times are zero on both sides: finishJob reports none.
+	if got, want := withoutTimes(st), withoutTimes(wantSt); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed status %+v, uninterrupted %+v", got, want)
+	}
+}
+
+// TestSnapshotSizeIndependentOfJobCount: the snapshot holds a watermark
+// and the done ids above it, not a table with one entry per job, so an
+// in-order sweep of 4096 one-index jobs compacts to nearly the same size
+// as one of 256.
+func TestSnapshotSizeIndependentOfJobCount(t *testing.T) {
+	size := func(width int) int64 {
+		t.Helper()
+		dir := t.TempDir()
+		coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+			Spec:    dist.SearchSpec{Width: width, MinHD: 4, Lengths: []int{width + 1}},
+			JobSize: 1, LeaseTimeout: time.Minute, CheckpointDir: dir,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		c := dialRaw(t, coord.Addr())
+		defer c.conn.Close()
+		// Synthetic results keep the survivor list, which does grow
+		// with the sweep, out of the comparison.
+		jobs := 0
+		for reply, ok := c.takeJob("w"); ok; ok = reply["type"] == "job" {
+			c.send(map[string]any{"type": "result", "worker": "w", "job_id": reply["job_id"], "canonical": 1})
+			reply = c.recv()
+			jobs++
+		}
+		if want := 1 << (width - 1); jobs != want {
+			t.Fatalf("width %d swept %d jobs, want %d", width, jobs, want)
+		}
+		coord.Close()
+		fi, err := os.Stat(filepath.Join(dir, "snapshot.jlog"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	small, large := size(9), size(13)
+	t.Logf("snapshot after 256 jobs: %d B, after 4096 jobs: %d B", small, large)
+	if large-small >= 1024 {
+		t.Errorf("snapshot grew from %d B to %d B between 256 and 4096 jobs, want < 1 KB apart", small, large)
+	}
 }

@@ -1,13 +1,12 @@
 package dist
 
 import (
-	"sort"
 	"time"
 
 	"koopmancrc/internal/journal"
 )
 
-// WorkerStatus is one worker's journal-reconstructed throughput ledger.
+// WorkerStatus is one worker's journal-reconstructed ledger.
 type WorkerStatus struct {
 	// ID is the worker's self-reported id.
 	ID string `json:"id"`
@@ -17,13 +16,6 @@ type WorkerStatus struct {
 	Canonical uint64 `json:"canonical"`
 	// Compute is the summed per-job compute time the worker reported.
 	Compute time.Duration `json:"compute_ns"`
-	// Rate is the coordinator's EWMA throughput estimate in canonical
-	// candidates per second, as of the newest journal record.
-	Rate float64 `json:"rate"`
-	// LastGrantSize is the worker's last journaled sizing decision in
-	// raw indices; fresh grants track it within a small drift threshold
-	// (see materialResize).
-	LastGrantSize uint64 `json:"last_grant_size"`
 }
 
 // RequeueEvent is one journaled lease expiry.
@@ -44,21 +36,17 @@ type RequeueEvent struct {
 type Status struct {
 	// Spec identifies the sweep.
 	Spec SearchSpec `json:"spec"`
-	// JobSize is the journaled base grant size in raw indices.
+	// JobSize is the journaled job size in raw indices.
 	JobSize uint64 `json:"job_size"`
 	// TotalIndices is the raw size of the search space.
 	TotalIndices uint64 `json:"total_indices"`
-	// CarvedJobs / DoneJobs / PendingJobs count jobs the coordinator
-	// has carved, completed and still owes (carved but not done).
-	CarvedJobs  int `json:"carved_jobs"`
+	// TotalJobs / DoneJobs / PendingJobs count the JobSize slices the
+	// space is cut into, those completed and those still owed.
+	TotalJobs   int `json:"total_jobs"`
 	DoneJobs    int `json:"done_jobs"`
 	PendingJobs int `json:"pending_jobs"`
-	// DoneIndices / PendingIndices / UncarvedIndices partition the
-	// space: covered by done jobs, covered by carved-but-unfinished
-	// jobs, and not yet carved at all.
-	DoneIndices     uint64 `json:"done_indices"`
-	PendingIndices  uint64 `json:"pending_indices"`
-	UncarvedIndices uint64 `json:"uncarved_indices"`
+	// DoneIndices counts the raw indices covered by done jobs.
+	DoneIndices uint64 `json:"done_indices"`
 	// Canonical counts candidates evaluated; Survivors counts
 	// polynomials that passed every filter so far.
 	Canonical uint64 `json:"canonical"`
@@ -67,7 +55,7 @@ type Status struct {
 	// most recent requeueLogCap events with holders and times.
 	Requeues   int            `json:"requeues"`
 	RequeueLog []RequeueEvent `json:"requeue_log,omitempty"`
-	// Workers lists per-worker throughput ledgers, sorted by id.
+	// Workers lists per-worker ledgers, sorted by id.
 	Workers []WorkerStatus `json:"workers"`
 	// Started is when the sweep first began (preserved across
 	// resumes); LastActivity is the newest journal record. Active is
@@ -87,7 +75,7 @@ type Status struct {
 }
 
 // ReadStatus replays a checkpoint directory without opening it for
-// writing and reports sweep progress, per-worker throughput, requeue
+// writing and reports sweep progress, per-worker work, requeue
 // history and an ETA. Safe to run against the checkpoint of a live
 // coordinator: it reads whatever is durable on disk and mutates
 // nothing.
@@ -104,36 +92,24 @@ func ReadStatus(dir string) (*Status, error) {
 		Spec:         ls.begin.Spec,
 		JobSize:      ls.begin.JobSize,
 		TotalIndices: ls.begin.Total,
-		CarvedJobs:   len(ls.jobs),
-		DoneJobs:     ls.doneJobs,
-		PendingJobs:  len(ls.jobs) - ls.doneJobs,
+		TotalJobs:    int(ls.totalJobs()),
+		DoneJobs:     int(ls.doneJobs()),
 		DoneIndices:  ls.doneIdx,
 		Canonical:    ls.canonical,
 		Survivors:    len(ls.survivors),
 		Requeues:     ls.requeues,
 		Started:      time.Unix(0, ls.begin.TS),
 		LastActivity: time.Unix(0, ls.lastTS),
+		Complete:     ls.complete(),
 	}
-	for _, j := range ls.jobs {
-		if !j.done {
-			st.PendingIndices += j.end - j.start
-		}
-	}
-	st.UncarvedIndices = st.TotalIndices - ls.nextStart
-	st.Complete = ls.nextStart >= st.TotalIndices && st.DoneJobs == st.CarvedJobs
+	st.PendingJobs = st.TotalJobs - st.DoneJobs
 	for _, r := range ls.requeueLog {
 		st.RequeueLog = append(st.RequeueLog, RequeueEvent{JobID: r.JobID, Worker: r.Worker, Time: time.Unix(0, r.TS)})
 	}
-	ids := make([]string, 0, len(ls.workers))
-	for id := range ls.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range ls.workerIDs() {
 		ws := ls.workers[id]
 		st.Workers = append(st.Workers, WorkerStatus{
-			ID: id, JobsDone: ws.jobsDone, Canonical: ws.canonical,
-			Compute: ws.elapsed, Rate: ws.rate, LastGrantSize: ws.lastSize,
+			ID: id, JobsDone: ws.jobsDone, Canonical: ws.canonical, Compute: ws.elapsed,
 		})
 	}
 	if ls.lastTS > ls.begin.TS {

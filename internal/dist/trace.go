@@ -16,10 +16,10 @@ import (
 // "worker.job" compute span, which carries the job's candidate and
 // survivor counts.
 //
-// Like the journal's v2 records, the trace fields are schema-versioned
-// by tolerance: they ride the existing message envelope as new optional
-// fields, which old coordinators and workers simply ignore — a mixed
-// fleet keeps working, it just yields traces with missing worker spans.
+// The trace fields are schema-versioned by tolerance: they ride the
+// existing message envelope as new optional fields, which old
+// coordinators and workers simply ignore — a mixed fleet keeps working,
+// it just yields traces with missing worker spans.
 
 // WireSpan is the flat wire form of one completed span. Workers cannot
 // nest spans into the coordinator's live trace, so they ship ID/parent
@@ -99,7 +99,7 @@ func buildSpanTree(rootID string, spans []WireSpan) []*obs.SpanData {
 // assembleJobTrace builds the TraceData of one completed (or expired)
 // job lease: a "dist.job" root covering grant → outcome, with the
 // worker's wire spans stitched underneath.
-func assembleJobTrace(j *job, worker, errMsg string, spans []WireSpan, now time.Time) *obs.TraceData {
+func assembleJobTrace(j *lease, worker, errMsg string, spans []WireSpan, now time.Time) *obs.TraceData {
 	root := &obs.SpanData{
 		ID:         j.rootSpan,
 		Name:       "dist.job",

@@ -41,7 +41,7 @@ func FuzzWireRecv(f *testing.F) {
 			JobID: 3, Start: 16, End: 32, LeaseNS: 1e9, TraceID: "t", ParentSpan: "p"},
 		{Type: msgResult, Worker: "w1", JobID: 3, Canonical: 9, Survivors: []uint64{0x83, 0x9b},
 			ElapsedNS: 77, Spans: []WireSpan{{ID: "a", Name: "dist.job", DurNS: 4, Attrs: []obs.Attr{{K: "k", V: "v"}}}}},
-		{Type: msgHeartbeat, Worker: "w1", JobID: 3, Progress: 4},
+		{Type: msgHeartbeat, Worker: "w1", JobID: 3},
 	} {
 		line, err := json.Marshal(m)
 		if err != nil {
@@ -56,6 +56,7 @@ func FuzzWireRecv(f *testing.F) {
 	f.Add([]byte(strings.Repeat(" ", wireFuzzLimit-4) + "null null"))
 	f.Add([]byte(`{"type":"job","spec":{"lengths":[]},"survivors":[],"job_id":-1}`))
 	f.Add([]byte("\x00garbage"))
+	f.Add([]byte(olderProgressHeartbeatLine + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer SetFrameLimitForTest(wireFuzzLimit)()
 		uncapped := newWire(&memConn{r: bytes.NewReader(data)})
@@ -112,27 +113,35 @@ var olderResult = &message{Type: msgResult, Worker: "old", JobID: 3, Canonical: 
 // olderJobLine and olderHeartbeatLine are a job and a heartbeat as
 // peers sent them while workers could hold finished results for a
 // batch: the job advertised "batch_ok" and the heartbeat renewed the
-// held jobs' leases in "held". No current message carries either field.
+// held jobs' leases in "held". olderProgressHeartbeatLine is a heartbeat
+// as workers sent it while the coordinator sized jobs from their live
+// candidate count in "progress". No current message carries any of
+// these fields.
 const (
 	olderJobLine = `{"type":"job","spec":{"width":8,"min_hd":4,"lengths":[9,19]},` +
 		`"job_id":5,"start":16,"end":32,"canonical":0,"elapsed_ns":0,"lease_ns":1000000000,` +
 		`"batch_ok":true,"trace_id":"t","parent_span":"p"}`
 	olderHeartbeatLine = `{"type":"heartbeat","worker":"old","job_id":5,"start":0,"end":0,` +
 		`"canonical":0,"elapsed_ns":0,"progress":4,"held":[1,2]}`
+	olderProgressHeartbeatLine = `{"type":"heartbeat","worker":"old","job_id":6,"start":0,"end":0,` +
+		`"canonical":0,"elapsed_ns":0,"progress":4}`
 )
 
 // TestRecvAcceptsOlderWorkerResult checks that messages still carrying
 // retired fields (the result's "stages", the job's "batch_ok", the
-// heartbeat's "held") are received, with every remaining field intact,
-// and that the next frame on the stream decodes normally after them.
+// heartbeats' "held" and "progress") are received, with every remaining
+// field intact, and that the next frame on the stream decodes normally
+// after them.
 func TestRecvAcceptsOlderWorkerResult(t *testing.T) {
 	w := newWire(&memConn{r: strings.NewReader(olderResultLine + "\n" + olderJobLine + "\n" +
-		olderHeartbeatLine + "\n" + `{"type":"next","worker":"old"}` + "\n")})
+		olderHeartbeatLine + "\n" + olderProgressHeartbeatLine + "\n" +
+		`{"type":"next","worker":"old"}` + "\n")})
 	for _, want := range []*message{
 		olderResult,
 		{Type: msgJob, Spec: &SearchSpec{Width: 8, MinHD: 4, Lengths: []int{9, 19}},
 			JobID: 5, Start: 16, End: 32, LeaseNS: 1e9, TraceID: "t", ParentSpan: "p"},
-		{Type: msgHeartbeat, Worker: "old", JobID: 5, Progress: 4},
+		{Type: msgHeartbeat, Worker: "old", JobID: 5},
+		{Type: msgHeartbeat, Worker: "old", JobID: 6},
 	} {
 		got, err := w.recv()
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"koopmancrc/internal/core"
@@ -17,25 +16,26 @@ import (
 // WorkerConfig tunes a Worker.
 type WorkerConfig struct {
 	// ID names the worker in coordinator logs, lease bookkeeping and
-	// per-worker throughput estimation. IDs must be unique across the
-	// fleet — two workers sharing an id blend into one throughput
-	// estimate and can renew each other's leases — so the default is
-	// derived from hostname and pid rather than a fixed string.
+	// the per-worker ledger. IDs must be unique across the fleet — two
+	// workers sharing an id blend into one ledger entry and can renew
+	// each other's leases — so the default is derived from hostname and
+	// pid rather than a fixed string.
 	ID string
 	// Parallelism is the intra-machine fan-out applied to each job
 	// (core.Pipeline.Workers); zero means GOMAXPROCS, so one dist
 	// worker per machine saturates all of its cores.
 	Parallelism int
-	// PollInterval is the retry delay after a wait reply (default 200ms).
-	PollInterval time.Duration
 	// Logf, when set, receives per-job progress lines.
 	Logf func(format string, args ...any)
 	// Logger receives structured events — one per completed job and per
-	// heartbeat tick, both at Debug level — carrying the worker id, job
-	// range and live progress that correlate with the coordinator's
-	// ledger. Nil means slog.Default().
+	// heartbeat tick, both at Debug level — carrying the worker id and
+	// job that correlate with the coordinator's ledger. Nil means
+	// slog.Default().
 	Logger *slog.Logger
 }
+
+// pollInterval is the retry delay after a wait reply.
+const pollInterval = 200 * time.Millisecond
 
 // Worker connects to a coordinator, pulls jobs until the space is
 // covered and filters each job with the shared core.Pipeline engine.
@@ -52,9 +52,6 @@ func (w *Worker) ID() string { return w.cfg.ID }
 func NewWorker(addr string, cfg WorkerConfig) *Worker {
 	if cfg.ID == "" {
 		cfg.ID = defaultWorkerID()
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 200 * time.Millisecond
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -102,7 +99,7 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			select {
 			case <-ctx.Done():
 				return jobs, ctx.Err()
-			case <-time.After(w.cfg.PollInterval):
+			case <-time.After(pollInterval):
 			}
 			req = &message{Type: msgNext, Worker: w.cfg.ID}
 		case msgJob:
@@ -120,9 +117,7 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 // runJob filters one [start, end) slice of the space and packages the
 // shard result as the wire reply. While the computation runs, a side
 // goroutine heartbeats over the same connection at a third of the job's
-// lease — carrying the live candidate count — so a slow-but-healthy
-// worker keeps its lease on long jobs and the coordinator can estimate
-// this worker's throughput before the job completes.
+// lease, so a slow-but-healthy worker keeps its lease on long jobs.
 func (w *Worker) runJob(ctx context.Context, wr *wire, m *message) (*message, error) {
 	if m.Spec == nil {
 		return nil, fmt.Errorf("dist: worker %s: job %d has no spec", w.cfg.ID, m.JobID)
@@ -131,18 +126,16 @@ func (w *Worker) runJob(ctx context.Context, wr *wire, m *message) (*message, er
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker %s: %w", w.cfg.ID, err)
 	}
-	var progress atomic.Uint64
 	pl := &core.Pipeline{
-		Space:    space,
-		Lengths:  m.Spec.Lengths,
-		MinHD:    m.Spec.MinHD,
-		Workers:  w.cfg.Parallelism,
-		Progress: &progress,
+		Space:   space,
+		Lengths: m.Spec.Lengths,
+		MinHD:   m.Spec.MinHD,
+		Workers: w.cfg.Parallelism,
 	}
 	if m.LeaseNS > 0 {
 		stopHB := make(chan struct{})
 		defer close(stopHB)
-		go w.heartbeat(wr, m.JobID, time.Duration(m.LeaseNS), &progress, stopHB)
+		go w.heartbeat(wr, m.JobID, time.Duration(m.LeaseNS), stopHB)
 	}
 	started := time.Now()
 	res, err := pl.Run(ctx, m.Start, m.End)
@@ -185,11 +178,10 @@ func (w *Worker) runJob(ctx context.Context, wr *wire, m *message) (*message, er
 	return out, nil
 }
 
-// heartbeat renews the lease on jobID every lease/3 until stop closes,
-// reporting the job's live canonical-candidate count with each renewal.
+// heartbeat renews the lease on jobID every lease/3 until stop closes.
 // Send failures are ignored: the main loop owns the connection and will
 // surface the error when it next touches the wire.
-func (w *Worker) heartbeat(wr *wire, jobID uint64, lease time.Duration, progress *atomic.Uint64, stop <-chan struct{}) {
+func (w *Worker) heartbeat(wr *wire, jobID uint64, lease time.Duration, stop <-chan struct{}) {
 	interval := lease / 3
 	if interval < time.Millisecond {
 		interval = time.Millisecond
@@ -201,19 +193,15 @@ func (w *Worker) heartbeat(wr *wire, jobID uint64, lease time.Duration, progress
 		case <-stop:
 			return
 		case <-t.C:
-			p := progress.Load()
-			w.cfg.Logger.Debug("dist_heartbeat",
-				"worker", w.cfg.ID, "job", jobID, "progress", p)
-			_ = wr.send(&message{
-				Type: msgHeartbeat, Worker: w.cfg.ID, JobID: jobID, Progress: p,
-			})
+			w.cfg.Logger.Debug("dist_heartbeat", "worker", w.cfg.ID, "job", jobID)
+			_ = wr.send(&message{Type: msgHeartbeat, Worker: w.cfg.ID, JobID: jobID})
 		}
 	}
 }
 
 // defaultWorkerID is unique per process, so a fleet launched without
-// explicit ids still gets per-machine throughput estimates instead of
-// every worker blending into one shared "worker" entry.
+// explicit ids still gets per-machine ledger entries instead of every
+// worker blending into one shared "worker" entry.
 func defaultWorkerID() string {
 	host, err := os.Hostname()
 	if err != nil || host == "" {
