@@ -8,7 +8,9 @@ import (
 	"sync"
 	"time"
 
+	"koopmancrc/internal/gf2"
 	"koopmancrc/internal/hamming"
+	"koopmancrc/internal/poly"
 )
 
 // ErrBudgetExceeded reports that an evaluation exceeded its configured
@@ -176,18 +178,21 @@ type Analyzer struct {
 	// work — a restored session answering from the corpus shows 0.
 	restoredProbes int64
 
-	// factsMu guards the cheap algebraic memos and the stats snapshot,
-	// so Shape/Period/Stats never wait behind a long evaluation.
+	// factsMu guards the algebraic facts and the stats snapshot, so
+	// Shape/Period/Stats never wait behind a long evaluation.
 	factsMu   sync.Mutex
 	stats     EvalStats // snapshot taken as each evaluation call returns
 	memo      MemoStats // snapshot taken alongside stats
+	factsSet  bool      // shape and period below are filled
 	shape     string
 	shapeErr  error
-	shapeSet  bool
 	period    uint64
 	periodErr error
-	periodSet bool
 }
+
+// factorize is the session's one factorization of its generator; a
+// variable so tests can count the calls.
+var factorize = Polynomial.Factorize
 
 // NewAnalyzer returns an evaluation session for the polynomial. Options
 // fix the session's classification depth, progress hook and resource
@@ -215,6 +220,7 @@ func (a *Analyzer) evaluatorLocked() (*hamming.Evaluator, error) {
 	}
 	hopts := []hamming.Option{
 		hamming.WithCancel(func() bool { return a.ctx != nil && a.ctx.Err() != nil }),
+		hamming.WithPeriod(a.Period),
 	}
 	if a.opt.limits.MaxProbes > 0 {
 		hopts = append(hopts, hamming.WithMaxProbes(a.opt.limits.MaxProbes))
@@ -623,27 +629,42 @@ func (a *Analyzer) Coverage(ctx context.Context, dataLen int) (Selection, error)
 
 // Period returns ord(x) mod G — the codeword length at which 2-bit
 // errors first become undetectable is Period()+1. It never waits behind
-// an in-flight evaluation.
+// an in-flight evaluation. Period, Shape and the engine's weight-2
+// boundary share one factorization of G per session.
 func (a *Analyzer) Period() (uint64, error) {
 	a.factsMu.Lock()
 	defer a.factsMu.Unlock()
-	if !a.periodSet {
-		a.period, a.periodErr = a.p.Period()
-		a.periodSet = true
-	}
+	a.factsLocked()
 	return a.period, a.periodErr
 }
 
 // Shape returns the paper's factorization-class notation, e.g.
-// "{1,3,28}". It never waits behind an in-flight evaluation.
+// "{1,3,28}". It never waits behind an in-flight evaluation. Shape,
+// Period and the engine's weight-2 boundary share one factorization of G
+// per session.
 func (a *Analyzer) Shape() (string, error) {
 	a.factsMu.Lock()
 	defer a.factsMu.Unlock()
-	if !a.shapeSet {
-		a.shape, a.shapeErr = a.p.Shape()
-		a.shapeSet = true
-	}
+	a.factsLocked()
 	return a.shape, a.shapeErr
+}
+
+// factsLocked factors G on first use and derives the shape and the
+// period from that one factorization (factsMu held). A generator that
+// cannot be factored reports the error Polynomial.Period gives.
+func (a *Analyzer) factsLocked() {
+	if a.factsSet {
+		return
+	}
+	a.factsSet = true
+	factors, err := factorize(a.p)
+	if err != nil {
+		a.shapeErr = err
+		a.period, a.periodErr = a.p.Period()
+		return
+	}
+	a.shape = poly.ShapeString(gf2.Shape(factors))
+	a.period, a.periodErr = gf2.OrderOfXFactors(factors)
 }
 
 // ParityBit reports whether (x+1) divides the generator: all odd-weight

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -129,7 +130,6 @@ func runLocal(width, minHD int, lengths []int, start, end uint64, par int) error
 }
 
 func runCoord(listen string, cfg dist.CoordinatorConfig) error {
-	checkpoint := cfg.CheckpointDir
 	cfg.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
@@ -143,37 +143,11 @@ func runCoord(listen string, cfg dist.CoordinatorConfig) error {
 		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics\n", da)
 	}
 
-	// SIGINT/SIGTERM suspend the sweep cleanly: Close disconnects the
-	// workers, flushes a final checkpoint snapshot and unblocks Wait.
-	interrupted := make(chan struct{})
-	finished := make(chan struct{})
-	defer close(finished)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
-	go func() {
-		select {
-		case <-sig:
-			fmt.Fprintln(os.Stderr, "interrupt: flushing checkpoint and shutting down")
-			close(interrupted)
-			c.Close()
-		case <-finished:
-		}
-	}()
-
-	sum, err := c.Wait(context.Background())
-	if err != nil {
-		select {
-		case <-interrupted:
-			if checkpoint != "" {
-				done, total := c.Progress()
-				fmt.Fprintf(os.Stderr,
-					"checkpoint saved: %d/%d indices done; inspect with -mode status, continue with -mode coord -checkpoint %s -resume\n",
-					done, total, checkpoint)
-				return nil
-			}
-		default:
-		}
+	sum, err := awaitSweep(c, cfg.CheckpointDir, sig, os.Stderr)
+	if err != nil || sum == nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "jobs=%d requeues=%d resumed=%d\n", sum.Jobs, sum.Requeues, sum.Resumed)
@@ -189,6 +163,42 @@ func runCoord(listen string, cfg dist.CoordinatorConfig) error {
 	}
 	printSummary(sum.Canonical, rate, sum.Survivors, census)
 	return nil
+}
+
+// awaitSweep waits for the coordinator's sweep and returns its summary.
+// A signal suspends the sweep cleanly instead: Close disconnects the
+// workers, drains their handlers, flushes a final checkpoint snapshot
+// and unblocks Wait. With a checkpoint, awaitSweep then reports the
+// saved count, read once that Close has returned, and a nil summary and
+// error.
+func awaitSweep(c *dist.Coordinator, checkpoint string, sig <-chan os.Signal, stderr io.Writer) (*dist.Summary, error) {
+	suspended := make(chan struct{}) // closed once the signal's Close has returned
+	finished := make(chan struct{})
+	defer close(finished)
+	go func() {
+		select {
+		case <-sig:
+			fmt.Fprintln(stderr, "interrupt: flushing checkpoint and shutting down")
+			c.Close()
+			close(suspended)
+		case <-finished:
+		}
+	}()
+
+	sum, err := c.Wait(context.Background())
+	if err == nil {
+		return sum, nil
+	}
+	// Only the signal closes the coordinator while Wait runs.
+	<-suspended
+	if checkpoint == "" {
+		return nil, err
+	}
+	done, total := c.Progress()
+	fmt.Fprintf(stderr,
+		"checkpoint saved: %d/%d indices done; inspect with -mode status, continue with -mode coord -checkpoint %s -resume\n",
+		done, total, checkpoint)
+	return nil, nil
 }
 
 func runWorker(connect, id string, par int) error {

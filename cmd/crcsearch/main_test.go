@@ -7,8 +7,11 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"koopmancrc/internal/dist"
 )
@@ -170,5 +173,57 @@ func TestResumeJobSize(t *testing.T) {
 	rate := regexp.MustCompile(` \(\d+ polys/s\)`)
 	if got, want := rate.ReplaceAll(resumed, nil), rate.ReplaceAll(local, nil); !bytes.Equal(got, want) {
 		t.Errorf("resumed coordinator printed\n%s\nlocal mode printed\n%s", resumed, local)
+	}
+}
+
+// TestInterruptPrintsSavedCount: the count a suspended sweep prints is
+// the one its checkpoint holds. Two workers keep results arriving while
+// the signal lands, so a count read before Close drained their handlers
+// could trail the snapshot.
+func TestInterruptPrintsSavedCount(t *testing.T) {
+	dir := t.TempDir()
+	coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+		Spec:          dist.SearchSpec{Width: 12, MinHD: 4, Lengths: []int{16, 64}},
+		JobSize:       1, // 2048 jobs
+		CheckpointDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	var workers sync.WaitGroup
+	for _, id := range []string{"alpha", "beta"} {
+		w := dist.NewWorker(coord.Addr(), dist.WorkerConfig{ID: id, Parallelism: 1})
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			w.Run(context.Background()) // cut off mid-sweep: an error is expected
+		}()
+	}
+	sig := make(chan os.Signal, 1)
+	go func() {
+		for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if done, _ := coord.Progress(); done >= 64 {
+				break
+			}
+		}
+		sig <- os.Interrupt
+	}()
+	var stderr bytes.Buffer
+	sum, err := awaitSweep(coord, dir, sig, &stderr)
+	workers.Wait()
+	if err != nil || sum != nil {
+		t.Fatalf("awaitSweep = %v, %v; want a suspended sweep\n%s", sum, err, stderr.String())
+	}
+	m := regexp.MustCompile(`checkpoint saved: (\d+)/2048 indices done`).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("no saved count in\n%s", stderr.String())
+	}
+	st, err := dist.ReadStatus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strconv.FormatUint(st.DoneIndices, 10); got != m[1] {
+		t.Errorf("printed %s indices done, -mode status reads %s", m[1], got)
 	}
 }

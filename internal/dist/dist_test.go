@@ -541,3 +541,91 @@ func TestOlderBatchFrameDropsThatPeer(t *testing.T) {
 	}
 	checkMatchesSingleMachine(t, smallSpec, sum)
 }
+
+// TestWorkersExitCleanlyAtSweepEnd: both workers of a two-worker sweep
+// return nil from Run although the coordinator closes as soon as Wait
+// returns, the way crcsearch exits. A raw client takes job 0 and goes
+// silent, so both workers finish the rest and park on wait; the job's
+// lease expires, one worker completes it, and the other is still parked
+// when the coordinator closes its connection.
+func TestWorkersExitCleanlyAtSweepEnd(t *testing.T) {
+	coord, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{
+		Spec:         smallSpec,
+		JobSize:      16, // 8 jobs
+		LeaseTimeout: 300 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	silent := dialRaw(t, coord.Addr())
+	defer silent.conn.Close()
+	silent.send(map[string]any{"type": "next", "worker": "silent"})
+	if reply := silent.recv(); reply["type"] != "job" {
+		t.Fatalf("silent client got %v, want a job", reply["type"])
+	}
+
+	errs := make(chan error, 2)
+	for _, id := range []string{"alpha", "beta"} {
+		w := dist.NewWorker(coord.Addr(), dist.WorkerConfig{ID: id, Logf: t.Logf})
+		go func() {
+			_, err := w.Run(context.Background())
+			errs <- err
+		}()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	sum, err := coord.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("worker Run: %v, want nil", err)
+		}
+	}
+	checkMatchesSingleMachine(t, smallSpec, sum)
+}
+
+// fakeCoordinator accepts one worker, answers its first request with
+// reply and closes the connection.
+func fakeCoordinator(t *testing.T, reply map[string]any) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if !bufio.NewScanner(conn).Scan() {
+			return
+		}
+		json.NewEncoder(conn).Encode(reply)
+	}()
+	return ln.Addr().String()
+}
+
+// TestWorkerConnectionLossEndings: a coordinator that closes after a
+// wait ends Run cleanly, one that closes while the worker holds a job
+// is an error.
+func TestWorkerConnectionLossEndings(t *testing.T) {
+	addr := fakeCoordinator(t, map[string]any{"type": "wait"})
+	if n, err := dist.NewWorker(addr, dist.WorkerConfig{ID: "parked"}).Run(context.Background()); err != nil || n != 0 {
+		t.Errorf("closed after wait: Run = %d, %v; want 0, nil", n, err)
+	}
+	addr = fakeCoordinator(t, map[string]any{
+		"type": "job", "job_id": 0, "start": 0, "end": 16,
+		"spec": map[string]any{"width": smallSpec.Width, "min_hd": smallSpec.MinHD, "lengths": smallSpec.Lengths},
+	})
+	n, err := dist.NewWorker(addr, dist.WorkerConfig{ID: "holder"}).Run(context.Background())
+	if err == nil || n != 1 {
+		t.Errorf("closed while the worker held a job: Run = %d, %v; want 1 and an error", n, err)
+	}
+}

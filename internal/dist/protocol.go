@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -46,6 +47,10 @@ func (s SearchSpec) equal(o SearchSpec) bool {
 //	coord → worker: job       (an assignment: spec + [start, end) + lease)
 //	coord → worker: wait      (no job available now — leases outstanding)
 //	coord → worker: shutdown  (space fully covered; disconnect)
+//
+// A connection the coordinator closes after a wait reply ends the worker
+// as shutdown does: a finished coordinator may exit before a parked
+// worker asks again.
 //
 // Any other type, such as the result_batch of older workers, drops the
 // connection that sent it.
@@ -142,6 +147,10 @@ func (w *wire) send(m *message) error {
 	return w.enc.Encode(m)
 }
 
+// errConnClosed is recv's error when the peer closed the connection at
+// a frame boundary.
+var errConnClosed = errors.New("dist: connection closed")
+
 // recv blocks for the next message. The next frame starts where the
 // decoder's last value ended, and may run frameLimit bytes past it; the
 // caller closes the connection on any error, since the stream cannot be
@@ -151,7 +160,7 @@ func (w *wire) recv() (*message, error) {
 	var m message
 	if err := w.dec.Decode(&m); err != nil {
 		if err == io.EOF {
-			return nil, fmt.Errorf("dist: connection closed")
+			return nil, errConnClosed
 		}
 		return nil, fmt.Errorf("dist: bad message: %w", err)
 	}

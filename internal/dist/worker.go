@@ -2,11 +2,13 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"os"
 	"strconv"
+	"syscall"
 	"time"
 
 	"koopmancrc/internal/core"
@@ -63,8 +65,11 @@ func NewWorker(addr string, cfg WorkerConfig) *Worker {
 }
 
 // Run processes jobs until the coordinator sends shutdown, returning the
-// number of jobs completed. The context aborts the connection and any
-// in-flight filtering.
+// number of jobs completed. A coordinator that closes the connection
+// while the worker holds no job — after telling it to wait, as a
+// finished or suspended sweep does — also ends Run without an error; a
+// connection lost with a job in hand is an error. The context aborts the
+// connection and any in-flight filtering.
 func (w *Worker) Run(ctx context.Context) (int, error) {
 	conn, err := net.Dial("tcp", w.addr)
 	if err != nil {
@@ -83,15 +88,22 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 	}()
 
 	jobs := 0
+	parked := false // the last reply was wait: no job is in hand
 	req := &message{Type: msgNext, Worker: w.cfg.ID}
 	for {
-		if err := wr.send(req); err != nil {
-			return jobs, w.ctxErr(ctx, err)
+		err := wr.send(req)
+		var reply *message
+		if err == nil {
+			reply, err = wr.recv()
 		}
-		reply, err := wr.recv()
 		if err != nil {
+			if parked && ctx.Err() == nil && peerClosed(err) {
+				w.cfg.Logf("dist: worker %s: coordinator closed the connection while this worker waited", w.cfg.ID)
+				return jobs, nil
+			}
 			return jobs, w.ctxErr(ctx, err)
 		}
+		parked = reply.Type == msgWait
 		switch reply.Type {
 		case msgShutdown:
 			return jobs, nil
@@ -208,6 +220,12 @@ func defaultWorkerID() string {
 		host = "worker"
 	}
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
+}
+
+// peerClosed reports whether a wire error means the coordinator closed
+// or reset the connection, rather than sending something unreadable.
+func peerClosed(err error) bool {
+	return errors.Is(err, errConnClosed) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // ctxErr prefers the context's error over a connection error it caused.

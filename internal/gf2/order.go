@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // ErrNotUnit is returned when asking for the order of x modulo a polynomial
@@ -15,10 +16,8 @@ var ErrNotUnit = errors.New("gf2: x is not a unit (polynomial has zero constant 
 // CRC generator polynomial and determines the largest codeword length with
 // no undetected 2-bit errors (positions i and i+period collide).
 //
-// f must have a non-zero constant term. The order is computed per
-// irreducible factor (dividing 2^d-1 down by its prime factors) and combined
-// with the characteristic-2 multiplicity rule ord(p^e) = ord(p) *
-// 2^ceil(log2 e), then lcm'd across factors.
+// f must have a non-zero constant term. OrderOfX factors f and hands the
+// factors to OrderOfXFactors.
 func OrderOfX(f Poly) (uint64, error) {
 	if f&1 == 0 {
 		return 0, ErrNotUnit
@@ -30,8 +29,22 @@ func OrderOfX(f Poly) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return OrderOfXFactors(factors)
+}
+
+// OrderOfXFactors returns ord(x) modulo the polynomial whose complete
+// factorization is factors (as Factorize returns it), so a caller that
+// already holds the factorization does not pay for it twice. The order is
+// computed per irreducible factor (dividing 2^d-1 down by its prime
+// factors) and combined with the characteristic-2 multiplicity rule
+// ord(p^e) = ord(p) * 2^ceil(log2 e), then lcm'd across factors. It
+// returns ErrNotUnit when x is among the factors.
+func OrderOfXFactors(factors []Factor) (uint64, error) {
 	order := uint64(1)
 	for _, fa := range factors {
+		if fa.P == X {
+			return 0, ErrNotUnit
+		}
 		o := orderOfXModIrreducible(fa.P)
 		if fa.Mult > 1 {
 			o *= uint64(1) << uint(ceilLog2(fa.Mult))
@@ -50,12 +63,28 @@ func orderOfXModIrreducible(p Poly) uint64 {
 		return 1 // p = x+1: x == 1 already
 	}
 	o := (uint64(1) << uint(d)) - 1
-	for _, q := range DistinctPrimes64(o) {
+	for _, q := range groupOrderPrimes(d) {
 		for o%q == 0 && ExpMod(X, o/q, p) == One {
 			o /= q
 		}
 	}
 	return o
+}
+
+// groupPrimes memoizes the distinct prime factors of 2^d-1 per degree d:
+// a pure function of d, factored at most once per process.
+var groupPrimes [65]struct {
+	once   sync.Once
+	primes []uint64
+}
+
+// groupOrderPrimes returns the distinct prime factors of 2^d-1 (1 <= d <=
+// 64), the order of the multiplicative group of GF(2^d). Callers must not
+// modify the slice.
+func groupOrderPrimes(d int) []uint64 {
+	m := &groupPrimes[d]
+	m.once.Do(func() { m.primes = DistinctPrimes64(uint64(1)<<uint(d) - 1) })
+	return m.primes
 }
 
 // IsPrimitive reports whether f is a primitive polynomial: irreducible of

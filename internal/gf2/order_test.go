@@ -2,6 +2,8 @@ package gf2
 
 import (
 	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -234,6 +236,109 @@ func TestFactor64RandomRoundTrip(t *testing.T) {
 		}
 		if prod != n {
 			t.Fatalf("Factor64(%d): product %d", n, prod)
+		}
+	}
+}
+
+// TestGroupOrderPrimesMemo checks the per-degree memo of 2^d-1's prime
+// factors against DistinctPrimes64 for every degree, read from several
+// goroutines at once, and that a second read returns the memoized slice
+// rather than a fresh factorization.
+func TestGroupOrderPrimesMemo(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 64; i++ {
+				d := (i+16*g)%64 + 1
+				got := groupOrderPrimes(d)
+				if want := DistinctPrimes64(uint64(1)<<uint(d) - 1); !slices.Equal(got, want) {
+					t.Errorf("primes of 2^%d-1 = %v, want %v", d, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for d := 2; d <= 64; d++ {
+		a, b := groupOrderPrimes(d), groupOrderPrimes(d)
+		if len(a) == 0 || &a[0] != &b[0] {
+			t.Errorf("degree %d: the memo handed out two different factorizations", d)
+		}
+	}
+	if p := groupOrderPrimes(1); p != nil {
+		t.Errorf("primes of 2^1-1 = %v, want none", p)
+	}
+	// The order modulo an irreducible factor reads the memo: once warm it
+	// factors nothing, and so allocates nothing.
+	factors, err := Factorize(fullPoly(0x8F6E37A0)) // {1,31}
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := factors[len(factors)-1].P
+	if allocs := testing.AllocsPerRun(10, func() { orderOfXModIrreducible(q) }); allocs != 0 {
+		t.Errorf("order modulo a degree-%d factor allocates %v times per call, want 0", q.Deg(), allocs)
+	}
+}
+
+// TestOrderOfXFactorsMatchesOrderOfX feeds OrderOfXFactors the
+// factorization of random polynomials of degree 3 to 33 — square-free
+// ones, (x+1)^k, squared factors and multiples of x — and checks it
+// against OrderOfX and, where the period is small, DirectOrderOfX.
+func TestOrderOfXFactorsMatchesOrderOfX(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 2))
+	polys := []Poly{
+		0xF,                            // (x+1)^3
+		Product([]Factor{{XPlus1, 8}}), // (x+1)^8
+		0x15,                           // (x^2+x+1)^2
+		Product([]Factor{{XPlus1, 1}, {0xB, 2}, {0x13, 3}}),
+		Product([]Factor{{0x25, 2}, {0x83, 2}}),
+	}
+	for i := 0; i < 400; i++ {
+		d := 3 + rng.IntN(31) // 3..33
+		f := Poly(1)<<uint(d) | Poly(rng.Uint64N(1<<uint(d)))
+		switch i % 4 {
+		case 1: // a squared factor
+			h := d/2 - 1
+			if h < 1 {
+				h = 1
+			}
+			g := Poly(1)<<uint(h) | Poly(rng.Uint64N(1<<uint(h))) | 1
+			f = Mul(Mul(g, g), Poly(1)<<uint(d-2*h)|1)
+		case 2:
+			f |= 1
+		}
+		polys = append(polys, f)
+	}
+	for _, f := range polys {
+		want, wantErr := OrderOfX(f)
+		factors, err := Factorize(f)
+		if err != nil {
+			t.Fatalf("Factorize(%#x): %v", uint64(f), err)
+		}
+		got, err := OrderOfXFactors(factors)
+		if err != wantErr || got != want {
+			t.Fatalf("OrderOfXFactors(%#x) = %d, %v; OrderOfX says %d, %v", uint64(f), got, err, want, wantErr)
+		}
+		if f&1 == 0 {
+			if err != ErrNotUnit {
+				t.Fatalf("%#x is a multiple of x: error %v, want ErrNotUnit", uint64(f), err)
+			}
+			continue
+		}
+		if direct, ok := DirectOrderOfX(f, 1<<18); ok && direct != got {
+			t.Fatalf("OrderOfXFactors(%#x) = %d, direct iteration says %d", uint64(f), got, direct)
+		}
+	}
+}
+
+// BenchmarkOrderOfX times the period of a {1,31} generator. The prime
+// factors of 2^31-1 come from the per-degree memo after the first call.
+func BenchmarkOrderOfX(b *testing.B) {
+	f := fullPoly(0x8F6E37A0)
+	for i := 0; i < b.N; i++ {
+		if _, err := OrderOfX(f); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

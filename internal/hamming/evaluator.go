@@ -129,6 +129,9 @@ type options struct {
 	// Span, when non-nil, receives a SpanEvent as each engine phase
 	// completes.
 	Span func(SpanEvent)
+	// Period, when non-nil, supplies ord(x) mod G in place of the
+	// evaluator's own computation.
+	Period func() (uint64, error)
 }
 
 // Option mutates evaluator options.
@@ -144,6 +147,11 @@ func WithProgress(fn func(Event)) Option { return func(o *options) { o.Progress 
 // WithCancel installs a cancellation hook polled inside long scans (for
 // wiring context.Context into an evaluation, poll ctx.Err() != nil).
 func WithCancel(fn func() bool) Option { return func(o *options) { o.Cancel = fn } }
+
+// WithPeriod makes the evaluator take ord(x) mod G from fn, called at
+// most once, instead of factoring G itself: a session that already knows
+// the period shares it with its engine.
+func WithPeriod(fn func() (uint64, error)) Option { return func(o *options) { o.Period = fn } }
 
 // WithSpanHook installs a hook receiving a SpanEvent at the end of each
 // engine phase.
@@ -298,7 +306,11 @@ func (e *Evaluator) syndromes(n int) []uint32 {
 // first become undetectable is Period()+1.
 func (e *Evaluator) Period() (uint64, error) {
 	if !e.periodSet {
-		e.period, e.periodErr = e.p.Period()
+		if e.opts.Period != nil {
+			e.period, e.periodErr = e.opts.Period()
+		} else {
+			e.period, e.periodErr = e.p.Period()
+		}
 		e.periodSet = true
 	}
 	if e.periodErr != nil {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -184,6 +186,30 @@ func BenchmarkWarmEvaluate(b *testing.B) {
 		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/evaluate", strings.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			b.Fatal(rec.Code)
+		}
+	}
+}
+
+// BenchmarkColdEvaluate measures the pool-miss path: every iteration
+// evaluates a fresh random 32-bit polynomial (128 data bits, HD up to
+// 4), so each request builds a new session, factors its generator for
+// the shape, the period and the weight-2 boundary, and runs the W3/W4
+// scans.
+func BenchmarkColdEvaluate(b *testing.B) {
+	s, err := New(Config{})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewPCG(1, 2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := fmt.Sprintf(`{"poly":"%#x","width":32,"max_len":128,"max_hd":4}`, 1<<31|rng.Uint32())
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/evaluate", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatal(rec.Code, rec.Body.String())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"koopmancrc"
@@ -114,7 +115,7 @@ type EvaluateResponse struct {
 }
 
 // hexStr formats a polynomial word the way the wire types spell them.
-func hexStr(v uint64) string { return fmt.Sprintf("%#x", v) }
+func hexStr(v uint64) string { return "0x" + strconv.FormatUint(v, 16) }
 
 // NewEvaluateResponse assembles the wire response for a completed
 // evaluation. It is shared by the server's /v1/evaluate handler and

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -60,5 +62,15 @@ func TestEvaluateResponseRoundTrip(t *testing.T) {
 	}
 	if orig.Poly != "0x83" || orig.Width != 8 || len(orig.Bands) == 0 || len(orig.Transitions) == 0 {
 		t.Fatalf("response fields: %+v", orig)
+	}
+}
+
+// TestHexStrMatchesSprintf: the wire spelling of a polynomial word is
+// byte-identical to fmt's %#x.
+func TestHexStrMatchesSprintf(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0x82608edb, math.MaxUint64} {
+		if got, want := hexStr(v), fmt.Sprintf("%#x", v); got != want {
+			t.Errorf("hexStr(%d) = %q, want %q", v, got, want)
+		}
 	}
 }
