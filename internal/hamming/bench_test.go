@@ -40,11 +40,13 @@ func BenchmarkMeetsHDAtLengths32(b *testing.B) {
 // BenchmarkBoundaryStore is the kernel of a Table 1 column's boundary
 // searches, the w >= 5 scan, at its two extremes. store-bound is the
 // weight-5 scan of 0xD419CC15 to 512 data bits, which finds no pattern:
-// its time is the store growing to C(542, 2) entries and the probes
-// against it. early-exit is the weight-6 scan of 0x90022004 to 512 bits,
-// which stops at its boundary of 1 data bit, so its time is the setup
-// and the first rows: a store sized for the whole scan would show here.
-// Each iteration runs in a fresh Evaluator, syndrome table included.
+// its time is the inserts that fill the store to C(542, 2) entries and
+// the probes against it. early-exit is the weight-6 scan of 0x90022004
+// to 512 bits, which stops at its boundary of 1 data bit, so its time
+// is the setup and the first rows: a store cleared or allocated whole
+// for every scan would show here. Each iteration runs in a fresh
+// Evaluator, syndrome table included; the store's set comes from the
+// pool, so B/op is what a scan allocates once the pool holds one.
 func BenchmarkBoundaryStore(b *testing.B) {
 	for _, bc := range []struct {
 		name      string
@@ -56,6 +58,7 @@ func BenchmarkBoundaryStore(b *testing.B) {
 		{"early-exit", poly.KoopmanSparse6, 6, 512, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var work int64
 			for i := 0; i < b.N; i++ {
 				e := New(bc.p)

@@ -138,16 +138,25 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 	syn := e.syndromes(n)
 	p := (w - 1) / 2
 	q := w - 2 - p
-	// The store starts as a compact set, sized ahead of each row, and
-	// moves into the whole-space bitmap once it passes
-	// DefaultMaxStoreEntries, so a boundary at a few hundred bits never
-	// allocates 2^width bits.
+	// The store starts as a compact set, sized once for every insert
+	// up to DefaultMaxStoreEntries, and moves into the whole-space
+	// bitmap once it would pass that, so a boundary at a few hundred
+	// bits never allocates 2^width bits. After row c the store holds
+	// all C(c-1, p) subsets of [1, c), so after the last, C(n-2, p).
 	var set synSet
+	var compact *bucketSet
 	if e.width <= 20 {
 		set = bitmapSet(e.bitset())
 	} else {
-		set = newMapSet()
+		compact = getBucketSet(int(binomAtMost(n-2, p, int64(e.opts.maxStoreEntries))))
+		defer func() {
+			if compact != nil {
+				compact.release()
+			}
+		}()
+		set = compact
 	}
+	e.rowScratch(n) // probe's rows grow to n-1 keys: one allocation, not one a row
 	var work int64
 	for c := 2; c < n; c++ {
 		row := binomAtMost(c-2, p-1, 1<<62)
@@ -158,15 +167,11 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 		if err := e.tick(w, maxLen, row+probes); err != nil {
 			return 0, nil, false, err
 		}
-		// After this row the store holds all C(c-1, p) subsets of [1, c).
-		if m, ok := set.(mapSet); ok {
-			if binomAtMost(c-1, p, 1<<62) > int64(e.opts.maxStoreEntries) {
-				b := bitmapSet(e.bitset())
-				m.m.each(b.add)
-				set = b
-			} else {
-				reserveRow(m.m, c, n, p, e.opts.maxStoreEntries)
-			}
+		if compact != nil && binomAtMost(c-1, p, 1<<62) > int64(e.opts.maxStoreEntries) {
+			b := bitmapSet(e.bitset())
+			compact.each(b.add)
+			compact.release()
+			compact, set = nil, b
 		}
 		if err := e.enumStore(syn, c-1, p-1, syn[c-1], set, w, maxLen); err != nil {
 			return 0, nil, false, err
@@ -185,21 +190,6 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 		}
 	}
 	return 0, nil, false, nil
-}
-
-// reserveRow sizes the w >= 5 scan's compact store before the inserts of
-// row c, in a scan of n codeword positions that stores p-subsets. After
-// row c the store holds C(c-1, p) entries; if that would take the table
-// past 50% load, it is reserved for the store at row min(2c, n),
-// C(min(2c, n)-1, p), capped at limit, past which the scan moves to the
-// bitmap. Looking one doubling of c ahead, not to the end of the scan,
-// rebuilds the table a few times instead of at every doubling of its
-// entries, while an early exit still pays only for the rows it ran.
-func reserveRow(m *u32map, c, n, p, limit int) {
-	if binomAtMost(c-1, p, 1<<62) <= int64(len(m.keys)/2) {
-		return
-	}
-	m.reserve(int(min(binomAtMost(min(2*c, n)-1, p, 1<<62), int64(limit))))
 }
 
 // MeetsHDAtLengths reports whether the polynomial attains at least

@@ -459,12 +459,13 @@ func TestSmallPeriodWeight2(t *testing.T) {
 // and over the structured keys the scans see for sparse generators, and
 // probes absent keys, including ones whose presence-filter bit a stored
 // key has set: those must fall through to the slots and still read -1.
-// A keys-only set filled with the same keys must answer presence exactly
-// like the map, through get and through find.
+// A bucketSet filled with the same keys, repeats included, must answer
+// presence exactly like the map, through has and through sieve.
 func TestU32Map(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 9))
 	m := newU32Map(1000)
-	set := newMapSet()
+	set := getBucketSet(1000)
+	defer set.release()
 	ref := make(map[uint32]int32)
 	for i := 0; i < 1000; i++ {
 		k := uint32(rng.Uint64N(2000)) // force collisions
@@ -540,11 +541,12 @@ func TestU32Map(t *testing.T) {
 		}
 	}
 	m = newU32Map(0)
-	set = newMapSet()
+	set2 := getBucketSet(len(keys) / 2)
+	defer set2.release()
 	ref = make(map[uint32]int32)
 	for i := 0; i < len(keys); i += 2 {
 		m.put(keys[i], int32(i))
-		set.add(keys[i])
+		set2.add(keys[i])
 		if _, ok := ref[keys[i]]; !ok {
 			ref[keys[i]] = int32(i)
 		}
@@ -562,25 +564,22 @@ func TestU32Map(t *testing.T) {
 			t.Fatalf("get(absent %#x) = %d", keys[i], got)
 		}
 	}
-	checkSetMatchesMap(t, set, m, keys...)
+	checkSetMatchesMap(t, set2, m, keys...)
 }
 
-// checkSetMatchesMap asserts that the keys-only set holds exactly the
-// keys among keys that the valued map holds: get and find answer 0 for a
-// held key and -1 for an absent one, where the map's answers are its
-// value and -1.
-func checkSetMatchesMap(t *testing.T, set mapSet, m *u32map, keys ...uint32) {
+// checkSetMatchesMap asserts that the bucketSet holds exactly the keys
+// among keys that the valued map holds: has answers whether the map's
+// get finds the key, and so does the set's sieve of a one-key row.
+func checkSetMatchesMap(t *testing.T, set *bucketSet, m *u32map, keys ...uint32) {
 	t.Helper()
+	var out [1]int32
 	for _, k := range keys {
-		want := int32(-1)
-		if m.get(k) >= 0 {
-			want = 0
+		want := m.get(k) >= 0
+		if got := set.has(k); got != want {
+			t.Fatalf("set.has(%#x) = %v, want %v (map.get = %d)", k, got, want, m.get(k))
 		}
-		if got := set.m.get(k); got != want {
-			t.Fatalf("set.get(%#x) = %d, want %d (map.get = %d)", k, got, want, m.get(k))
-		}
-		if got := set.m.find(k); got != want {
-			t.Fatalf("set.find(%#x) = %d, want %d (map.get = %d)", k, got, want, m.get(k))
+		if got := len(set.sieve([]uint32{k}, []uint32{lin(k)}, 0, out[:])) == 1; got != want {
+			t.Fatalf("set.sieve passed %#x: %v, want %v (map.get = %d)", k, got, want, m.get(k))
 		}
 		if got, mv := m.find(k), m.get(k); got != mv {
 			t.Fatalf("find(%#x) = %d, get = %d", k, got, mv)
@@ -743,79 +742,60 @@ func TestFilterPassesW4MTU(t *testing.T) {
 	}
 }
 
-// TestU32MapGrows fills a map and a keys-only set, each sized for
-// nothing, far past their initial capacity: every first write survives
-// the doublings, load stays at most 50%, and each visits every key
-// exactly once. Key 0, held beside the slots, goes in first and is
-// checked, with its filter bit, after every rebuild. Some steps call
-// reserve directly, ahead of the inserts: one that asks for room the
-// table already has must keep it, and none may grow it again before
-// the reserved room is used.
+// TestU32MapGrows fills a map sized for nothing far past its initial
+// capacity: every first write survives the doublings and load stays at
+// most 50%. Key 0, held beside the slots, goes in first and is checked,
+// with its filter bit, after every rebuild. Some steps call reserve
+// directly, ahead of the inserts: one that asks for room the table
+// already has must keep it, and none may grow it again before the
+// reserved room is used.
 func TestU32MapGrows(t *testing.T) {
-	for _, valued := range []bool{true, false} {
-		rng := rand.New(rand.NewPCG(2, 9))
-		m := newTable(0, valued)
-		m.put(0, 0)
-		ref := map[uint32]int32{0: 0}
-		want := func(k uint32) int32 {
-			if !valued {
-				return 0
-			}
-			return ref[k]
-		}
-		grows, reserves := 0, 0
-		for i := 1; i < 50000; i++ {
-			if i%6000 == 0 {
-				sz := len(m.keys)
-				m.reserve(m.n) // room it already has
-				if len(m.keys) != sz {
-					t.Fatalf("valued=%v: reserve(%d) rebuilt a %d-slot table", valued, m.n, sz)
-				}
-				m.reserve(m.n + 3000)
-				if 2*(m.n+3000) > len(m.keys) {
-					t.Fatalf("valued=%v: reserve(%d) left %d slots", valued, m.n+3000, len(m.keys))
-				}
-				reserves++
-			}
-			k := rng.Uint32()
+	rng := rand.New(rand.NewPCG(2, 9))
+	m := newU32Map(0)
+	m.put(0, 0)
+	ref := map[uint32]int32{0: 0}
+	grows, reserves := 0, 0
+	for i := 1; i < 50000; i++ {
+		if i%6000 == 0 {
 			sz := len(m.keys)
-			m.put(k, int32(i))
-			if _, ok := ref[k]; !ok {
-				ref[k] = int32(i)
-			}
+			m.reserve(m.n) // room it already has
 			if len(m.keys) != sz {
-				grows++
-				if i >= 6000 && i%6000 < 3000 {
-					t.Fatalf("valued=%v: put %d grew the table inside reserved room", valued, i)
-				}
+				t.Fatalf("reserve(%d) rebuilt a %d-slot table", m.n, sz)
 			}
-			if len(m.keys) != sz || i%6000 == 0 {
-				if got := m.get(0); got != 0 || !filterHit(m, 0) {
-					t.Fatalf("valued=%v: after a rebuild to %d slots: get(0) = %d (filter bit set: %v), want 0",
-						valued, len(m.keys), got, filterHit(m, 0))
-				}
+			m.reserve(m.n + 3000)
+			if 2*(m.n+3000) > len(m.keys) {
+				t.Fatalf("reserve(%d) left %d slots", m.n+3000, len(m.keys))
 			}
+			reserves++
 		}
-		if grows < 10 || reserves < 8 {
-			t.Fatalf("valued=%v: %d grows and %d reserves, want at least 10 and 8", valued, grows, reserves)
+		k := rng.Uint32()
+		sz := len(m.keys)
+		m.put(k, int32(i))
+		if _, ok := ref[k]; !ok {
+			ref[k] = int32(i)
 		}
-		if 2*m.n > len(m.keys) || m.n != len(ref) {
-			t.Fatalf("valued=%v: %d entries in %d slots, want %d at <= 50%% load", valued, m.n, len(m.keys), len(ref))
-		}
-		for k := range ref {
-			if got := m.get(k); got != want(k) {
-				t.Fatalf("valued=%v: get(%d) = %d, want %d", valued, k, got, want(k))
+		if len(m.keys) != sz {
+			grows++
+			if i >= 6000 && i%6000 < 3000 {
+				t.Fatalf("put %d grew the table inside reserved room", i)
 			}
 		}
-		seen := make(map[uint32]int)
-		m.each(func(k uint32) { seen[k]++ })
-		if len(seen) != len(ref) {
-			t.Fatalf("valued=%v: each visited %d keys, want %d", valued, len(seen), len(ref))
-		}
-		for k, c := range seen {
-			if _, ok := ref[k]; !ok || c != 1 {
-				t.Fatalf("valued=%v: each visited key %d %d times (in map: %v)", valued, k, c, ok)
+		if len(m.keys) != sz || i%6000 == 0 {
+			if got := m.get(0); got != 0 || !filterHit(m, 0) {
+				t.Fatalf("after a rebuild to %d slots: get(0) = %d (filter bit set: %v), want 0",
+					len(m.keys), got, filterHit(m, 0))
 			}
+		}
+	}
+	if grows < 10 || reserves < 8 {
+		t.Fatalf("%d grows and %d reserves, want at least 10 and 8", grows, reserves)
+	}
+	if 2*m.n > len(m.keys) || m.n != len(ref) {
+		t.Fatalf("%d entries in %d slots, want %d at <= 50%% load", m.n, len(m.keys), len(ref))
+	}
+	for k, v := range ref {
+		if got := m.get(k); got != v {
+			t.Fatalf("get(%d) = %d, want %d", k, got, v)
 		}
 	}
 }
@@ -827,9 +807,9 @@ func TestU32MapGrows(t *testing.T) {
 // generators), each XORed with x the way the scans build them. The keys
 // at even indexes are held, in a map that starts empty and grows while
 // it is filled. u32map.sieve must return, in ascending order, every held
-// key and exactly the keys whose filter bit is set; mapSet.sieve, over
-// a keys-only set filled alike, and bitmapSet.sieve must return exactly
-// the held keys. One scratch buffer
+// key and exactly the keys whose filter bit is set; bucketSet.sieve,
+// over a set filled alike, and bitmapSet.sieve must return exactly the
+// held keys. One scratch buffer
 // serves a long row, two short rows ending in a held key and a long row
 // again, so a stale index from an earlier row would show.
 func TestU32MapSieve(t *testing.T) {
@@ -851,7 +831,7 @@ func TestU32MapSieve(t *testing.T) {
 	const bitmapMask = 1<<20 - 1 // the bitmap covers 20-bit syndromes
 	for _, keys := range [][]uint32{random, structured} {
 		m := newU32Map(0)
-		set := newMapSet()
+		set := getBucketSet(len(keys))
 		b := bitmapSet(make([]uint64, (bitmapMask+1)/64))
 		inMap := make(map[uint32]bool)
 		inBitmap := make(map[uint32]bool)
@@ -875,11 +855,12 @@ func TestU32MapSieve(t *testing.T) {
 				held := func(i int) bool { return inMap[keys[i]] }
 				checkSieve(t, "u32map", m.sieve(hrow, lin(x), out), l, held,
 					func(i int) bool { return filterHit(m, keys[i]) })
-				checkSieve(t, "mapSet", set.sieve(row, hrow, x, out), l, held, held)
+				checkSieve(t, "bucketSet", set.sieve(row, hrow, x, out), l, held, held)
 				heldBitmap := func(i int) bool { return inBitmap[keys[i]&bitmapMask] }
 				checkSieve(t, "bitmapSet", b.sieve(bitmapRow, nil, x&bitmapMask, out), l, heldBitmap, heldBitmap)
 			}
 		}
+		set.release()
 	}
 }
 

@@ -51,10 +51,11 @@ const (
 	// DefaultMaxStoreEntries is the number of subset syndromes the
 	// store side of the w >= 5 boundary scan holds in its compact set
 	// before it switches to the whole-space bitmap.
-	// The hash store is a keys-only set, never sized past this limit at
-	// 50% load, with 4 bytes per slot plus 1 byte of presence filter:
-	// 2^20 entries take about 10 MiB (2^21 slots), against the 512 MiB
-	// bitmap of a 32-bit generator.
+	// The compact set is keys only, sized once per scan for at most
+	// this many entries at 50% load, with 4 bytes per slot plus 1 byte
+	// of presence filter: 2^20 entries take about 10 MiB (2^21 slots)
+	// for each scan running at once, against the 512 MiB bitmap of a
+	// 32-bit generator. Released sets are pooled for the next scans.
 	DefaultMaxStoreEntries = 1 << 20
 	// DefaultMaxProbes bounds the total probe work of a single query (a
 	// boundary scan, which also answers existence queries, or an exact

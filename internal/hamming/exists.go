@@ -2,7 +2,10 @@ package hamming
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // verifyWitness defensively re-checks a reported pattern: correct weight,
@@ -43,36 +46,160 @@ type bitmapSet []uint64
 func (b bitmapSet) add(v uint32) { b[v>>6] |= 1 << (v & 63) }
 
 // sieve tests each value's bit with sieveBits, the kernel behind
-// u32map.sieve too. The bitmap is exact and indexed by the value
-// itself, so it ignores hrow, passes a second-bit shift of 0 (the same
-// bit tested twice) and no second pass follows.
+// u32map.sieve and bucketSet.sieve too. The bitmap is exact and
+// indexed by the value itself, so it ignores hrow, passes a second-bit
+// shift of 0 (the same bit tested twice) and no second pass follows.
 func (b bitmapSet) sieve(row, _ []uint32, x uint32, out []int32) []int32 {
 	return sieveBits(b, row, x, 0, out)
 }
 
-// mapSet is a compact open-addressed presence set for small store sides,
-// avoiding the 512 MiB bitmap for 32-bit generators on trivial queries.
-// It is the keys-only form of u32map: no caller reads a value back, so
-// a slot holds its key alone. It starts empty and doubles as it fills,
-// and the w >= 5 scan sizes it ahead of its known growth (reserveRow).
-type mapSet struct{ m *u32map }
+// bucketKeys is the number of key slots in a bucketSet bucket.
+const bucketKeys = 16
 
-func newMapSet() mapSet       { return mapSet{m: newTable(0, false)} }
-func (s mapSet) add(v uint32) { s.m.put(v, 0) }
+// bucketSet is the w >= 5 scan's compact presence set, which spares a
+// store side of a few hundred thousand keys the 512 MiB bitmap of a
+// 32-bit generator. It holds keys only, in buckets of bucketKeys slots,
+// and is sized once, for every insert the scan makes before it would
+// move to the bitmap, at <= 50% load: it is never rebuilt. The presence
+// filter in front is u32map's, 8 bits per slot, and sieve runs it
+// through sieveBits in the same way; bucket b owns filter words 2b and
+// 2b+1, and a key's home bucket is the one whose words hold its two
+// bits. An insert appends its key at its home bucket's fill count, or
+// at the next bucket's when that one is full (the last bucket's next
+// is the first); it walks no probe chain and makes no duplicate check,
+// so a key inserted twice takes two slots, which the sizing counts. A
+// lookup scans the held keys of the home bucket, and of the buckets
+// after it while they are full. Keys past a bucket's count are never
+// read, so key 0 needs no slot of its own and the key slots are never
+// cleared.
+//
+// Sets come from bucketPools and go back clean: release zeroes the
+// count and filter words of each bucket the inserts filled, which
+// touched records, without reading a key; once a quarter of the
+// buckets were filled, touched holds no more and release clears all
+// counts and filter words at once, a memclr, the cheaper there. Every
+// key's home bucket was filled, as a key moves past its home only when
+// that is full, so no filter bit is left set. A scan that stops after
+// a few rows clears only what those rows set, and a run of scans in
+// steady state allocates nothing.
+type bucketSet struct {
+	keys    []uint32 // bucket b's keys are keys[b*bucketKeys:][:counts[b]]
+	counts  []uint8  // keys held in each bucket
+	filter  []uint64 // presence bits, 8 per slot, 2 per key
+	touched []int32  // buckets filled since the set was clean, while they fit
+}
 
-// sieve runs the pre-hashed row through the map's presence filter, then
-// looks up only the indexes that pass, in the key slots alone, and keeps
-// those actually held.
-func (s mapSet) sieve(row, hrow []uint32, x uint32, out []int32) []int32 {
-	hits := s.m.sieve(hrow, lin(x), out)
+// bucketPools holds released bucketSets by size class: pool k those of
+// 2^k slots.
+var bucketPools [32]sync.Pool
+
+// setsOut counts the bucketSets taken from bucketPools and not yet
+// released, so tests can check that every scan gives its set back.
+var setsOut atomic.Int64
+
+// getBucketSet returns a clean set for entries inserts at <= 50% load:
+// a released one of its size class, or a new one.
+func getBucketSet(entries int) *bucketSet {
+	slots := bucketKeys
+	for slots < 2*entries {
+		slots <<= 1
+	}
+	setsOut.Add(1)
+	if s, ok := bucketPools[bits.TrailingZeros(uint(slots))].Get().(*bucketSet); ok {
+		return s
+	}
+	buckets := slots / bucketKeys
+	return &bucketSet{
+		keys:    make([]uint32, slots),
+		counts:  make([]uint8, buckets),
+		filter:  make([]uint64, slots/8),
+		touched: make([]int32, 0, max(buckets/4, 1)),
+	}
+}
+
+// release clears what the set's inserts set and returns it to its
+// pool. The set must not be used after.
+func (s *bucketSet) release() {
+	if len(s.touched) == cap(s.touched) {
+		clear(s.counts)
+		clear(s.filter)
+	} else {
+		for _, b := range s.touched {
+			s.counts[b] = 0
+			s.filter[2*b] = 0
+			s.filter[2*b+1] = 0
+		}
+	}
+	s.touched = s.touched[:0]
+	setsOut.Add(-1)
+	bucketPools[bits.TrailingZeros(uint(len(s.keys)))].Put(s)
+}
+
+// home returns key's home bucket.
+func (s *bucketSet) home(key uint32) int {
+	w, _ := filterBits(s.filter, key)
+	return w >> 1
+}
+
+// bucket returns the keys held in bucket b.
+func (s *bucketSet) bucket(b int) []uint32 {
+	return s.keys[b*bucketKeys : b*bucketKeys+int(s.counts[b])]
+}
+
+func (s *bucketSet) add(key uint32) {
+	w, bits := filterBits(s.filter, key)
+	s.filter[w] |= bits
+	mask := len(s.counts) - 1
+	b := w >> 1
+	for s.counts[b] == bucketKeys {
+		b = (b + 1) & mask
+	}
+	n := s.counts[b]
+	if n == 0 && len(s.touched) < cap(s.touched) {
+		s.touched = append(s.touched, int32(b))
+	}
+	s.keys[b*bucketKeys+int(n)] = key
+	s.counts[b] = n + 1
+}
+
+// has reports whether key is held, without the filter test: it scans
+// the key's home bucket, and the buckets after it while they are full.
+func (s *bucketSet) has(key uint32) bool {
+	mask := len(s.counts) - 1
+	for b := s.home(key); ; b = (b + 1) & mask {
+		held := s.bucket(b)
+		for _, k := range held {
+			if k == key {
+				return true
+			}
+		}
+		if len(held) < bucketKeys {
+			return false
+		}
+	}
+}
+
+// sieve runs the pre-hashed row through the presence filter, then
+// looks up only the indexes that pass, and keeps those actually held.
+func (s *bucketSet) sieve(row, hrow []uint32, x uint32, out []int32) []int32 {
+	hits := sieveBits(s.filter, hrow, lin(x), filterShift2, out)
 	k := 0
 	for _, i := range hits {
-		if s.m.find(row[i]^x) >= 0 {
+		if s.has(row[i] ^ x) {
 			hits[k] = i
 			k++
 		}
 	}
 	return hits[:k]
+}
+
+// each calls fn with every key held, once per insert.
+func (s *bucketSet) each(fn func(key uint32)) {
+	for b := range s.counts {
+		for _, k := range s.bucket(b) {
+			fn(k)
+		}
+	}
 }
 
 // enumStore inserts the syndromes of all k-subsets of positions [1, n),

@@ -21,22 +21,43 @@ const fuzzRow = 2*16 + 5
 // key+1 and the previous key, then neighbours key^j<<s with s the
 // operation's shift, all XORed with a value drawn from the operation
 // count and passed pre-hashed. The output must be ascending, name every held key and
-// pass a key only if its filter bit is set. A keys-only set takes the
-// same puts and must answer every get, find and row sieve with exactly
-// the map's presence, and a 4096-bit bitmapSet takes the puts' low 12
-// bits and must sieve the row's low 12 bits exactly. On each row,
+// pass a key only if its filter bit is set. A bucketSet, sized once for
+// as many inserts as the input has bytes (no input makes more puts),
+// takes the same puts, repeats included: after each it must hold one
+// key per put, at most bucketKeys in a bucket, at <= 50% load, and
+// answer has and every row sieve with exactly the map's presence. A
+// 4096-bit bitmapSet takes the puts' low 12 bits and must sieve the
+// row's low 12 bits exactly. On each row,
 // sieveBits must return sieveBitsGo's slice, over the map's filter with
 // its second-bit shift filterShift2 and over the bitmap with 0. A third
 // table counts the puts with inc, as weight3's multiset does, and must
 // read each key's count as a Go map[uint32]uint32 does, -1 for a key
-// never put.
+// never put. Seeds beyond the first three fill one home bucket past
+// bucketKeys keys, the last bucket's overflowing into the first, and
+// put key 0 and a key repeated past a bucket's size.
 func FuzzU32Map(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x06, 0x07})
 	f.Add([]byte{0x02, 0x01, 0x00, 0xf8, 0x01, 0xfa, 0x01, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte("\x00abcdefghijklmnopqrstuvwxyz0123456789\x01a\x01z\x01!"))
+	// 20 distinct keys homed at the last bucket, each read back, then
+	// key 0, homed at the first bucket, where the overflow went.
+	f.Add(lastBucketSeed(f, 20, []byte{0x00, 0x00, 0x01, 0x00, 0x07, 0x05, 0x01, 0x00, 0x00, 0x80}))
+	// Key 0 put 40 times, through three buckets, then another key put
+	// 20 times; every put is read back, and key 0 at the end.
+	seed := []byte{0x00, 0x00}
+	for i := 0; i < 39; i++ {
+		seed = append(seed, 0x06, 0x07)
+	}
+	seed = append(seed, 0x04, 0xef, 0xbe, 0xad, 0xde)
+	for i := 0; i < 19; i++ {
+		seed = append(seed, 0x06, 0x07)
+	}
+	f.Add(append(seed, 0x01, 0x00))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newU32Map(0)
-		set := newMapSet()
+		set := getBucketSet(len(data))
+		defer set.release()
+		puts := 0
 		counts := newU32Map(0)
 		ref := make(map[uint32]int32)
 		refCount := make(map[uint32]uint32)
@@ -67,9 +88,14 @@ func FuzzU32Map(f *testing.F) {
 					ref[key] = op
 				}
 				refCount[key]++
-				if m.n != len(ref) || 2*m.n > len(m.keys) || set.m.n != m.n || len(set.m.keys) != len(m.keys) || counts.n != m.n {
-					t.Fatalf("%d entries in %d slots (set: %d in %d, counts: %d), want %d at <= 50%% load",
-						m.n, len(m.keys), set.m.n, len(set.m.keys), counts.n, len(ref))
+				puts++
+				if m.n != len(ref) || 2*m.n > len(m.keys) || counts.n != m.n {
+					t.Fatalf("%d entries in %d slots (counts: %d), want %d at <= 50%% load",
+						m.n, len(m.keys), counts.n, len(ref))
+				}
+				if held := heldKeys(t, set); held != puts || 2*held > len(set.keys) {
+					t.Fatalf("set holds %d keys in %d slots, want one per put, %d, at <= 50%% load",
+						held, len(set.keys), puts)
 				}
 			}
 			wantCount := int32(-1)
@@ -102,7 +128,7 @@ func FuzzU32Map(f *testing.F) {
 			held := func(i int) bool { _, ok := ref[probed[i]]; return ok }
 			checkSieve(t, "u32map", m.sieve(hrow, lin(x), out), len(row),
 				held, func(i int) bool { return filterHit(m, probed[i]) })
-			checkSieve(t, "mapSet", set.sieve(row, hrow, x, out), len(row), held, held)
+			checkSieve(t, "bucketSet", set.sieve(row, hrow, x, out), len(row), held, held)
 			heldBitmap := func(i int) bool { return inBitmap[probed[i]&bitmapMask] }
 			checkSieve(t, "bitmapSet", bitmap.sieve(bitmapRow, nil, x&bitmapMask, out), len(row), heldBitmap, heldBitmap)
 			checkSieveBits(t, m.filter, hrow, lin(x), filterShift2)
@@ -128,4 +154,41 @@ func checkSieveBits(t *testing.T, bits []uint64, keys []uint32, x, s2 uint32) {
 	if got := sieveBits(bits, keys, x, s2, make([]int32, len(keys))); !slices.Equal(got, want) {
 		t.Fatalf("sieveBits over %d words, x = %#x, s2 = %d: %v, want sieveBitsGo's %v", len(bits), x, s2, got, want)
 	}
+}
+
+// heldKeys returns the number of keys set holds, the sum of its bucket
+// counts, each of which must be at most bucketKeys.
+func heldKeys(t *testing.T, set *bucketSet) int {
+	t.Helper()
+	held := 0
+	for b, c := range set.counts {
+		if c > bucketKeys {
+			t.Fatalf("bucket %d holds %d keys, past its %d slots", b, c, bucketKeys)
+		}
+		held += int(c)
+	}
+	return held
+}
+
+// lastBucketSeed returns a FuzzU32Map input that puts n distinct keys
+// homed at the last bucket of the set the harness sizes for it, each as
+// a 4-byte key followed by a get of it, and ends with tail.
+func lastBucketSeed(f *testing.F, n int, tail []byte) []byte {
+	size := 6*n + len(tail)
+	set := getBucketSet(size)
+	defer set.release()
+	last := len(set.counts) - 1
+	var data []byte
+	for k := uint32(1); n > 0; k++ {
+		if set.home(k) == last {
+			data = binary.LittleEndian.AppendUint32(append(data, 0x04), k)
+			data = append(data, 0x07)
+			n--
+		}
+	}
+	data = append(data, tail...)
+	if len(data) != size {
+		f.Fatalf("seed of %d bytes, want %d", len(data), size)
+	}
+	return data
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"koopmancrc/internal/poly"
@@ -174,7 +177,8 @@ func checkScanAgainstBrute(t *testing.T, p poly.P, maxLen, maxHD int) {
 // TestScanStoreMigration forces the scan's store out of the compact set
 // and into the whole-space bitmap partway through — early, and at the
 // row before the boundary, where a pattern is found only if the move
-// kept every earlier entry. The answers must not change.
+// kept every earlier entry. The answers must not change, and the scan
+// must give its compact set back to the pool.
 func TestScanStoreMigration(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1414, 14))
 	moves := 0
@@ -195,7 +199,11 @@ func TestScanStoreMigration(t *testing.T) {
 			for _, limit := range []int{64, late} {
 				moved := New(p)
 				moved.opts.maxStoreEntries = limit
+				out := setsOut.Load()
 				n2, wit2, f2, err := moved.FirstDataLen(w, 300)
+				if setsOut.Load() != out {
+					t.Fatalf("%v w=%d limit=%d: the scan kept its compact set after moving to the bitmap", p, w, limit)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -218,70 +226,149 @@ func TestScanStoreMigration(t *testing.T) {
 	}
 }
 
-// TestReserveRow drives the w >= 5 scan's store sizing through every
-// row c of a w=5, a w=6 and a w=7 scan to 544 data bits (p = 2, 2 and
-// 3 stored positions), with the default store
-// limit and with one the store passes midway (the scan moves to the
-// bitmap there, so the rows after it are not sized). Each row then puts
-// its C(c-2, p-1) new entries as distinct keys. Before a row's inserts
-// the table must hold the C(c-1, p) entries it has after them at <= 50%
-// load, so no insert grows it; a table that was rebuilt must hold the
-// store at row min(2c, n), capped at the limit; and it is never sized
-// beyond that store, nor past the limit.
-func TestReserveRow(t *testing.T) {
-	slotsFor := func(entries int64) int {
-		sz := 16
-		for int64(sz) < 2*entries {
-			sz <<= 1
+// TestBucketSetReleaseClean fills a set of the size class of table1's
+// w >= 5 stores (C(542, 2) entries, p = 2 at 512 data bits) twice, and
+// releases it each time: first with a few hundred keys, as a scan that
+// stops early leaves it, where release clears the buckets filled one by
+// one, then to capacity, where it clears the whole filter and counts.
+// Key 0 and repeated keys are among the keys. After each release, the
+// set and the set the pool hands out next for the same size must have
+// every filter word and count zero, and neither has nor sieve may find
+// any of the keys put.
+func TestBucketSetReleaseClean(t *testing.T) {
+	entries := int(binomAtMost(542, 2, 1<<62))
+	rng := rand.New(rand.NewPCG(31, 16))
+	for _, fill := range []int{300, entries} {
+		s := getBucketSet(entries)
+		keys := []uint32{0, 0, 7, 7, 7}
+		for len(keys) < fill {
+			keys = append(keys, rng.Uint32())
 		}
-		return sz
+		for _, k := range keys {
+			s.add(k)
+		}
+		for _, k := range keys {
+			if !s.has(k) {
+				t.Fatalf("fill %d: key %#x put but not held", fill, k)
+			}
+		}
+		if wide := len(s.touched) == cap(s.touched); wide != (fill == entries) {
+			t.Fatalf("fill %d: %d buckets of %d recorded as filled, so release clears all: %v",
+				fill, len(s.touched), cap(s.touched), wide)
+		}
+		s.release()
+		checkBucketSetClean(t, fmt.Sprintf("fill %d, released", fill), s, keys)
+		next := getBucketSet(entries)
+		checkBucketSetClean(t, fmt.Sprintf("fill %d, taken again", fill), next, keys)
+		next.release()
 	}
-	for _, w := range []int{5, 6, 7} {
-		p := (w - 1) / 2
-		n := 544 + 32
-		for _, limit := range []int{DefaultMaxStoreEntries, 40000} {
-			s := newMapSet()
-			key := uint32(1)
-			rows, rebuilds := 0, 0
-			for c := 2; c < n; c++ {
-				held := binomAtMost(c-1, p, 1<<62)
-				if held > int64(limit) {
-					break
-				}
-				before := len(s.m.keys)
-				reserveRow(s.m, c, n, p, limit)
-				sz := len(s.m.keys)
-				ahead := min(binomAtMost(min(2*c, n)-1, p, 1<<62), int64(limit))
-				switch {
-				case 2*held > int64(sz):
-					t.Fatalf("w=%d limit=%d row %d: %d slots for the %d entries after the row", w, limit, c, sz, held)
-				case sz > slotsFor(ahead):
-					t.Fatalf("w=%d limit=%d row %d: %d slots, past the %d of the store at row %d (%d entries)",
-						w, limit, c, sz, slotsFor(ahead), min(2*c, n), ahead)
-				case sz > slotsFor(int64(limit)):
-					t.Fatalf("w=%d limit=%d row %d: %d slots, past the limit's %d", w, limit, c, sz, slotsFor(int64(limit)))
-				case sz != before && 2*ahead > int64(sz):
-					t.Fatalf("w=%d limit=%d row %d: rebuilt to %d slots, short of the %d entries at row %d",
-						w, limit, c, sz, ahead, min(2*c, n))
-				}
-				if sz != before {
-					rebuilds++
-				}
-				for i := binomAtMost(c-2, p-1, 1<<62); i > 0; i-- {
-					s.add(key)
-					key++
-				}
-				if len(s.m.keys) != sz || int64(s.m.n) != held {
-					t.Fatalf("w=%d limit=%d row %d: inserts took %d slots to %d; %d entries, want %d",
-						w, limit, c, sz, len(s.m.keys), s.m.n, held)
-				}
-				rows++
-			}
-			if rows < 50 || rebuilds < 3 {
-				t.Fatalf("w=%d limit=%d: %d rows and %d rebuilds checked", w, limit, rows, rebuilds)
-			}
-			t.Logf("w=%d limit=%d: %d rows, %d rebuilds, %d slots at the end", w, limit, rows, rebuilds, len(s.m.keys))
+}
+
+// TestBoundaryScansConcurrent runs the w = 5 and w = 6 scans to 512
+// data bits of the Table 1 generators, CastagnoliHD5 and
+// KoopmanSparse6 from 4 goroutines at once, each scan in a fresh
+// Evaluator of its goroutine's own, so the compact sets pass between
+// goroutines through the shared pools. Every answer, witness and
+// Stats must equal a serial run's, and every set must come back.
+func TestBoundaryScansConcurrent(t *testing.T) {
+	type result struct {
+		n     int
+		wit   []int
+		found bool
+		stats Stats
+	}
+	polys := []poly.P{poly.CastagnoliHD5, poly.KoopmanSparse6}
+	for _, col := range poly.Table1() {
+		polys = append(polys, col.P)
+	}
+	run := func(i int) (result, error) {
+		e := New(polys[i/2])
+		n, wit, found, err := e.FirstDataLen(5+i%2, 512)
+		return result{n, wit, found, e.Stats}, err
+	}
+	want := make([]result, 2*len(polys))
+	for i := range want {
+		r, err := run(i)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want[i] = r
+	}
+	out := setsOut.Load()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 2*len(want); j++ {
+				i := (j + 5*g) % len(want) // the goroutines run different scans at once
+				got, err := run(i)
+				if err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d: %v w=%d: %+v, %v; serial %+v", g, polys[i/2], 5+i%2, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := setsOut.Load(); got != out {
+		t.Errorf("%d compact sets out after the scans, want %d", got, out)
+	}
+}
+
+// TestBoundaryScanAllocs: once a first scan has put its compact set in
+// the pool, the w = 5 scan of CastagnoliHD5 to 512 data bits, which
+// fills a set of C(542, 2) entries (2.5 MiB), allocates under 1 MiB a
+// run on average over 20 runs, each in a fresh Evaluator: the set comes
+// back from the pool. Under the race detector sync.Pool drops some of
+// the values put back, so the test does not run there.
+func TestBoundaryScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops values at random under the race detector")
+	}
+	scan := func() {
+		if _, _, found, err := New(poly.CastagnoliHD5).FirstDataLen(5, 512); err != nil || found {
+			t.Fatalf("FirstDataLen(5, 512) found %v, %v; want none", found, err)
+		}
+	}
+	scan()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
+		t.Fatalf("%d bytes allocated a scan, want under 1 MiB", per)
+	}
+}
+
+// checkBucketSetClean asserts that s is as a new set is: no filter bit
+// or bucket count set, no filled bucket recorded, and none of keys
+// found by has or by a sieve of them.
+func checkBucketSetClean(t *testing.T, name string, s *bucketSet, keys []uint32) {
+	t.Helper()
+	for i, w := range s.filter {
+		if w != 0 {
+			t.Fatalf("%s: filter word %d is %#x", name, i, w)
+		}
+	}
+	for b, c := range s.counts {
+		if c != 0 {
+			t.Fatalf("%s: bucket %d holds %d keys", name, b, c)
+		}
+	}
+	if len(s.touched) != 0 {
+		t.Fatalf("%s: %d filled buckets recorded", name, len(s.touched))
+	}
+	for _, k := range keys {
+		if s.has(k) {
+			t.Fatalf("%s: has(%#x)", name, k)
+		}
+	}
+	if hits := s.sieve(keys, hashRow(keys), 0, make([]int32, len(keys))); len(hits) != 0 {
+		t.Fatalf("%s: the sieve passed %d keys, key %#x first", name, len(hits), keys[hits[0]])
 	}
 }
 
@@ -299,8 +386,14 @@ func equalInts(a, b []int) bool {
 
 // TestScanCancelAndBudget stops a weight-6 scan (802.3, boundary at 172
 // bits, about 1.4M probes) partway through, by the cancel hook and by
-// the probe budget.
+// the probe budget. Both scans must give their compact sets back.
 func TestScanCancelAndBudget(t *testing.T) {
+	out := setsOut.Load()
+	defer func() {
+		if got := setsOut.Load(); got != out {
+			t.Errorf("%d compact sets out after the stopped scans, want %d", got, out)
+		}
+	}()
 	polls := 0
 	canceled := New(poly.IEEE8023, WithCancel(func() bool {
 		polls++

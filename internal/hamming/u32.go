@@ -5,23 +5,21 @@ import (
 	"math/rand/v2"
 )
 
-// u32map is a minimal open-addressed hash table over uint32 keys, tuned
-// for the inner loops of the boundary scans where Go's built-in map is
-// too slow. It comes in two forms: newU32Map builds a map from keys to
-// int32 values, and newMapSet a keys-only presence set whose slots carry
-// no values at all (vals is nil), 4 bytes a slot against the map's 8.
-// The map also serves as a multiset: inc counts a key's occurrences in
-// its value (weight3's W3 count, exact when keys repeat). A
-// zero key word marks an empty slot, so key 0 is held beside the slots
-// in hasZero and zeroVal. The table is rebuilt by reserve: put doubles
-// it whenever an insert would take it past 50% load, and a scan that
-// knows its growth ahead reserves for it before the inserts.
+// u32map is a minimal open-addressed hash table from uint32 keys to
+// int32 values, tuned for the inner loops of the weight-3 and weight-4
+// scans and counts, where Go's built-in map is too slow. The w >= 5
+// scan's store, which reads no value back, is a bucketSet instead. The
+// map also serves as a multiset: inc counts a key's occurrences in its
+// value (weight3's W3 count, exact when keys repeat). A zero key word
+// marks an empty slot, so key 0 is held beside the slots in hasZero
+// and zeroVal. The table is rebuilt by reserve: put doubles it
+// whenever an insert would take it past 50% load.
 //
 // Almost every lookup in a scan is a miss, so a presence filter sits in
 // front of the slots: one bit array with 8 bits per slot, one byte per
-// slot against the slot's four or eight, so it stays in cache while the
-// slots do not. It is a blocked Bloom filter with two bits per key in
-// one 32-bit word: with f = lin(key) & (8*len(keys)-1), bit f and bit
+// slot against the slot's eight, so it stays in cache while the slots
+// do not. It is a blocked Bloom filter with two bits per key in one
+// 32-bit word: with f = lin(key) & (8*len(keys)-1), bit f and bit
 // (f &^ 31) | lin(key)>>filterShift2, so one gathered word tests both.
 // Both are independent of the key's slot, which the multiplicative hash
 // picks, and lin is invertible, so hash bits 27 to 31 are independent
@@ -41,7 +39,7 @@ import (
 // single bit) passes the sieve and find answers it with -1.
 type u32map struct {
 	keys    []uint32 // 0 marks an empty slot
-	vals    []int32  // the value of keys[i]; nil for a keys-only set
+	vals    []int32  // the value of keys[i]
 	filter  []uint64 // presence bits, 8 per slot, 2 per key
 	shift   uint
 	n       int // entries held, key 0 included
@@ -90,24 +88,17 @@ func lin(key uint32) uint32 {
 
 // newU32Map creates a map from keys to values able to hold n entries
 // at <= 50% load before it first grows.
-func newU32Map(n int) *u32map { return newTable(n, true) }
-
-// newTable allocates an empty table for n entries at <= 50% load, with
-// a value per slot when valued.
-func newTable(n int, valued bool) *u32map {
+func newU32Map(n int) *u32map {
 	sz := 16
 	for sz < 2*n {
 		sz <<= 1
 	}
-	m := &u32map{
+	return &u32map{
 		keys:   make([]uint32, sz),
+		vals:   make([]int32, sz),
 		filter: make([]uint64, sz/8),
 		shift:  uint(64 - bits.Len(uint(sz-1))),
 	}
-	if valued {
-		m.vals = make([]int32, sz)
-	}
-	return m
 }
 
 // hash spreads the syndrome bits across the table (Fibonacci hashing):
@@ -115,7 +106,6 @@ func newTable(n int, valued bool) *u32map {
 func hash(key uint32) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
 
 // put inserts key->val; for a key already present the first write wins.
-// A keys-only set drops val.
 func (m *u32map) put(key uint32, val int32) { m.insert(key, val, false) }
 
 // inc adds one to the value of key, counting a key not yet held from 0:
@@ -129,7 +119,7 @@ func (m *u32map) insert(key uint32, val int32, add bool) {
 	if 2*(m.n+1) > len(m.keys) {
 		m.reserve(m.n + 1)
 	}
-	w, bits := m.filterBits(key)
+	w, bits := filterBits(m.filter, key)
 	m.filter[w] |= bits
 	if key == 0 {
 		switch {
@@ -147,9 +137,7 @@ func (m *u32map) insert(key uint32, val int32, add bool) {
 		k := m.keys[i]
 		if k == 0 {
 			m.keys[i] = key
-			if m.vals != nil {
-				m.vals[i] = val
-			}
+			m.vals[i] = val
 			m.n++
 			return
 		}
@@ -163,10 +151,10 @@ func (m *u32map) insert(key uint32, val int32, add bool) {
 	}
 }
 
-// get returns the value for key, or -1 if absent; a keys-only set
-// answers 0 for a key it holds. It tests the presence filter first.
+// get returns the value for key, or -1 if absent. It tests the
+// presence filter first.
 func (m *u32map) get(key uint32) int32 {
-	if w, bits := m.filterBits(key); m.filter[w]&bits != bits {
+	if w, bits := filterBits(m.filter, key); m.filter[w]&bits != bits {
 		return -1
 	}
 	return m.find(key)
@@ -186,9 +174,6 @@ func (m *u32map) find(key uint32) int32 {
 	for {
 		k := m.keys[i]
 		if k == key {
-			if m.vals == nil {
-				return 0
-			}
 			return m.vals[i]
 		}
 		if k == 0 {
@@ -198,11 +183,13 @@ func (m *u32map) find(key uint32) int32 {
 	}
 }
 
-// filterBits returns key's word in the presence filter and the mask of
-// its two bits in that word.
-func (m *u32map) filterBits(key uint32) (int, uint64) {
+// filterBits returns key's word in a presence filter of 8 bits per
+// slot, whose length is a power of two, and the mask of its two bits
+// in that word: f = lin(key) & (64*len(filter)-1) is the
+// lin(key) & (8*slots-1) of the u32map and bucketSet docs.
+func filterBits(filter []uint64, key uint32) (int, uint64) {
 	h := lin(key)
-	f := h & uint32(8*len(m.keys)-1)
+	f := h & uint32(64*len(filter)-1)
 	return int(f >> 6), 1<<(f&63) | 1<<(f&32|h>>filterShift2)
 }
 
@@ -219,38 +206,21 @@ func (m *u32map) sieve(hrow []uint32, hx uint32, out []int32) []int32 {
 	return sieveBits(m.filter, hrow, hx, filterShift2, out)
 }
 
-// reserve readies the table to hold n entries at <= 50% load: a table
-// too small is rebuilt at that size, in the same form, and every key is
-// put again with its value. A table already large enough is kept.
+// reserve readies the map to hold n entries at <= 50% load: a table
+// too small is rebuilt at that size and every key is put again with
+// its value. A table already large enough is kept.
 func (m *u32map) reserve(n int) {
 	if 2*n <= len(m.keys) {
 		return
 	}
 	old := *m
-	*m = *newTable(n, old.vals != nil)
+	*m = *newU32Map(n)
 	if old.hasZero {
 		m.put(0, old.zeroVal)
 	}
 	for i, k := range old.keys {
-		if k == 0 {
-			continue
-		}
-		var v int32
-		if old.vals != nil {
-			v = old.vals[i]
-		}
-		m.put(k, v)
-	}
-}
-
-// each calls fn with every key held.
-func (m *u32map) each(fn func(key uint32)) {
-	if m.hasZero {
-		fn(0)
-	}
-	for _, k := range m.keys {
 		if k != 0 {
-			fn(k)
+			m.put(k, old.vals[i])
 		}
 	}
 }
