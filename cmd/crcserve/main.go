@@ -7,9 +7,7 @@
 //
 //	crcserve [-addr :8370] [-pool 64] [-maxlen 1048576] [-maxhd 13]
 //	         [-timeout 0] [-maxprobes 0] [-token SECRET]
-//	         [-maxbody 1048576] [-maxbatchitems 256]
-//	         [-maxbatchbytes 16777216] [-maxstreambytes 1073741824]
-//	         [-cert server.crt -key server.key]
+//	         [-maxbody 1048576] [-cert server.crt -key server.key]
 //	         [-pprof 127.0.0.1:6060]
 //	         [-corpus /var/lib/crc/corpus]
 //	         [-traces 256] [-tracesample 0.1] [-accesslog]
@@ -85,10 +83,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	maxHD := fs.Int("maxhd", koopmancrc.DefaultMaxHD, "clamp on per-request max_hd")
 	timeout := fs.Duration("timeout", 0, "per-request evaluation deadline (0 = none)")
 	maxProbes := fs.Int64("maxprobes", 0, "ceiling on per-request probe budgets (0 = engine default)")
-	maxBody := fs.Int64("maxbody", 1<<20, "cap on JSON request bodies and per-item batch payloads (bytes)")
-	maxBatchItems := fs.Int("maxbatchitems", 256, "cap on items per /v1/checksum/batch request")
-	maxBatchBytes := fs.Int64("maxbatchbytes", 16<<20, "cap on total decoded payload bytes per /v1/checksum/batch request")
-	maxStreamBytes := fs.Int64("maxstreambytes", 1<<30, "cap on one /v1/checksum/stream body (bytes)")
+	maxBody := fs.Int64("maxbody", 1<<20, "cap on every JSON request body (bytes); a larger body gets 413")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate address (bare :port binds loopback; empty = off)")
 	corpusDir := fs.String("corpus", "", "persistent analysis corpus directory: warm-start sessions from baked memos (see crcbake) and persist new ones write-behind (empty = off)")
 	traces := fs.Int("traces", 256, "flight-recorder capacity in retained traces (0 = tracing off)")
@@ -124,9 +119,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Timeout:         *timeout,
 		Token:           *token,
 		MaxBodyBytes:    *maxBody,
-		MaxBatchItems:   *maxBatchItems,
-		MaxBatchBytes:   *maxBatchBytes,
-		MaxStreamBytes:  *maxStreamBytes,
 		Limits:          koopmancrc.Limits{MaxProbes: *maxProbes},
 		CorpusDir:       *corpusDir,
 		TraceBuffer:     traceBuffer,

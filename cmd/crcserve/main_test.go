@@ -10,6 +10,7 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/pem"
+	"errors"
 	"io"
 	"math/big"
 	"net"
@@ -22,7 +23,6 @@ import (
 	"testing"
 	"time"
 
-	"koopmancrc/serve"
 	"koopmancrc/serve/client"
 )
 
@@ -102,51 +102,30 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestServeBatchAndStreamLimits wires the new limit flags through the
-// binary: a batch over -maxbatchitems is rejected whole, a stream over
-// -maxstreambytes gets 413, and within the limits both endpoints answer
-// with correct digests.
-func TestServeBatchAndStreamLimits(t *testing.T) {
-	url, stop := startServe(t, "-maxbatchitems", "2", "-maxstreambytes", "1024")
+// TestServeMaxBody wires -maxbody through the binary: a small checksum
+// body answers as usual, and a body past the cap gets a 413 that carries
+// the request ID.
+func TestServeMaxBody(t *testing.T) {
+	url, stop := startServe(t, "-maxbody", "256")
 	defer stop()
 
 	c := client.New(url)
 	ctx := context.Background()
-	resp, err := c.ChecksumBatch(ctx, serve.ChecksumBatchRequest{
-		Items: []serve.ChecksumRequest{
-			{Algorithm: "CRC-32C/iSCSI", Text: "123456789"},
-			{Algorithm: "CRC-32/BOGUS", Text: "x"},
-		},
-	})
+	sum, err := c.Checksum(ctx, "CRC-32/IEEE-802.3", []byte("123456789"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Items[0].Hex != "0xe3069283" || resp.Items[1].Error == "" || resp.Failed != 1 {
-		t.Fatalf("batch %+v", resp)
+	if sum.Hex != "0xcbf43926" {
+		t.Fatalf("check value %+v", sum)
 	}
 
-	over := serve.ChecksumBatchRequest{Items: []serve.ChecksumRequest{
-		{Algorithm: "CRC-32C/iSCSI", Text: "a"},
-		{Algorithm: "CRC-32C/iSCSI", Text: "b"},
-		{Algorithm: "CRC-32C/iSCSI", Text: "c"},
-	}}
-	if _, err := c.ChecksumBatch(ctx, over); err == nil {
-		t.Fatal("3-item batch accepted past -maxbatchitems 2")
-	} else if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("batch clamp error %v, want 422", err)
+	_, err = c.Checksum(ctx, "CRC-32/IEEE-802.3", make([]byte, 512))
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over -maxbody 256: error %v, want a 413 APIError", err)
 	}
-
-	sum, err := c.ChecksumReader(ctx, "CRC-32/IEEE-802.3", strings.NewReader("123456789"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Hex != "0xcbf43926" || sum.Length != 9 {
-		t.Fatalf("stream %+v", sum)
-	}
-	if _, err := c.ChecksumReader(ctx, "CRC-32/IEEE-802.3", bytes.NewReader(make([]byte, 4096))); err == nil {
-		t.Fatal("4 KiB stream accepted past -maxstreambytes 1024")
-	} else if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("stream clamp error %v, want 413", err)
+	if apiErr.RequestID == "" {
+		t.Fatalf("413 without a request ID: %+v", apiErr)
 	}
 }
 

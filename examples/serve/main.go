@@ -1,13 +1,10 @@
 // Command serve starts a crcserve instance in-process and drives it with
-// the Go client: a checksum, a mixed-algorithm batch in one round trip,
-// a raw-body streaming checksum, a pipelined burst of batches, a cached
-// evaluation (the second call answers from the pooled Analyzer's memo
-// with zero new engine probes), a streaming evaluation with live
-// progress, and a candidate ranking.
+// the Go client: a checksum, a cached evaluation (the second call
+// answers from the pooled Analyzer's memo with zero new engine probes),
+// a streaming evaluation with live progress, and a candidate ranking.
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -38,50 +35,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("CRC-32C(\"123456789\") = %s\n", sum.Hex)
-
-	// Many small checksums in one round trip; the bad algorithm fails
-	// its item, not the batch.
-	batch, err := c.ChecksumBatch(ctx, serve.ChecksumBatchRequest{
-		Items: []serve.ChecksumRequest{
-			{Algorithm: "CRC-32/IEEE-802.3", Text: "123456789"},
-			{Algorithm: "CRC-32K/Koopman", Text: "123456789"},
-			{Algorithm: "CRC-32/TYPO", Text: "x"},
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("batch of %d: %s %s, %d failed\n",
-		batch.Count, batch.Items[0].Hex, batch.Items[1].Hex, batch.Failed)
-
-	// A large payload streams through a chunked digest — never buffered
-	// on either side.
-	big := bytes.Repeat([]byte("internet-scale payload "), 1<<16) // ~1.4 MiB
-	streamed, err := c.ChecksumReader(ctx, "CRC-32C/iSCSI", bytes.NewReader(big))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("streamed %d bytes -> %s (%s kernel)\n", streamed.Length, streamed.Hex, streamed.Kernel)
-
-	// Pipelining keeps several batches in flight to hide round-trip
-	// latency; futures deliver the results in submission order.
-	pipe := c.Pipeline(4)
-	var calls []*client.BatchCall
-	for i := 0; i < 8; i++ {
-		calls = append(calls, pipe.Submit(ctx, serve.ChecksumBatchRequest{
-			Items: []serve.ChecksumRequest{
-				{Algorithm: "CRC-32C/iSCSI", Text: fmt.Sprintf("message %d", i)},
-			},
-		}))
-	}
-	pipe.Wait()
-	ok := 0
-	for _, call := range calls {
-		if resp, err := call.Result(); err == nil && resp.Failed == 0 {
-			ok++
-		}
-	}
-	fmt.Printf("pipelined %d/%d batches\n", ok, len(calls))
 
 	req := serve.EvaluateRequest{
 		PolyRef: serve.PolyRef{Poly: "0xba0dc66b"},

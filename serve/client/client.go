@@ -237,48 +237,6 @@ func (c *Client) Checksum(ctx context.Context, algorithm string, data []byte) (*
 	return &out, nil
 }
 
-// ChecksumBatch computes many checksums in one round trip. Per-item
-// failures (unknown algorithm, overlong payload) come back in the item's
-// Error field; the call itself fails only on transport errors or a
-// batch-level rejection (too many items: 422, too many bytes: 413).
-func (c *Client) ChecksumBatch(ctx context.Context, req serve.ChecksumBatchRequest) (*serve.ChecksumBatchResponse, error) {
-	var out serve.ChecksumBatchResponse
-	if err := c.roundTrip(ctx, http.MethodPost, "/v1/checksum/batch", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ChecksumReader streams r to /v1/checksum/stream as a raw
-// application/octet-stream body — never buffered on either side — and
-// returns the digest the server computed chunk-by-chunk. Use it for
-// payloads too large to hold in memory; the server rejects bodies over
-// its stream cap with 413.
-func (c *Client) ChecksumReader(ctx context.Context, algorithm string, r io.Reader) (*serve.ChecksumResponse, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/checksum/stream?algorithm="+url.QueryEscape(algorithm), r)
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/octet-stream")
-	if c.token != "" {
-		hreq.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out serve.ChecksumResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // TracesOptions filters a Traces listing. Zero values mean "no filter"
 // (and the server's default limit of 100).
 type TracesOptions struct {

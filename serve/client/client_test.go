@@ -178,4 +178,7 @@ func TestClientErrorsAndAuth(t *testing.T) {
 	if _, err := c.Checksum(ctx, "CRC-99/NOPE", nil); !errors.As(err, &apiErr) || apiErr.StatusCode != 404 {
 		t.Fatalf("unknown algorithm: %v", err)
 	}
+	if apiErr.RequestID == "" {
+		t.Fatalf("unknown algorithm: APIError %+v carries no request ID", apiErr)
+	}
 }

@@ -10,15 +10,6 @@
 //	POST /v1/maxlen      largest length keeping a target HD
 //	POST /v1/select      rank candidate polynomials for a message length
 //	POST /v1/checksum    CRC of a payload under a catalogued algorithm
-//	POST /v1/checksum/batch
-//	                     many payloads in one round trip; per-item results
-//	                     with per-item error slots (a bad algorithm or
-//	                     overlong payload fails that item, not the batch)
-//	POST /v1/checksum/stream
-//	                     CRC of a raw octet-stream body fed chunk-by-chunk
-//	                     into a digest — O(1) server memory regardless of
-//	                     body size; algorithm in ?algorithm= or the
-//	                     X-Checksum-Algorithm header
 //	GET  /v1/algorithms  catalogued algorithm names
 //	GET  /v1/traces      retained traces, newest first; filters:
 //	                     ?endpoint= (root span name), ?min_duration=
@@ -131,23 +122,11 @@
 // compactions, open-time recovery and load latency as the
 // crcserve_corpus_* series.
 //
-// # Checksum ingestion tier
+// # Request bodies
 //
-// The batch and stream endpoints make the checksum path usable as a
-// data-plane ingestion tier rather than a one-shot demo. A batch resolves
-// each distinct algorithm's engine once per request and clamps both item
-// count (Config.MaxBatchItems → 422) and total decoded bytes
-// (Config.MaxBatchBytes → 413); each item is additionally held to the
-// per-body cap (Config.MaxBodyBytes), failing only that item. A stream
-// never buffers the body: chunks move through a pooled 64 KiB buffer into
-// a crchash digest, the request context is polled between chunks so a
-// dropped client aborts the hash mid-body, and Config.MaxStreamBytes
-// bounds the total (413 past it). Every JSON endpoint bounds its request
-// body with http.MaxBytesReader and answers an over-limit body with 413
-// and a request_id-bearing error. The serve/client package mirrors the
-// pair with ChecksumBatch and ChecksumReader, and its Pipeline keeps a
-// bounded number of batches in flight over the pooled keep-alive
-// connections to hide round-trip latency.
+// Every JSON route bounds its body and answers a larger one with 413
+// and a request_id-bearing error; Config.MaxBodyBytes (crcserve
+// -maxbody) sets the bound.
 //
 // The wire types in this package are shared with cmd/crceval's -json
 // output, so CLI results are byte-comparable with /v1/evaluate

@@ -33,10 +33,6 @@ type serverObs struct {
 	streamErr *obs.Counter    // SSE streams that ended in an error event
 	checksums *obs.CounterVec // checksums served, by kernel kind
 
-	batchItems  *obs.Histogram // items per checksum batch
-	batchBytes  *obs.Histogram // total decoded payload bytes per checksum batch
-	streamBytes *obs.Histogram // body bytes per completed checksum stream
-
 	// The corpus series exist only when the server has a corpus.
 	corpusHits      *obs.Counter   // sessions warm-started from the corpus
 	corpusMisses    *obs.Counter   // sessions created with no stored knowledge
@@ -70,13 +66,7 @@ func newServerObs(s *Server) *serverObs {
 		streamErr: r.NewCounter("crcserve_stream_errors_total",
 			"SSE streams that ended in an error event (inside a 200 response)."),
 		checksums: r.NewCounterVec("crcserve_checksums_total",
-			"Checksums served (single, batch items and streams) by kernel kind.", "kernel"),
-		batchItems: r.NewHistogram("crcserve_checksum_batch_items",
-			"Items per /v1/checksum/batch request.", obs.WorkBuckets()),
-		batchBytes: r.NewHistogram("crcserve_checksum_batch_bytes",
-			"Total decoded payload bytes per /v1/checksum/batch request.", obs.WorkBuckets()),
-		streamBytes: r.NewHistogram("crcserve_checksum_stream_bytes",
-			"Body bytes digested per completed /v1/checksum/stream request.", obs.WorkBuckets()),
+			"Checksums served by /v1/checksum, by kernel kind.", "kernel"),
 	}
 	r.NewGaugeFunc("crcserve_pool_capacity",
 		"Session pool capacity (Config.PoolSize).", func() float64 { return float64(s.pool.cap) })
@@ -171,8 +161,7 @@ func newServerObs(s *Server) *serverObs {
 func endpointLabel(path string) string {
 	switch path {
 	case "/v1/evaluate", "/v1/hd", "/v1/maxlen", "/v1/select",
-		"/v1/checksum", "/v1/checksum/batch", "/v1/checksum/stream",
-		"/v1/algorithms", "/v1/traces", "/healthz", "/metrics":
+		"/v1/checksum", "/v1/algorithms", "/v1/traces", "/healthz", "/metrics":
 		return path
 	}
 	if strings.HasPrefix(path, "/v1/traces/") {

@@ -36,18 +36,9 @@ type Config struct {
 	// MaxWeightLens caps the exact-weight lengths of one evaluate
 	// request (default 8).
 	MaxWeightLens int
-	// MaxBodyBytes caps JSON request bodies and the per-item payload of
-	// a checksum batch (default 1 MiB).
+	// MaxBodyBytes caps every JSON request body (default 1 MiB); a
+	// larger body is answered 413.
 	MaxBodyBytes int64
-	// MaxBatchItems caps the item count of one /v1/checksum/batch
-	// request (default 256).
-	MaxBatchItems int
-	// MaxBatchBytes caps the total decoded payload bytes of one
-	// /v1/checksum/batch request; the wire body is bounded at twice this
-	// to cover base64 and JSON framing (default 16 MiB).
-	MaxBatchBytes int64
-	// MaxStreamBytes caps one /v1/checksum/stream body (default 1 GiB).
-	MaxStreamBytes int64
 	// Timeout bounds each request's evaluation, streaming included
 	// (0 = no server-side deadline).
 	Timeout time.Duration
@@ -107,15 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 256
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 16 << 20
-	}
-	if c.MaxStreamBytes <= 0 {
-		c.MaxStreamBytes = 1 << 30
 	}
 	if c.TraceBuffer == 0 {
 		c.TraceBuffer = 256
@@ -189,8 +171,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/maxlen", s.handleMaxLen)
 	s.mux.HandleFunc("POST /v1/select", s.handleSelect)
 	s.mux.HandleFunc("POST /v1/checksum", s.handleChecksum)
-	s.mux.HandleFunc("POST /v1/checksum/batch", s.handleChecksumBatch)
-	s.mux.HandleFunc("POST /v1/checksum/stream", s.handleChecksumStream)
 	s.mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
 	obs.Mount(s.mux, s.obs.registry, s.recorder)
 	return s, nil
@@ -289,13 +269,7 @@ func statusFor(err error) int {
 // decode reads a JSON request body, bounded and strict about unknown
 // fields so typos fail loudly instead of silently using defaults.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	return s.decodeBounded(w, r, v, s.cfg.MaxBodyBytes)
-}
-
-// decodeBounded is decode with an explicit body bound, for endpoints
-// (checksum batches) whose legitimate bodies exceed MaxBodyBytes.
-func (s *Server) decodeBounded(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError

@@ -692,3 +692,61 @@ func TestSelectReusesEvaluationSessions(t *testing.T) {
 		t.Fatalf("repeat selection missed the pool: %v -> %v hits", b, a)
 	}
 }
+
+func TestJSONBodyLimit413(t *testing.T) {
+	_, ts := startServer(t, Config{MaxBodyBytes: 64})
+	for _, ep := range []string{"/v1/evaluate", "/v1/hd", "/v1/maxlen", "/v1/select", "/v1/checksum"} {
+		big := fmt.Sprintf(`{"poly":"0x%s"}`, strings.Repeat("a", 4096))
+		resp, err := http.Post(ts.URL+ep, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %s", ep, resp.StatusCode, body)
+		}
+		assertErrorBody(t, body)
+	}
+}
+
+// assertErrorBody checks a non-2xx JSON reply carries an error message
+// and the request ID that locates it in the server's logs.
+func assertErrorBody(t *testing.T, body []byte) {
+	t.Helper()
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatalf("error body %s: %v", body, err)
+	}
+	if er.Error == "" || er.RequestID == "" {
+		t.Fatalf("error body %s missing error or request_id", body)
+	}
+}
+
+// TestRemovedChecksumRoutes checks that the retired checksum batch and
+// stream routes answer the mux's 404, count under the "other" endpoint
+// label and leave no histograms behind in /metrics.
+func TestRemovedChecksumRoutes(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	for _, path := range []string{"/v1/checksum/batch", "/v1/checksum/stream"} {
+		resp, err := http.Post(ts.URL+path, "application/json",
+			strings.NewReader(`{"items":[{"algorithm":"CRC-32C/iSCSI","text":"123456789"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: %d, want 404", path, resp.StatusCode)
+		}
+	}
+	m := getMetrics(t, ts)
+	if n := m.sum("crcserve_requests_total", `endpoint="other"`, `code="404"`); n != 2 {
+		t.Errorf(`crcserve_requests_total{endpoint="other",code="404"} = %v, want 2`, n)
+	}
+	for _, gone := range []string{"crcserve_checksum_batch_items", "crcserve_checksum_batch_bytes", "crcserve_checksum_stream_bytes"} {
+		if len(m.series(gone+"_count")) > 0 {
+			t.Errorf("/metrics still exposes the %s histogram", gone)
+		}
+	}
+}

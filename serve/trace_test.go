@@ -329,35 +329,6 @@ func TestTracesQueryValidation(t *testing.T) {
 	}
 }
 
-// TestBatchItemErrorRequestID is the satellite bugfix regression:
-// per-item failures inside a 200 batch response must carry the batch's
-// request ID so the failure can be located in the server's logs.
-func TestBatchItemErrorRequestID(t *testing.T) {
-	_, ts := startServer(t, Config{})
-	req := ChecksumBatchRequest{Items: []ChecksumRequest{
-		{Algorithm: "no-such-algorithm", Text: "x"},
-		{Algorithm: "CRC-32/IEEE-802.3", Text: "x"},
-	}}
-	r := postRaw(t, ts.URL+"/v1/checksum/batch", req)
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("batch: %d", r.StatusCode)
-	}
-	rid := r.Header.Get("X-Request-ID")
-	var resp ChecksumBatchResponse
-	if err := json.NewDecoder(r.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Items[0].Error == "" {
-		t.Fatal("bad-algorithm item did not fail")
-	}
-	if resp.Items[0].RequestID != rid {
-		t.Errorf("failed item request_id %q, want the batch's %q", resp.Items[0].RequestID, rid)
-	}
-	if resp.Items[1].Error != "" || resp.Items[1].RequestID != "" {
-		t.Errorf("successful item should carry no error or request_id: %+v", resp.Items[1])
-	}
-}
-
 // TestAccessLog checks the satellite: with -accesslog on, each retained
 // request emits one structured "access" line carrying the trace ID and
 // the sampling verdict; with tracing at rate 1 every request is logged.

@@ -248,38 +248,6 @@ type ChecksumResponse struct {
 	Kernel    string `json:"kernel"`
 }
 
-// ChecksumBatchRequest carries many checksum payloads in one round
-// trip, amortizing per-request HTTP and JSON overhead. Items follow the
-// single-checksum convention (base64 Data, or Text when Data is empty).
-type ChecksumBatchRequest struct {
-	Items []ChecksumRequest `json:"items"`
-}
-
-// ChecksumBatchItem is one per-item outcome. On success Error is empty
-// and the remaining fields mirror ChecksumResponse; on failure (unknown
-// algorithm, overlong payload) Error explains, the checksum fields are
-// zero, and RequestID carries the batch request's ID so the failure can
-// be located in the server's logs like a top-level ErrorResponse can. A
-// failed item never fails its batch.
-type ChecksumBatchItem struct {
-	Algorithm string `json:"algorithm,omitempty"`
-	Length    int    `json:"length"`
-	Checksum  uint32 `json:"checksum"`
-	Hex       string `json:"hex,omitempty"`
-	Kernel    string `json:"kernel,omitempty"`
-	Error     string `json:"error,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-// ChecksumBatchResponse answers a batch: one item per request item, in
-// order, plus summary counts so clients can cheaply spot partial
-// failure.
-type ChecksumBatchResponse struct {
-	Count  int                 `json:"count"`
-	Failed int                 `json:"failed"`
-	Items  []ChecksumBatchItem `json:"items"`
-}
-
 // AlgorithmsResponse lists the catalogued algorithm names, sorted.
 type AlgorithmsResponse struct {
 	Algorithms []string `json:"algorithms"`
