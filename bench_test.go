@@ -319,7 +319,9 @@ func BenchmarkFilterThroughputBrute32(b *testing.B) {
 }
 
 // BenchmarkCRCThroughput compares the checksum engines against hash/crc32
-// on 64 KiB buffers.
+// on 64 KiB buffers, and the paper's CRC-32K through the hardware
+// engine's fold and slicing-by-16 at one Ethernet MTU frame (1514 bytes)
+// and at 64 KiB.
 func BenchmarkCRCThroughput(b *testing.B) {
 	data := make([]byte, 64<<10)
 	rng := rand.New(rand.NewPCG(3, 5))
@@ -340,22 +342,40 @@ func BenchmarkCRCThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	stdTab := crc32.MakeTable(crc32.IEEE)
-	want := crc32.Checksum(data, stdTab)
-	engines := []struct {
+	type row struct {
 		name string
-		fn   func() uint32
-	}{
-		{"bitwise", func() uint32 { return bitwise.Checksum(data) }},
-		{"table", func() uint32 { return table.Checksum(data) }},
-		{"slicing16", func() uint32 { return slicing16.Checksum(data) }},
-		{"hardware", func() uint32 { return hardware.Checksum(data) }},
-		{"stdlib", func() uint32 { return crc32.Checksum(data, stdTab) }},
+		data []byte
+		tab  *crc32.Table // hash/crc32's table for the expected value
+		fn   func([]byte) uint32
+	}
+	engines := []row{
+		{"bitwise", data, stdTab, bitwise.Checksum},
+		{"table", data, stdTab, table.Checksum},
+		{"slicing16", data, stdTab, slicing16.Checksum},
+		{"hardware", data, stdTab, hardware.Checksum},
+		{"stdlib", data, stdTab, func(d []byte) uint32 { return crc32.Checksum(d, stdTab) }},
+	}
+	koopTab := crc32.MakeTable(crc32.Koopman)
+	koopHW, err := crc.NewHardware(crc.CRC32K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	koopS16, err := crc.NewSlicing16(crc.CRC32K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1514, 64 << 10} {
+		engines = append(engines,
+			row{fmt.Sprintf("crc32k-hardware-%d", n), data[:n], koopTab, koopHW.Checksum},
+			row{fmt.Sprintf("crc32k-slicing16-%d", n), data[:n], koopTab, koopS16.Checksum},
+		)
 	}
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
+			want := crc32.Checksum(e.data, e.tab)
+			b.SetBytes(int64(len(e.data)))
 			for i := 0; i < b.N; i++ {
-				if e.fn() != want {
+				if e.fn(e.data) != want {
 					b.Fatal("checksum mismatch")
 				}
 			}

@@ -1,11 +1,13 @@
 // Package crchash computes CRC checksums for widths up to 32 bits: a
 // catalogue of standard algorithms in the Rocksoft parameter model, user
 // registration of custom algorithms, four engine kinds (bit-at-a-time,
-// byte-table, slicing-by-16 and a hardware-assisted hash/crc32
-// delegate) cross-validated against the bitwise reference, and
-// hash.Hash32-compatible digests. Kind Auto picks among them by a static
-// structural rule: the accelerated hardware path for IEEE and
-// Castagnoli, otherwise slicing-by-16, otherwise the byte table,
+// byte-table, slicing-by-16 and a hardware engine: hash/crc32 for IEEE
+// and Castagnoli, a PCLMULQDQ fold for every other reflected 32-bit
+// generator on amd64) cross-validated against the bitwise reference,
+// and hash.Hash32-compatible digests. Kind Auto picks among them by a
+// static structural rule: the hardware engine where it is accelerated
+// (IEEE and Castagnoli, and every other reflected 32-bit set where the
+// fold runs), otherwise slicing-by-16, otherwise the byte table,
 // otherwise the bitwise reference.
 //
 // This is the checksum half of the koopmancrc module, split out so that
@@ -62,8 +64,9 @@ type Kind int
 const (
 	// Auto picks the fastest kernel the parameter set admits by a
 	// static rule: Hardware for the generators hash/crc32 accelerates
-	// (IEEE, Castagnoli), otherwise Slicing16, otherwise Table,
-	// otherwise Bitwise.
+	// (IEEE, Castagnoli) and, on amd64 CPUs with PCLMULQDQ and SSE4.1,
+	// for every other reflected 32-bit set, otherwise Slicing16,
+	// otherwise Table, otherwise Bitwise.
 	Auto Kind = iota
 	// Bitwise is the bit-at-a-time reference engine, valid for every
 	// width and reflection combination.
@@ -75,10 +78,13 @@ const (
 	// algorithms only): the table loads for a whole block are
 	// independent, so the XOR reduction is the only serial chain.
 	Slicing16
-	// Hardware delegates to the standard library's hash/crc32, which
-	// uses CLMUL folding (IEEE) and the SSE4.2/ARMv8 CRC32C
-	// instructions (Castagnoli) where the platform has them
-	// (reflected 32-bit algorithms only).
+	// Hardware delegates IEEE and Castagnoli to the standard
+	// library's hash/crc32, which uses CLMUL folding (IEEE) and the
+	// SSE4.2/ARMv8 CRC32C instructions (Castagnoli) where the platform
+	// has them, and folds every other generator with PCLMULQDQ on
+	// amd64 CPUs that have it, with the slicing-by-16 loop for short
+	// inputs and tails and on other hosts (reflected 32-bit algorithms
+	// only).
 	Hardware
 )
 

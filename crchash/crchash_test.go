@@ -2,6 +2,7 @@ package crchash_test
 
 import (
 	"hash/crc32"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -232,21 +233,27 @@ func TestKindOfRoundTrip(t *testing.T) {
 
 // TestNewFollowsStructuralRule pins Auto's choice for the paper's three
 // 32-bit algorithms and the two fallbacks: hardware where hash/crc32
-// accelerates the generator, slicing16 for every other reflected 32-bit
-// set, the byte table for other byte-aligned widths, bitwise otherwise.
+// accelerates the generator, and for every other reflected 32-bit set
+// where the CPU probe found the carry-less-multiply fold; slicing16 for
+// those sets elsewhere, the byte table for other byte-aligned widths,
+// bitwise otherwise.
 func TestNewFollowsStructuralRule(t *testing.T) {
 	ccitt, err := crchash.Lookup("CRC-16/CCITT-FALSE")
 	if err != nil {
 		t.Fatal(err)
 	}
 	crc5 := crchash.Pure(poly.MustKoopman(5, 0x15))
+	koopman := crchash.Slicing16
+	if foldProbe(t) {
+		koopman = crchash.Hardware
+	}
 	for _, tc := range []struct {
 		p    crchash.Params
 		want crchash.Kind
 	}{
 		{crchash.CRC32IEEE, crchash.Hardware},
 		{crchash.CRC32C, crchash.Hardware},
-		{crchash.CRC32K, crchash.Slicing16},
+		{crchash.CRC32K, koopman},
 		{ccitt, crchash.Table},
 		{crc5, crchash.Bitwise},
 	} {
@@ -278,4 +285,20 @@ func TestAutoEngineChecksumsCorrectly(t *testing.T) {
 			t.Errorf("%s: auto engine checksum %#x, want %#x", p.Name, got, want)
 		}
 	}
+}
+
+// foldProbe reports whether this host runs the carry-less-multiply fold
+// for generators hash/crc32 does not accelerate: the hardware engine
+// for CRC-32K reports it as Accelerated, and only amd64 has the fold.
+func foldProbe(t *testing.T) bool {
+	t.Helper()
+	e, err := crchash.NewEngine(crchash.CRC32K, crchash.Hardware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := e.(interface{ Accelerated() bool }).Accelerated()
+	if on && runtime.GOARCH != "amd64" {
+		t.Fatalf("fold reported on %s, which has no fold kernel", runtime.GOARCH)
+	}
+	return on
 }

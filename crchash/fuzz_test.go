@@ -21,6 +21,12 @@ func FuzzKernelCrossValidation(f *testing.F) {
 	f.Add(uint64(0x8F6E37A0), uint32(0xFFFFFFFF), uint32(0), []byte("hello crc world"), uint16(7))
 	f.Add(uint64(1), uint32(1), uint32(1), make([]byte, 64), uint16(17))
 	f.Add(uint64(0xDEADBEEF), uint32(0x12345678), uint32(0x9ABCDEF0), make([]byte, 100), uint16(23))
+	// Lengths at the hardware fold's edges: the shortest input it takes,
+	// one byte past it, one short of two 64-byte steps, and an MTU frame.
+	f.Add(uint64(0xBA0DC66B), uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), ramp(64), uint16(0))
+	f.Add(uint64(0xBA0DC66B), uint32(0), uint32(0), ramp(65), uint16(64))
+	f.Add(uint64(0x8F6E37A0), uint32(0x12345678), uint32(0), ramp(127), uint16(5))
+	f.Add(uint64(0x992C1A4C), uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), ramp(1514), uint16(1000))
 
 	f.Fuzz(func(t *testing.T, kpoly uint64, init, xorout uint32, data []byte, cut uint16) {
 		// Koopman form with the top bit forced keeps every fuzz input a
@@ -67,4 +73,14 @@ func FuzzKernelCrossValidation(f *testing.F) {
 			}
 		}
 	})
+}
+
+// ramp returns n bytes of a fixed non-repeating-looking pattern, so seed
+// payloads exercise every table and fold lane with non-zero data.
+func ramp(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*131 + i>>3 + 7)
+	}
+	return b
 }

@@ -33,6 +33,7 @@ var (
 	CRC32K = Params{
 		Name: "CRC-32K/Koopman", Poly: poly.Koopman32K,
 		Init: 0xFFFFFFFF, RefIn: true, RefOut: true, XorOut: 0xFFFFFFFF,
+		Check: 0x2D3DD0AE,
 	}
 
 	// CRC16CCITTFalse is CRC-16/CCITT-FALSE (non-reflected 0x1021).

@@ -26,25 +26,7 @@ func NewSlicing16(p Params) (*Slicing16, error) {
 		return nil, fmt.Errorf("crc: slicing-by-16 requires reflected input and output")
 	}
 	e := &Slicing16{params: p}
-	rev := uint32(p.Poly.Reversed())
-	for i := 0; i < 256; i++ {
-		c := uint32(i)
-		for k := 0; k < 8; k++ {
-			if c&1 != 0 {
-				c = (c >> 1) ^ rev
-			} else {
-				c >>= 1
-			}
-		}
-		e.tab[0][i] = c
-	}
-	for i := 0; i < 256; i++ {
-		c := e.tab[0][i]
-		for k := 1; k < 16; k++ {
-			c = e.tab[0][byte(c)] ^ (c >> 8)
-			e.tab[k][i] = c
-		}
-	}
+	fillSlicingTables(&e.tab, uint32(p.Poly.Reversed()))
 	return e, nil
 }
 
@@ -59,33 +41,68 @@ func (e *Slicing16) Finalize(state uint32) uint32 { return state ^ e.params.XorO
 
 // Update implements Engine.
 func (e *Slicing16) Update(state uint32, data []byte) uint32 {
-	for len(data) >= 16 {
-		s := state ^ binary.LittleEndian.Uint32(data)
-		state = e.tab[15][byte(s)] ^
-			e.tab[14][byte(s>>8)] ^
-			e.tab[13][byte(s>>16)] ^
-			e.tab[12][byte(s>>24)] ^
-			e.tab[11][data[4]] ^
-			e.tab[10][data[5]] ^
-			e.tab[9][data[6]] ^
-			e.tab[8][data[7]] ^
-			e.tab[7][data[8]] ^
-			e.tab[6][data[9]] ^
-			e.tab[5][data[10]] ^
-			e.tab[4][data[11]] ^
-			e.tab[3][data[12]] ^
-			e.tab[2][data[13]] ^
-			e.tab[1][data[14]] ^
-			e.tab[0][data[15]]
-		data = data[16:]
-	}
-	for _, b := range data {
-		state = (state >> 8) ^ e.tab[0][byte(state)^b]
-	}
-	return state
+	return slicingUpdate(state, &e.tab, data)
 }
 
 // Checksum implements Engine.
 func (e *Slicing16) Checksum(data []byte) uint32 {
 	return e.Finalize(e.Update(e.Init(), data))
+}
+
+// fillSlicingTables builds the slicing-by-16 tables of the reflected
+// generator rev into a zeroed tab: tab[0] is the byte table and
+// tab[k][i] advances byte i past k more zero bytes. Each table is linear
+// over GF(2) in its index, so only the entries of the eight single-bit
+// bytes are stepped out; every other entry is the XOR of two already
+// filled.
+func fillSlicingTables(tab *[16][256]uint32, rev uint32) {
+	for k := range tab {
+		for b := 0; b < 8; b++ {
+			var c uint32
+			if k == 0 {
+				c = uint32(1) << b
+				for range 8 {
+					c = c>>1 ^ rev&-(c&1)
+				}
+			} else {
+				c = tab[k-1][1<<b]
+				c = tab[0][byte(c)] ^ c>>8
+			}
+			tab[k][1<<b] = c
+		}
+		t := &tab[k]
+		for i := 3; i < 256; i++ {
+			t[i] = t[i&(i-1)] ^ t[i&-i]
+		}
+	}
+}
+
+// slicingUpdate advances the pure reflected state over data sixteen
+// bytes a step, then a byte at a time: the loop of Slicing16, and of
+// Hardware for generators hash/crc32 does not accelerate.
+func slicingUpdate(state uint32, tab *[16][256]uint32, data []byte) uint32 {
+	for len(data) >= 16 {
+		s := state ^ binary.LittleEndian.Uint32(data)
+		state = tab[15][byte(s)] ^
+			tab[14][byte(s>>8)] ^
+			tab[13][byte(s>>16)] ^
+			tab[12][byte(s>>24)] ^
+			tab[11][data[4]] ^
+			tab[10][data[5]] ^
+			tab[9][data[6]] ^
+			tab[8][data[7]] ^
+			tab[7][data[8]] ^
+			tab[6][data[9]] ^
+			tab[5][data[10]] ^
+			tab[4][data[11]] ^
+			tab[3][data[12]] ^
+			tab[2][data[13]] ^
+			tab[1][data[14]] ^
+			tab[0][data[15]]
+		data = data[16:]
+	}
+	for _, b := range data {
+		state = (state >> 8) ^ tab[0][byte(state)^b]
+	}
+	return state
 }

@@ -135,7 +135,10 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 	}
 	defer e.spanStart(SpanBoundary, w, maxLen)()
 	n := e.codewordLen(maxLen)
-	syn := e.syndromes(n)
+	// The syndrome table grows to n once but is filled a row at a time,
+	// so a scan that stops early computes and hashes only the syndromes
+	// its rows reach: row c reads positions 0 to c.
+	e.growSyndromes(n)
 	p := (w - 1) / 2
 	q := w - 2 - p
 	// The store starts as a compact set, sized once for every insert
@@ -173,6 +176,7 @@ func (e *Evaluator) firstLenScan(w, maxLen int) (int, []int, bool, error) {
 			compact.release()
 			compact, set = nil, b
 		}
+		syn := e.syndromes(c + 1)
 		if err := e.enumStore(syn, c-1, p-1, syn[c-1], set, w, maxLen); err != nil {
 			return 0, nil, false, err
 		}

@@ -291,16 +291,23 @@ func (e *Evaluator) step(s uint32) uint32 {
 // the result: each syndrome is hashed once, when it is first computed.
 // Both tables grow to n in one allocation each.
 func (e *Evaluator) syndromes(n int) []uint32 {
-	if more := n - len(e.syn); more > 0 {
-		e.syn = slices.Grow(e.syn, more)
-		e.hsyn = slices.Grow(e.hsyn, more)
-	}
+	e.growSyndromes(n)
 	for len(e.syn) < n {
 		s := e.step(e.syn[len(e.syn)-1])
 		e.syn = append(e.syn, s)
 		e.hsyn = append(e.hsyn, lin(s))
 	}
 	return e.syn[:n]
+}
+
+// growSyndromes gives the syndrome and hash tables room for n entries
+// without computing any, so a scan can fill them row by row without
+// reallocating.
+func (e *Evaluator) growSyndromes(n int) {
+	if more := n - len(e.syn); more > 0 {
+		e.syn = slices.Grow(e.syn, more)
+		e.hsyn = slices.Grow(e.hsyn, more)
+	}
 }
 
 // Period returns ord(x) mod G — the codeword length at which 2-bit errors
