@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"koopmancrc/crchash"
 	"koopmancrc/internal/core"
 	"koopmancrc/internal/crc"
 	"koopmancrc/internal/hamming"
@@ -319,9 +320,10 @@ func BenchmarkFilterThroughputBrute32(b *testing.B) {
 }
 
 // BenchmarkCRCThroughput compares the checksum engines against hash/crc32
-// on 64 KiB buffers, and the paper's CRC-32K through the hardware
-// engine's fold and slicing-by-16 at one Ethernet MTU frame (1514 bytes)
-// and at 64 KiB.
+// on 64 KiB buffers; the paper's three polynomials through the hardware
+// engine at one Ethernet MTU frame (1514 bytes), IEEE and Castagnoli
+// beside hash/crc32 and CRC-32K beside slicing-by-16; and CRC-32K at
+// 64 KiB and at the short lengths of 16 and 48 bytes.
 func BenchmarkCRCThroughput(b *testing.B) {
 	data := make([]byte, 64<<10)
 	rng := rand.New(rand.NewPCG(3, 5))
@@ -355,6 +357,18 @@ func BenchmarkCRCThroughput(b *testing.B) {
 		{"hardware", data, stdTab, hardware.Checksum},
 		{"stdlib", data, stdTab, func(d []byte) uint32 { return crc32.Checksum(d, stdTab) }},
 	}
+	castTab := crc32.MakeTable(crc32.Castagnoli)
+	castHW, err := crc.NewHardware(crc.CRC32C)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mtu := data[:1514]
+	engines = append(engines,
+		row{"ieee-hardware-1514", mtu, stdTab, hardware.Checksum},
+		row{"ieee-stdlib-1514", mtu, stdTab, func(d []byte) uint32 { return crc32.Checksum(d, stdTab) }},
+		row{"castagnoli-hardware-1514", mtu, castTab, castHW.Checksum},
+		row{"castagnoli-stdlib-1514", mtu, castTab, func(d []byte) uint32 { return crc32.Checksum(d, castTab) }},
+	)
 	koopTab := crc32.MakeTable(crc32.Koopman)
 	koopHW, err := crc.NewHardware(crc.CRC32K)
 	if err != nil {
@@ -364,7 +378,7 @@ func BenchmarkCRCThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, n := range []int{1514, 64 << 10} {
+	for _, n := range []int{16, 48, 1514, 64 << 10} {
 		engines = append(engines,
 			row{fmt.Sprintf("crc32k-hardware-%d", n), data[:n], koopTab, koopHW.Checksum},
 			row{fmt.Sprintf("crc32k-slicing16-%d", n), data[:n], koopTab, koopS16.Checksum},
@@ -378,6 +392,23 @@ func BenchmarkCRCThroughput(b *testing.B) {
 				if e.fn(e.data) != want {
 					b.Fatal("checksum mismatch")
 				}
+			}
+		})
+	}
+}
+
+// newEngineSink keeps BenchmarkNewEngine's engines live.
+var newEngineSink crchash.Engine
+
+// BenchmarkNewEngine times crchash.New, Kind Auto's engine build, for
+// each of the paper's three polynomials: the whole set-up of
+// paperbench's checksum workload.
+func BenchmarkNewEngine(b *testing.B) {
+	for _, p := range []crchash.Params{crchash.CRC32IEEE, crchash.CRC32C, crchash.CRC32K} {
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newEngineSink = crchash.New(p)
 			}
 		})
 	}

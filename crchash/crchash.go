@@ -1,9 +1,11 @@
 // Package crchash computes CRC checksums for widths up to 32 bits: a
 // catalogue of standard algorithms in the Rocksoft parameter model, user
 // registration of custom algorithms, four engine kinds (bit-at-a-time,
-// byte-table, slicing-by-16 and a hardware engine: hash/crc32 for IEEE
-// and Castagnoli, a PCLMULQDQ fold for every other reflected 32-bit
-// generator on amd64) cross-validated against the bitwise reference,
+// byte-table, slicing-by-16 and a hardware engine: a carry-less-multiply
+// fold for reflected 32-bit generators on amd64, 512-bit VPCLMULQDQ for
+// all of them where the CPU has AVX-512 and PCLMULQDQ for all but IEEE
+// and Castagnoli elsewhere, and hash/crc32 for those two where the fold
+// does not take them) cross-validated against the bitwise reference,
 // and hash.Hash32-compatible digests. Kind Auto picks among them by a
 // static structural rule: the hardware engine where it is accelerated
 // (IEEE and Castagnoli, and every other reflected 32-bit set where the
@@ -63,10 +65,9 @@ type Kind int
 // Available engine kinds.
 const (
 	// Auto picks the fastest kernel the parameter set admits by a
-	// static rule: Hardware for the generators hash/crc32 accelerates
-	// (IEEE, Castagnoli) and, on amd64 CPUs with PCLMULQDQ and SSE4.1,
-	// for every other reflected 32-bit set, otherwise Slicing16,
-	// otherwise Table, otherwise Bitwise.
+	// static rule: Hardware for IEEE and Castagnoli and, on amd64 CPUs
+	// with PCLMULQDQ and SSE4.1, for every other reflected 32-bit set,
+	// otherwise Slicing16, otherwise Table, otherwise Bitwise.
 	Auto Kind = iota
 	// Bitwise is the bit-at-a-time reference engine, valid for every
 	// width and reflection combination.
@@ -78,13 +79,15 @@ const (
 	// algorithms only): the table loads for a whole block are
 	// independent, so the XOR reduction is the only serial chain.
 	Slicing16
-	// Hardware delegates IEEE and Castagnoli to the standard
-	// library's hash/crc32, which uses CLMUL folding (IEEE) and the
-	// SSE4.2/ARMv8 CRC32C instructions (Castagnoli) where the platform
-	// has them, and folds every other generator with PCLMULQDQ on
-	// amd64 CPUs that have it, with the slicing-by-16 loop for short
-	// inputs and tails and on other hosts (reflected 32-bit algorithms
-	// only).
+	// Hardware folds reflected 32-bit algorithms with carry-less
+	// multiplies on amd64, with one byte table for inputs under 16
+	// bytes: every generator, IEEE and Castagnoli included, with
+	// 512-bit VPCLMULQDQ loops on CPUs with AVX-512, and every other
+	// generator with PCLMULQDQ elsewhere. IEEE and Castagnoli otherwise
+	// go to the standard library's hash/crc32, which uses CLMUL folding
+	// (IEEE) and the SSE4.2/ARMv8 CRC32C instructions (Castagnoli) where
+	// the platform has them; other generators on hosts without the fold
+	// run the slicing-by-16 loop (reflected 32-bit algorithms only).
 	Hardware
 )
 

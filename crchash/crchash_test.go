@@ -232,11 +232,12 @@ func TestKindOfRoundTrip(t *testing.T) {
 }
 
 // TestNewFollowsStructuralRule pins Auto's choice for the paper's three
-// 32-bit algorithms and the two fallbacks: hardware where hash/crc32
-// accelerates the generator, and for every other reflected 32-bit set
-// where the CPU probe found the carry-less-multiply fold; slicing16 for
-// those sets elsewhere, the byte table for other byte-aligned widths,
-// bitwise otherwise.
+// 32-bit algorithms and the two fallbacks: hardware for IEEE and
+// Castagnoli on every host (the fold where the CPU has its 512-bit
+// loops, hash/crc32 elsewhere; internal/crc pins which), and for every
+// other reflected 32-bit set where the CPU probe found the carry-less-
+// multiply fold; slicing16 for those sets elsewhere, the byte table for
+// other byte-aligned widths, bitwise otherwise.
 func TestNewFollowsStructuralRule(t *testing.T) {
 	ccitt, err := crchash.Lookup("CRC-16/CCITT-FALSE")
 	if err != nil {

@@ -27,6 +27,17 @@ func FuzzKernelCrossValidation(f *testing.F) {
 	f.Add(uint64(0xBA0DC66B), uint32(0), uint32(0), ramp(65), uint16(64))
 	f.Add(uint64(0x8F6E37A0), uint32(0x12345678), uint32(0), ramp(127), uint16(5))
 	f.Add(uint64(0x992C1A4C), uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), ramp(1514), uint16(1000))
+	// Lengths at the 512-bit fold's edges: one xmm and no 16-byte step,
+	// three 16-byte steps, one 256-byte step, a byte past it, an MTU
+	// frame under IEEE and Castagnoli (which fold too where the CPU has
+	// the 512-bit loops), and a long odd length.
+	f.Add(uint64(0xBA0DC66B), uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), ramp(16), uint16(9))
+	f.Add(uint64(0xBA0DC66B), uint32(0x12345678), uint32(0), ramp(48), uint16(17))
+	f.Add(uint64(0x8F6E37A0), uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), ramp(256), uint16(64))
+	f.Add(uint64(0xBA0DC66B), uint32(0), uint32(0xFFFFFFFF), ramp(257), uint16(255))
+	f.Add(uint64(0x82608EDB), uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), ramp(1514), uint16(1490))
+	f.Add(uint64(0x8F6E37A0), uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), ramp(1514), uint16(300))
+	f.Add(uint64(0xDEADBEEF), uint32(0x9ABCDEF0), uint32(0x12345678), ramp(4103), uint16(4000))
 
 	f.Fuzz(func(t *testing.T, kpoly uint64, init, xorout uint32, data []byte, cut uint16) {
 		// Koopman form with the top bit forced keeps every fuzz input a

@@ -1,9 +1,11 @@
 // Package crc implements parameterised CRC computation for widths up to
 // 32 bits with four engines: bit-at-a-time (the reference), byte-wise
-// table lookup, slicing-by-16, and a hardware engine that delegates IEEE
-// and Castagnoli to hash/crc32 (CLMUL/SSE4.2 where the platform has
-// them) and folds every other reflected 32-bit generator with PCLMULQDQ
-// on amd64. Algorithms follow the Rocksoft model (init / reflect-in /
+// table lookup, slicing-by-16, and a hardware engine that folds reflected
+// 32-bit generators with carry-less multiplies on amd64: every one of
+// them, IEEE and Castagnoli included, with 512-bit VPCLMULQDQ loops
+// where the CPU has AVX-512, and every one but those two with PCLMULQDQ
+// elsewhere; IEEE and Castagnoli otherwise go to hash/crc32
+// (CLMUL/SSE4.2 where the platform has them). Algorithms follow the Rocksoft model (init / reflect-in /
 // reflect-out / xor-out) so every catalogued standard can be expressed;
 // the engines are cross-checked against each other, against hash/crc32
 // and against GF(2) polynomial arithmetic in the tests.
@@ -213,11 +215,11 @@ func (e *Table) Checksum(data []byte) uint32 {
 }
 
 // New returns the fastest engine the parameter set admits on structural
-// grounds: the hardware engine where it is accelerated (IEEE and
-// Castagnoli through hash/crc32, whose software fallback is itself
-// slicing-by-8, so this never loses; every other reflected 32-bit set
-// where the fold can run), then slicing-by-16, then byte-table, falling
-// back to the reference bitwise engine. It is crchash's Kind Auto.
+// grounds: the hardware engine where it is accelerated (every reflected
+// 32-bit set where the fold can run; elsewhere IEEE and Castagnoli
+// through hash/crc32, whose software fallback is itself slicing-by-8, so
+// this never loses), then slicing-by-16, then byte-table, falling back
+// to the reference bitwise engine. It is crchash's Kind Auto.
 func New(p Params) Engine {
 	if accelerated(p) {
 		if h, err := NewHardware(p); err == nil {

@@ -235,18 +235,22 @@ func TestTableEngineErrors(t *testing.T) {
 }
 
 func TestNewPicksFastestEngine(t *testing.T) {
-	// IEEE and Castagnoli have stdlib architecture fast paths; the paper's
-	// Koopman polynomial gets the fold where the CPU probe found it, and
-	// the widest slicing kernel elsewhere.
-	if hw, ok := New(CRC32IEEE).(*Hardware); !ok || !hw.Accelerated() {
-		t.Error("New(CRC32IEEE) should return an accelerated hardware engine")
-	}
-	if hw, ok := New(CRC32C).(*Hardware); !ok || !hw.Accelerated() {
-		t.Error("New(CRC32C) should return an accelerated hardware engine")
+	// All three of the paper's polynomials get the hardware engine
+	// where the fold runs: IEEE and Castagnoli fold where the CPU has
+	// its 512-bit loops and go to hash/crc32's fast paths elsewhere; the
+	// paper's Koopman polynomial folds wherever the CPU probe found the
+	// fold, and gets the widest slicing kernel elsewhere.
+	for _, p := range []Params{CRC32IEEE, CRC32C} {
+		hw, ok := New(p).(*Hardware)
+		if !ok || !hw.Accelerated() {
+			t.Errorf("New(%s) should return an accelerated hardware engine", p.Name)
+		} else if (hw.fold != nil) != foldWide {
+			t.Errorf("New(%s) folds %v, want %v (the 512-bit loops)", p.Name, hw.fold != nil, foldWide)
+		}
 	}
 	if foldAvailable {
-		if hw, ok := New(CRC32K).(*Hardware); !ok || !hw.Accelerated() {
-			t.Error("New(CRC32K) should return an accelerated hardware engine on a fold host")
+		if hw, ok := New(CRC32K).(*Hardware); !ok || hw.fold == nil {
+			t.Error("New(CRC32K) should return a folding hardware engine on a fold host")
 		}
 	} else if _, ok := New(CRC32K).(*Slicing16); !ok {
 		t.Error("New(CRC32K) should return a slicing-by-16 engine without the fold")

@@ -6,28 +6,38 @@ import (
 )
 
 // Hardware is the engine that runs on CPU instructions where it can.
-// For IEEE and Castagnoli it delegates to the standard library's
-// hash/crc32, which uses CLMUL folding for IEEE and the SSE4.2 / ARMv8
-// CRC32C instructions for Castagnoli where the CPU has them. Any other
-// reflected 32-bit generator, the paper's CRC-32K among them, runs a
-// carry-less-multiply fold (foldCLMUL) on amd64 CPUs with PCLMULQDQ and
-// SSE4.1, with the slicing-by-16 loop for the tail and short inputs;
-// elsewhere it runs that loop alone, so construction succeeds but
-// nothing is offloaded. Accelerated reports which case an engine
-// landed in, and New picks Hardware only for the accelerated ones.
+// On amd64 CPUs with PCLMULQDQ it runs a carry-less-multiply fold
+// (foldCLMUL) for reflected 32-bit generators, with one byte table for
+// inputs under 16 bytes. Where the CPU also has AVX-512 VPCLMULQDQ the
+// fold's 512-bit loops serve every generator, IEEE and Castagnoli
+// included. Elsewhere IEEE and Castagnoli go to the standard library's
+// hash/crc32 (CLMUL folding for IEEE, the SSE4.2 / ARMv8 CRC32C
+// instructions for Castagnoli, where the CPU has them), which is as fast
+// as the 128-bit fold; any other generator folds where the CPU has
+// PCLMULQDQ and otherwise runs the slicing-by-16 loop, so construction
+// succeeds but nothing is offloaded. Accelerated reports which case an
+// engine landed in, and New picks Hardware only for the accelerated
+// ones.
 type Hardware struct {
 	params Params
-	tab    *crc32.Table     // the stdlib's table, for IEEE and Castagnoli only
-	slices *[16][256]uint32 // the slicing tables, for every other generator
-	fold   *foldConsts      // the fold's constants, nil where it cannot run
+	tab    *[256]uint32     // the byte table: hash/crc32's, or the fold's for short inputs
+	slices *[16][256]uint32 // the slicing tables, where neither runs
+	fold   *foldConsts      // the fold's constants, nil where it does not run
 	init   uint32           // the reflected initial state Init returns
 }
 
 var _ Engine = (*Hardware)(nil)
 
-// NewHardware builds the hardware engine. It builds the stdlib's table
-// or the slicing tables, never both.
+// NewHardware builds the hardware engine for the running CPU: the
+// fold's constants and one byte table where the fold runs, hash/crc32's
+// table where it delegates, the slicing tables otherwise.
 func NewHardware(p Params) (*Hardware, error) {
+	return newHardware(p, foldAvailable, foldWide)
+}
+
+// newHardware builds the hardware engine for a CPU that has the fold
+// (fold) and its 512-bit loops (wide) or not.
+func newHardware(p Params, fold, wide bool) (*Hardware, error) {
 	if p.Poly.Width() != 32 {
 		return nil, fmt.Errorf("crc: hardware engine requires width 32, got %d", p.Poly.Width())
 	}
@@ -35,14 +45,23 @@ func NewHardware(p Params) (*Hardware, error) {
 		return nil, fmt.Errorf("crc: hardware engine requires reflected input and output")
 	}
 	e := &Hardware{params: p, init: reverseBits(p.Init, 32)}
-	if rev := uint32(p.Poly.Reversed()); stdlibAccelerated(rev) {
-		e.tab = crc32.MakeTable(rev)
-	} else {
+	rev := uint32(p.Poly.Reversed())
+	stdlib := stdlibAccelerated(rev)
+	if stdlib {
+		// hash/crc32 caches its IEEE and Castagnoli tables, and each is
+		// this package's reflected byte table.
+		e.tab = (*[256]uint32)(crc32.MakeTable(rev))
+	}
+	switch {
+	case fold && (wide || !stdlib):
+		if e.tab == nil {
+			e.tab = new([256]uint32)
+			fillByteTable(e.tab, rev)
+		}
+		e.fold = newFoldConsts(e.tab, uint32(p.Poly.Normal()))
+	case !stdlib:
 		e.slices = new([16][256]uint32)
 		fillSlicingTables(e.slices, rev)
-		if foldAvailable {
-			e.fold = newFoldConsts(e.slices, uint32(p.Poly.Normal()))
-		}
 	}
 	return e, nil
 }
@@ -64,11 +83,11 @@ func accelerated(p Params) bool {
 	return foldAvailable || stdlibAccelerated(uint32(p.Poly.Reversed()))
 }
 
-// Accelerated reports whether the engine has a fast path: hash/crc32's
-// for IEEE and Castagnoli, the fold for any other generator. For the
-// stdlib's generators whether the running CPU provides the
-// instructions is the stdlib's runtime decision.
-func (e *Hardware) Accelerated() bool { return e.tab != nil || e.fold != nil }
+// Accelerated reports whether the engine has a fast path: the fold, or
+// hash/crc32's for IEEE and Castagnoli. For the stdlib's generators
+// whether the running CPU provides the instructions is the stdlib's
+// runtime decision.
+func (e *Hardware) Accelerated() bool { return e.slices == nil }
 
 // Params implements Engine.
 func (e *Hardware) Params() Params { return e.params }
@@ -83,23 +102,23 @@ func (e *Hardware) Init() uint32 { return e.init }
 // Finalize implements Engine.
 func (e *Hardware) Finalize(state uint32) uint32 { return state ^ e.params.XorOut }
 
-// Update implements Engine. hash/crc32's Update is the same reflected
-// table recurrence wrapped in complements — Update(c, tab, p) computes
-// ^update(^c, p) over the raw reflected register — so un-complementing
-// at the boundary yields exactly this package's pure reflected state,
-// for any Init/XorOut convention. The fold works on that state
-// directly: it takes the whole 16-byte blocks of an input of 64 bytes
-// or more, and the slicing loop takes the rest.
+// Update implements Engine. The fold works on this package's pure
+// reflected state directly and takes any input of 16 bytes or more
+// whole; shorter ones take the byte table. hash/crc32's Update is the
+// same reflected table recurrence wrapped in complements — Update(c,
+// tab, p) computes ^update(^c, p) over the raw reflected register — so
+// un-complementing at the boundary yields exactly the pure state, for
+// any Init/XorOut convention.
 func (e *Hardware) Update(state uint32, data []byte) uint32 {
-	if e.tab != nil {
-		return ^crc32.Update(^state, e.tab, data)
+	switch {
+	case e.fold != nil && len(data) >= 16:
+		return foldCLMUL(state, data, e.fold)
+	case e.fold != nil:
+		return byteUpdate(state, e.tab, data)
+	case e.slices != nil:
+		return slicingUpdate(state, e.slices, data)
 	}
-	if e.fold != nil && len(data) >= 64 {
-		n := len(data) &^ 15
-		state = foldCLMUL(state, data[:n], e.fold)
-		data = data[n:]
-	}
-	return slicingUpdate(state, e.slices, data)
+	return ^crc32.Update(^state, (*crc32.Table)(e.tab), data)
 }
 
 // Checksum implements Engine.

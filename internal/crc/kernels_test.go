@@ -2,6 +2,7 @@ package crc
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -139,48 +140,57 @@ func TestKernelsRefuseInadmissibleParams(t *testing.T) {
 }
 
 // TestHardwareAccelerated pins which generators the hardware engine
-// reports a fast path for: the stdlib's two always, CRC-32K exactly
-// where the fold can run.
+// reports a fast path for, and which path it is: the fold for every
+// generator where the CPU has its 512-bit loops, the fold for CRC-32K
+// and hash/crc32 for IEEE and Castagnoli where it has only the 128-bit
+// loop, and hash/crc32 for those two alone where it has no fold.
 func TestHardwareAccelerated(t *testing.T) {
 	for _, tc := range []struct {
-		p    Params
-		want bool
+		p                 Params
+		accelerated, fold bool
 	}{
-		{CRC32IEEE, true},
-		{CRC32C, true},
-		{CRC32K, foldAvailable},
+		{CRC32IEEE, true, foldWide},
+		{CRC32C, true, foldWide},
+		{CRC32K, foldAvailable, foldAvailable},
 	} {
 		hw, err := NewHardware(tc.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hw.Accelerated() != tc.want {
-			t.Errorf("%s: Accelerated() = %v, want %v", tc.p.Name, hw.Accelerated(), tc.want)
+		if hw.Accelerated() != tc.accelerated {
+			t.Errorf("%s: Accelerated() = %v, want %v", tc.p.Name, hw.Accelerated(), tc.accelerated)
+		}
+		if (hw.fold != nil) != tc.fold {
+			t.Errorf("%s: fold engaged %v, want %v", tc.p.Name, hw.fold != nil, tc.fold)
 		}
 	}
 }
 
-// throughput measures one engine's bytes/sec over a 1 MiB payload with
-// a tiny fixed time budget — enough resolution to separate a CLMUL or
+// throughput measures one checksum function's bytes/sec over a payload
+// with a tiny fixed time budget — enough resolution to separate a CLMUL or
 // CRC32-instruction path (tens of GB/s) from software slicing.
-func throughput(e Engine, data []byte) float64 {
-	e.Checksum(data) // warm tables and caches
+func throughput(checksum func([]byte) uint32, data []byte) float64 {
+	checksum(data) // warm tables and caches
 	var done int64
 	start := time.Now()
 	for time.Since(start) < 30*time.Millisecond {
-		e.Checksum(data)
+		checksum(data)
 		done += int64(len(data))
 	}
 	return float64(done) / time.Since(start).Seconds()
 }
 
 // TestHardwarePathEngaged asserts the hardware engine actually beats
-// slicing-by-16, the software kernel New falls back to, on this host.
-// For Castagnoli the stdlib decides at run time: on hosts without
+// the kernel it replaces on this host. Against slicing-by-16, the
+// software kernel New falls back to: for Castagnoli where hash/crc32
+// runs it, the stdlib decides at run time, and on hosts without
 // SSE4.2/ARMv8 CRC32 it falls back to its own software slicing, so that
 // leg is skipped rather than failed — detection is empirical. For
 // CRC-32K the fold runs exactly where the CPUID probe found PCLMULQDQ
 // and SSE4.1, so that leg is asserted whenever the probe says so.
+// Against hash/crc32 itself at 64 KiB: where the probe found the
+// 512-bit loops, IEEE and Castagnoli fold, and must run at least 1.5x
+// the stdlib.
 func TestHardwarePathEngaged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement in -short mode")
@@ -199,7 +209,7 @@ func TestHardwarePathEngaged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hwBps, s16Bps = throughput(hw, data), throughput(s16, data)
+		hwBps, s16Bps = throughput(hw.Checksum, data), throughput(s16.Checksum, data)
 		t.Logf("%s: hardware %.2f GB/s, slicing16 %.2f GB/s, ratio %.2fx",
 			p.Name, hwBps/1e9, s16Bps/1e9, hwBps/s16Bps)
 		return hwBps, s16Bps
@@ -221,4 +231,28 @@ func TestHardwarePathEngaged(t *testing.T) {
 			t.Errorf("fold on but only %.2fx slicing16", hwBps/s16Bps)
 		}
 	})
+	for _, tc := range []struct {
+		name string
+		p    Params
+		poly uint32
+	}{{"ieee-vs-stdlib", CRC32IEEE, crc32.IEEE}, {"castagnoli-vs-stdlib", CRC32C, crc32.Castagnoli}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !foldWide {
+				t.Skip("no AVX-512 VPCLMULQDQ on this host: hash/crc32 runs IEEE and Castagnoli")
+			}
+			hw, err := NewHardware(tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab := crc32.MakeTable(tc.poly)
+			stdlib := func(d []byte) uint32 { return crc32.Checksum(d, tab) }
+			d := data[:64<<10]
+			hwBps, stdBps := throughput(hw.Checksum, d), throughput(stdlib, d)
+			t.Logf("%s: hardware %.2f GB/s, hash/crc32 %.2f GB/s, ratio %.2fx",
+				tc.p.Name, hwBps/1e9, stdBps/1e9, hwBps/stdBps)
+			if hwBps < 1.5*stdBps {
+				t.Errorf("512-bit fold on but only %.2fx hash/crc32", hwBps/stdBps)
+			}
+		})
+	}
 }

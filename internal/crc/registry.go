@@ -133,9 +133,18 @@ func Catalogue() []Params {
 	return all
 }
 
-// Lookup finds a catalogued algorithm by name.
+// Lookup finds a catalogued algorithm by name. Names are unique across
+// built-in and registered algorithms, so it searches both as they are,
+// without the sorted copy Catalogue builds.
 func Lookup(name string) (Params, error) {
-	for _, p := range Catalogue() {
+	for _, p := range builtin() {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	regMu.RLock()
+	defer regMu.RUnlock()
+	for _, p := range registered {
 		if p.Name == name {
 			return p, nil
 		}

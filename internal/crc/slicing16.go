@@ -49,37 +49,52 @@ func (e *Slicing16) Checksum(data []byte) uint32 {
 	return e.Finalize(e.Update(e.Init(), data))
 }
 
+// fillByteTable builds the byte table of the reflected generator rev:
+// t[i] advances byte i past one step of the recurrence. The table is
+// linear over GF(2) in its index, so only the entries of the eight
+// single-bit bytes are stepped out; every other entry is the XOR of two
+// already filled.
+func fillByteTable(t *[256]uint32, rev uint32) {
+	for b := 0; b < 8; b++ {
+		c := uint32(1) << b
+		for range 8 {
+			c = c>>1 ^ rev&-(c&1)
+		}
+		t[1<<b] = c
+	}
+	fillByLinearity(t)
+}
+
 // fillSlicingTables builds the slicing-by-16 tables of the reflected
 // generator rev into a zeroed tab: tab[0] is the byte table and
-// tab[k][i] advances byte i past k more zero bytes. Each table is linear
-// over GF(2) in its index, so only the entries of the eight single-bit
-// bytes are stepped out; every other entry is the XOR of two already
-// filled.
+// tab[k][i] advances byte i past k more zero bytes, filled by linearity
+// as fillByteTable fills the first.
 func fillSlicingTables(tab *[16][256]uint32, rev uint32) {
-	for k := range tab {
+	fillByteTable(&tab[0], rev)
+	for k := 1; k < len(tab); k++ {
 		for b := 0; b < 8; b++ {
-			var c uint32
-			if k == 0 {
-				c = uint32(1) << b
-				for range 8 {
-					c = c>>1 ^ rev&-(c&1)
-				}
-			} else {
-				c = tab[k-1][1<<b]
-				c = tab[0][byte(c)] ^ c>>8
-			}
-			tab[k][1<<b] = c
+			c := tab[k-1][1<<b]
+			tab[k][1<<b] = tab[0][byte(c)] ^ c>>8
 		}
-		t := &tab[k]
-		for i := 3; i < 256; i++ {
-			t[i] = t[i&(i-1)] ^ t[i&-i]
+		fillByLinearity(&tab[k])
+	}
+}
+
+// fillByLinearity fills every entry of a table linear in its index from
+// the entries of the single-bit indexes: the entries below each power
+// of two b, XORed with entry b, give the entries from b to 2b.
+func fillByLinearity(t *[256]uint32) {
+	for b := 2; b < 256; b <<= 1 {
+		tb := t[b]
+		for j := 1; j < b; j++ {
+			t[b+j] = tb ^ t[j]
 		}
 	}
 }
 
 // slicingUpdate advances the pure reflected state over data sixteen
 // bytes a step, then a byte at a time: the loop of Slicing16, and of
-// Hardware for generators hash/crc32 does not accelerate.
+// Hardware where neither hash/crc32 nor the fold runs.
 func slicingUpdate(state uint32, tab *[16][256]uint32, data []byte) uint32 {
 	for len(data) >= 16 {
 		s := state ^ binary.LittleEndian.Uint32(data)
@@ -101,8 +116,14 @@ func slicingUpdate(state uint32, tab *[16][256]uint32, data []byte) uint32 {
 			tab[0][data[15]]
 		data = data[16:]
 	}
+	return byteUpdate(state, &tab[0], data)
+}
+
+// byteUpdate advances the pure reflected state over data a byte at a
+// time through the byte table tab.
+func byteUpdate(state uint32, tab *[256]uint32, data []byte) uint32 {
 	for _, b := range data {
-		state = (state >> 8) ^ tab[0][byte(state)^b]
+		state = (state >> 8) ^ tab[byte(state)^b]
 	}
 	return state
 }
